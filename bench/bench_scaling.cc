@@ -14,6 +14,9 @@
 // `--smoke` runs the perf regression gate instead (exit 1 on a miss):
 //  * GoodRadius n=2048/d=2/t=n/16 under an absolute ns floor, and the
 //    grid-indexed profile >= 3x faster than the exact sweep in-process;
+//  * GoodRadius n=4096/d=2/t=0.3n at the default (auto) profile under an
+//    absolute floor and >= 3x faster than the exact oracle, so a fallback
+//    to the all-pairs sweep above t = n/4 fails;
 //  * GoodCenter n=4096/d=32 at threads=4 not slower than threads=1 (the
 //    ParallelFor minimum-grain cutoff keeps sub-threshold regions serial).
 
@@ -39,8 +42,9 @@ namespace {
 struct ConfigOptions {
   double eps = 8.0;
   std::size_t num_threads = 1;
-  /// Target cluster size is n / t_divisor.
+  /// Target cluster size is n / t_divisor, unless `t` is set.
   std::size_t t_divisor = 2;
+  std::size_t t = 0;
   /// Appended to the JSON op names so differently-parameterized sweeps
   /// (|X| sweep, small-t sweep) do not collide on the (op, n, d, threads)
   /// dedup key.
@@ -55,7 +59,7 @@ void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
                const ConfigOptions& cfg = {}) {
   PlantedClusterSpec spec;
   spec.n = n;
-  spec.t = n / cfg.t_divisor;
+  spec.t = cfg.t > 0 ? cfg.t : n / cfg.t_divisor;
   spec.dim = d;
   spec.levels = levels;
   spec.cluster_radius = 0.01;
@@ -439,6 +443,26 @@ int RunSmoke() {
       radius_ok ? "OK" : "FAIL");
   failures += radius_ok ? 0 : 1;
 
+  // Default-profile floor above the former n/4 crossover (n=4096, t=0.3n,
+  // d=2), where kAuto used to run the all-pairs sweep: ~1.8e9 ns on a
+  // 4-vCPU VM, against ~0.25-0.33e9 for the t-NN stream it takes now.
+  const std::size_t t_high = 4096 * 3 / 10;
+  const double auto_ms =
+      BestOfThreeRadiusMs(4096, t_high, 2, ProfileIndex::kAuto);
+  const double oracle_ms =
+      BestOfThreeRadiusMs(4096, t_high, 2, ProfileIndex::kExact);
+  constexpr double kAutoFloorMs = 1000.0;
+  constexpr double kAutoSpeedupFloor = 3.0;
+  const bool auto_ok = auto_ms > 0.0 && oracle_ms > 0.0 &&
+                       auto_ms < kAutoFloorMs &&
+                       oracle_ms / auto_ms >= kAutoSpeedupFloor;
+  std::printf(
+      "smoke: GoodRadius n=4096 t=%zu d=2: auto %.1fms (floor %.0fms), "
+      "exact/auto %.2fx (floor %.1fx) -> %s\n",
+      t_high, auto_ms, kAutoFloorMs, oracle_ms / auto_ms, kAutoSpeedupFloor,
+      auto_ok ? "OK" : "FAIL");
+  failures += auto_ok ? 0 : 1;
+
   // GoodCenter thread floor: with the ParallelFor minimum-grain cutoff,
   // threads=4 runs the same serial regions as threads=1 at this size, so it
   // must not be slower (1.3x margin for timer and scheduler noise).
@@ -547,8 +571,8 @@ int main(int argc, char** argv) {
       RunConfig(table, reporter, rng, n, 2, 1u << 12);
     }
     table.Print();
-    bench::Note("Expected: GoodRadius ~ n^2 at t=n/2 (pruning saves < 2x"
-                " there, so auto keeps the exact profile), GoodCenter"
+    bench::Note("Expected: GoodRadius ~ n^2 at t=n/2 (the t-NN stream"
+                " prunes only half the pair events there), GoodCenter"
                 " near-linear in n.");
   }
 
@@ -571,6 +595,24 @@ int main(int argc, char** argv) {
                 " sweep on the same workload. The paper's t << n regime is"
                 " where the ~O(n t) profile wins; outputs are bit-identical"
                 " (determinism_test).");
+  }
+
+  bench::Banner("Above the former n/4 crossover (n=4096, t=0.3n, d=2, "
+                "|X|=2^12)");
+  {
+    TextTable table(kHeader);
+    ConfigOptions automatic;
+    automatic.t = 4096 * 3 / 10;
+    automatic.op_suffix = "/t03";
+    RunConfig(table, reporter, rng, 4096, 2, 1u << 12, automatic);
+    ConfigOptions exact = automatic;
+    exact.op_suffix = "/t03-exact";
+    exact.profile_index = ProfileIndex::kExact;
+    RunConfig(table, reporter, rng, 4096, 2, 1u << 12, exact);
+    table.Print();
+    bench::Note("auto (t-NN stream) vs the exact oracle where auto used to"
+                " run the all-pairs sweep; outputs are bit-identical"
+                " (radius_profile_test). The --smoke floor guards this row.");
   }
 
   bench::Banner(

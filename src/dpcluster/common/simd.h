@@ -13,8 +13,14 @@
 #if defined(__x86_64__) && defined(__gnu_linux__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define DPC_TARGET_CLONES_AVX2 __attribute__((target_clones("default", "avx2")))
+// 1 where the toolchain dispatches __attribute__((target("default"))) /
+// __attribute__((target("avx2"))) overloads of one function at runtime, for
+// kernels whose AVX2 body differs from the baseline one (and must still
+// produce the same bits).
+#define DPC_AVX2_MULTIVERSIONING 1
 #else
 #define DPC_TARGET_CLONES_AVX2
+#define DPC_AVX2_MULTIVERSIONING 0
 #endif
 
 #endif  // DPCLUSTER_COMMON_SIMD_H_

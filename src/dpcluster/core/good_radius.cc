@@ -86,10 +86,13 @@ std::size_t RescaledT(std::size_t t, std::size_t m, std::size_t n) {
 
 // The subsample size the radius stage may keep (satellite of the
 // IndexedDataset PR): max_profile_points guards the quadratic structures,
-// but when the ~O(n t) grid profile would serve the subsampled problem the
-// stage can afford subsample_grid_cap_factor times more rows — less
-// subsampling error at about the same cost. Only the RecConcave engine's
-// grid path qualifies; everything else keeps the strict cap.
+// but when the ~O(n t) grid profile serves the subsampled problem cheaply
+// the stage can afford subsample_grid_cap_factor times more rows — less
+// subsampling error at about the same cost. Only the RecConcave engine
+// qualifies, and under kAuto only from 512 rows and while t - 1 stays within
+// the t-NN stream's cheap range: n/4 (n/2 once the cell grid collapses to
+// one cell). Larger t keeps the strict cap, which bounds the ~n t events of
+// the enlarged sample.
 std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
                                   const GoodRadiusOptions& options) {
   const std::size_t m = options.max_profile_points;
@@ -100,9 +103,14 @@ std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
   const std::size_t m2 = static_cast<std::size_t>(std::min(
       static_cast<double>(n), raised));
   if (m2 <= m) return m;
-  if (ResolveProfileIndex(options.profile_index, m2, RescaledT(t, m2, n), d) !=
-      ProfileIndex::kGrid) {
-    return m;
+  if (options.profile_index == ProfileIndex::kExact) return m;
+  if (options.profile_index == ProfileIndex::kAuto) {
+    if (m2 < 512) return m;
+    const std::size_t t2 = RescaledT(t, m2, n);
+    const std::size_t t_cap =
+        GridCollapsesToSingleCell(m2, d, t2 > 1 ? t2 - 1 : 1) ? m2 / 2
+                                                              : m2 / 4;
+    if (t2 - 1 > t_cap) return m;
   }
   return m2;
 }

@@ -45,9 +45,10 @@ struct GoodRadiusOptions {
   /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3).
   std::size_t max_profile_points = 4096;
   /// Event generator for the kRecConcave engine's L(r,S) profile:
-  /// auto (measured crossover), grid (t-NN pruned through geo/SpatialGrid,
-  /// ~O(n t) at low dimension), or exact (the all-pairs O(n^2 (d + log n))
-  /// sweep). Released outputs are bit-identical for every choice — the
+  /// auto (= grid, for every unweighted build), grid (t-NN pruned through
+  /// geo/SpatialGrid, ~O(n t) at low dimension), or exact (the all-pairs
+  /// O(n^2 (d + log n)) sweep, kept as the oracle the tests compare grid
+  /// against). Released outputs are bit-identical for every choice — the
   /// pruning is lossless (see core/radius_profile.h); only the runtime
   /// moves. The kSparseVector engine answers its radius counts from
   /// per-point t-NN rows (geo/KnnCappedCounts, O(n t) memory — it never
@@ -84,12 +85,13 @@ struct GoodRadiusOptions {
   /// profile cap stays an explicit, opted-into tradeoff.
   bool subsample_large_inputs = false;
   /// Multiplier on max_profile_points for the subsample path when the ~O(n t)
-  /// grid profile would serve the subsampled problem (RecConcave engine,
-  /// ResolveProfileIndex -> kGrid at the enlarged size): the cap that guards
-  /// the quadratic sweep is far too conservative for the t-NN pruned build,
-  /// so the subsample keeps ~factor more rows (less sampling error) at ~the
-  /// same cost. 1 reproduces the pre-grid behavior; must be >= 1. Ignored
-  /// when the exact sweep or the SparseVector engine would run.
+  /// grid profile serves the subsampled problem cheaply (RecConcave engine;
+  /// under auto, only while the rescaled t - 1 stays <= 1/4 of the enlarged
+  /// size, or 1/2 when its cell grid collapses to one cell): the cap that
+  /// guards the quadratic sweep is far too conservative for the t-NN pruned
+  /// build, so the subsample keeps ~factor more rows (less sampling error) at
+  /// ~the same cost. 1 reproduces the pre-grid behavior; must be >= 1.
+  /// Ignored when the exact sweep or the SparseVector engine would run.
   double subsample_grid_cap_factor = 10.0;
   /// Coreset stage for the PointSet entry point: when enabled and n >=
   /// coreset.min_points, the input is first collapsed to a weighted k-center

@@ -154,39 +154,108 @@ struct WeightedEvent {
   std::uint32_t add;
 };
 
-// The shared sweep over index-sorted events: maintain per-center counts
-// (capped at t) and the top-t sum, recording a breakpoint wherever the value
-// changes. Only the grouping of events by index matters (see CappedTopTracker),
-// never their order within one index.
-StepFunction SweepEvents(std::span<const Event> events, std::size_t n,
+// Unit pair events grouped by fine index: bucket b holds the 4-byte ids of
+// the centers whose ball gains one point at fine index FineIndex(b). The
+// sweep only needs each index's events together (see CappedTopTracker), so
+// when the fine grid is comparably sized to the event stream — the common
+// case — one counting sort over the indices groups the t-NN stream without
+// ever materializing (index, center) records.
+class EventBuckets {
+ public:
+  /// `for_each_event(emit)` must call emit(fine_index, center) once per event,
+  /// the same events on every call (Group makes up to two passes).
+  template <typename ForEachEvent>
+  static EventBuckets Group(std::size_t num_events, std::uint64_t fine_domain,
+                            ForEachEvent&& for_each_event) {
+    if (fine_domain > 8 * num_events + 1024) {
+      // Huge |X| with few events: sorting the records beats a mostly empty
+      // bucket table.
+      std::vector<Event> events;
+      events.reserve(num_events);
+      for_each_event([&](std::uint64_t g, std::uint32_t center) {
+        events.push_back({g, center});
+      });
+      std::sort(events.begin(), events.end(),
+                [](const Event& a, const Event& b) {
+                  return a.index < b.index;
+                });
+      return FromSorted(events);
+    }
+    EventBuckets buckets;
+    std::vector<std::size_t>& offsets = buckets.offsets_;
+    offsets.assign(fine_domain + 1, 0);
+    for_each_event([&](std::uint64_t g, std::uint32_t) { ++offsets[g + 1]; });
+    for (std::uint64_t g = 0; g < fine_domain; ++g) {
+      offsets[g + 1] += offsets[g];
+    }
+    DPC_CHECK_EQ(offsets[fine_domain], num_events);
+    buckets.centers_.resize(num_events);
+    // Scatter with offsets[g] as bucket g's cursor; it ends at bucket g+1's
+    // start, so one shift restores the starts.
+    for_each_event([&](std::uint64_t g, std::uint32_t center) {
+      buckets.centers_[offsets[g]++] = center;
+    });
+    std::copy_backward(offsets.begin(), offsets.end() - 2, offsets.end() - 1);
+    offsets[0] = 0;
+    return buckets;
+  }
+
+  /// Groups index-sorted events: one bucket per distinct index.
+  static EventBuckets FromSorted(std::span<const Event> events) {
+    EventBuckets buckets;
+    buckets.sparse_ = true;
+    buckets.centers_.reserve(events.size());
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      if (e == 0 || events[e].index != events[e - 1].index) {
+        buckets.keys_.push_back(events[e].index);
+        buckets.offsets_.push_back(e);
+      }
+      buckets.centers_.push_back(events[e].center);
+    }
+    buckets.offsets_.push_back(events.size());
+    return buckets;
+  }
+
+  std::size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::uint64_t FineIndex(std::size_t b) const {
+    return sparse_ ? keys_[b] : b;
+  }
+  std::span<const std::uint32_t> Centers(std::size_t b) const {
+    return std::span<const std::uint32_t>(centers_).subspan(
+        offsets_[b], offsets_[b + 1] - offsets_[b]);
+  }
+
+ private:
+  bool sparse_ = false;              // Bucket b is fine index keys_[b], not b.
+  std::vector<std::uint64_t> keys_;  // Sparse buckets only.
+  std::vector<std::size_t> offsets_;
+  std::vector<std::uint32_t> centers_;
+};
+
+// The shared sweep over grouped events: maintain per-center counts (capped
+// at t) and the top-t sum, recording a breakpoint wherever the value changes.
+StepFunction SweepEvents(const EventBuckets& events, std::size_t n,
                          std::size_t t, std::uint64_t fine_domain) {
   std::vector<std::uint32_t> counts(n, 1);  // Every ball contains its center.
   CappedTopTracker tracker(t, t, n);
   const double inv_t = 1.0 / static_cast<double>(t);
 
-  std::vector<std::uint64_t> starts;
-  std::vector<double> values;
-  std::size_t e = 0;
-  // Process events with index 0 first so the r=0 value reflects duplicates.
-  while (e < events.size() && events[e].index == 0) {
-    const auto c = events[e].center;
-    tracker.Increment(std::min<std::size_t>(counts[c], t));
-    ++counts[c];
-    ++e;
-  }
-  starts.push_back(0);
-  values.push_back(tracker.TopSum() * inv_t);
-
-  while (e < events.size()) {
-    const std::uint64_t g = events[e].index;
-    while (e < events.size() && events[e].index == g) {
-      const auto c = events[e].center;
+  std::vector<std::uint64_t> starts = {0};
+  std::vector<double> values = {tracker.TopSum() * inv_t};
+  for (std::size_t b = 0; b < events.size(); ++b) {
+    const std::span<const std::uint32_t> centers = events.Centers(b);
+    if (centers.empty()) continue;
+    for (const std::uint32_t c : centers) {
       tracker.Increment(std::min<std::size_t>(counts[c], t));
       ++counts[c];
-      ++e;
     }
+    const std::uint64_t g = events.FineIndex(b);
     const double value = tracker.TopSum() * inv_t;
-    if (value != values.back()) {
+    if (g == 0) {
+      values[0] = value;  // Duplicates: the r=0 value.
+    } else if (value != values.back()) {
       starts.push_back(g);
       values.push_back(value);
     }
@@ -246,24 +315,28 @@ StepFunction SweepWeightedEvents(std::span<const WeightedEvent> events,
                                        std::move(values));
 }
 
-// Distance -> fine event index; shared by both generators so their events
-// carry identical indices for identical pairs.
+// Distance -> fine event index min(max(ceil(dist/fine_step - 1e-12), 0),
+// max_fine); shared by both generators so their events carry identical
+// indices for identical pairs. The ceiling is taken through the integer
+// conversion (exact below max_fine < 2^53), which keeps this hot loop free of
+// a libm call.
 inline std::uint64_t FineIndexOf(double dist, double fine_step,
                                  std::uint64_t max_fine) {
-  double idx = std::ceil(dist / fine_step - 1e-12);
-  if (idx < 0.0) idx = 0.0;
-  auto g = static_cast<std::uint64_t>(idx);
-  return g > max_fine ? max_fine : g;
+  const double x = dist / fine_step - 1e-12;
+  if (!(x > 0.0)) return 0;
+  if (x >= static_cast<double>(max_fine)) return max_fine;
+  const auto g = static_cast<std::uint64_t>(x);  // floor(x), as x > 0
+  return static_cast<double>(g) < x ? g + 1 : g;
 }
 
-// All n(n-1) ordered pair events, index-sorted — the O(n^2 (d + log n)) path.
-// `row(i)` yields the i-th point, so the same kernel sweeps a PointSet
+// All n(n-1) ordered pair events, index-sorted, then grouped — the
+// O(n^2 (d + log n)) oracle path, independent of the t-NN stream's counting
+// sort. `row(i)` yields the i-th point, so the same kernel sweeps a PointSet
 // directly (identity rows) or the active subset of an IndexedDataset
 // (rank -> original id indirection) with identical chunking and event order.
 template <typename GetRow>
-std::vector<Event> BuildExactEvents(std::size_t n, GetRow&& row,
-                                    double fine_step, std::uint64_t max_fine,
-                                    ThreadPool* pool) {
+EventBuckets BuildExactEvents(std::size_t n, GetRow&& row, double fine_step,
+                              std::uint64_t max_fine, ThreadPool* pool) {
   // The O(n^2 d) pair pass runs in parallel over row chunks; per-chunk event
   // vectors concatenated in chunk order reproduce the serial i-ascending
   // sequence exactly, so the profile is independent of the thread count.
@@ -297,7 +370,7 @@ std::vector<Event> BuildExactEvents(std::size_t n, GetRow&& row,
   }
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.index < b.index; });
-  return events;
+  return EventBuckets::FromSorted(events);
 }
 
 // All weighted pair events over the active rows, index-sorted: pair (i, j)
@@ -358,61 +431,25 @@ std::vector<WeightedEvent> BuildWeightedExactEvents(
   return events;
 }
 
-// Converts n rows of k nearest-neighbor distances (row r = center r) into the
-// index-sorted pruned event stream: a counting sort by fine index when the
-// fine grid is comparably sized (the common case — two O(E) passes),
-// std::sort otherwise (huge |X| with few events).
-std::vector<Event> EventsFromKnnRows(std::span<const double> knn,
-                                     std::size_t n, std::size_t k,
-                                     double fine_step, std::uint64_t max_fine,
-                                     std::uint64_t fine_domain) {
-  std::vector<Event> unsorted(n * k);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      unsorted[i * k + j] = {FineIndexOf(knn[i * k + j], fine_step, max_fine),
-                             static_cast<std::uint32_t>(i)};
-    }
-  }
-  std::vector<Event> events;
-  if (fine_domain <= 8 * unsorted.size() + 1024) {
-    std::vector<std::uint64_t> bucket_start(fine_domain + 1, 0);
-    for (const Event& ev : unsorted) ++bucket_start[ev.index + 1];
-    for (std::uint64_t g = 0; g < fine_domain; ++g) {
-      bucket_start[g + 1] += bucket_start[g];
-    }
-    events.resize(unsorted.size());
-    for (const Event& ev : unsorted) {
-      events[bucket_start[ev.index]++] = ev;
-    }
-  } else {
-    events = std::move(unsorted);
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) { return a.index < b.index; });
-  }
-  return events;
-}
-
-// The t-NN pruned event stream, index-sorted: each center emits exactly its
-// t-1 nearest-neighbor distances (any farther pair is a no-op in the capped
-// sweep — see the header). The grid computes squared distances with the same
+// Groups n rows of k nearest-neighbor distances (row r = center r) — the
+// t-NN pruned event stream: each center emits exactly its t-1 nearest-
+// neighbor distances (any farther pair is a no-op in the capped sweep — see
+// the header). The grid computes squared distances with the same
 // accumulation order as Distance(), so sqrt() reproduces the exact path's
 // event indices bit-for-bit.
-Result<std::vector<Event>> BuildGridEvents(const PointSet& s, std::size_t t,
-                                           const GridDomain& domain,
-                                           IndexGeometry geometry,
-                                           double fine_step,
-                                           std::uint64_t max_fine,
-                                           std::uint64_t fine_domain,
-                                           ThreadPool* pool) {
-  const std::size_t n = s.size();
-  const std::size_t k = t - 1;
-  if (k == 0) return std::vector<Event>{};  // t = 1: every increment saturates.
-
-  DPC_ASSIGN_OR_RETURN(SpatialGrid grid,
-                       SpatialGrid::Build(s, domain, k, geometry));
-  std::vector<double> knn(n * k);
-  grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
-  return EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
+EventBuckets EventsFromKnnRows(std::span<const double> knn, std::size_t n,
+                               std::size_t k, double fine_step,
+                               std::uint64_t max_fine,
+                               std::uint64_t fine_domain) {
+  return EventBuckets::Group(n * k, fine_domain, [&](auto&& emit) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = knn.data() + i * k;
+      for (std::size_t j = 0; j < k; ++j) {
+        emit(FineIndexOf(row[j], fine_step, max_fine),
+             static_cast<std::uint32_t>(i));
+      }
+    }
+  });
 }
 
 // Validation shared by both Build entry points.
@@ -454,23 +491,9 @@ Result<ProfileIndex> ProfileIndexFromName(std::string_view name) {
                                  "' (expected auto|grid|exact)");
 }
 
-ProfileIndex ResolveProfileIndex(ProfileIndex requested, std::size_t n,
-                                 std::size_t t, std::size_t d) {
-  if (requested != ProfileIndex::kAuto) return requested;
-  if (n < 512) return ProfileIndex::kExact;  // Both builds sub-10ms; skip setup.
-  // Measured crossover (bench_scaling, n sweep at d in {2, 8}): sorting the
-  // n(n-1) pair events dominates the exact build from n ~ 1000, and the
-  // pruned stream must be a few times smaller to pay for the k-NN search.
-  // At t > n/4 pruning drops fewer than 4x of the events — unless the grid
-  // collapses to one cell (high d, or large t at moderate d): there the
-  // batched k-NN runs the blocked dense scan, one streamed pass over the
-  // data per query chunk at a cost independent of t, so the grid generator
-  // stays ahead of the n^2 pair-event sort up to t - 1 <= n / 2.
-  const std::size_t t_cap =
-      GridCollapsesToSingleCell(n, d, /*expected_neighbors=*/t > 1 ? t - 1 : 1)
-          ? n / 2
-          : n / 4;
-  return t - 1 <= t_cap ? ProfileIndex::kGrid : ProfileIndex::kExact;
+ProfileIndex ResolveProfileIndex(ProfileIndex requested) {
+  return requested == ProfileIndex::kExact ? ProfileIndex::kExact
+                                           : ProfileIndex::kGrid;
 }
 
 Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
@@ -492,11 +515,16 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
       domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
   const std::uint64_t max_fine = fine_domain - 1;
 
-  std::vector<Event> events;
-  if (ResolveProfileIndex(index, n, t, s.dim()) == ProfileIndex::kGrid) {
-    DPC_ASSIGN_OR_RETURN(events,
-                         BuildGridEvents(s, t, domain, geometry, fine_step,
-                                         max_fine, fine_domain, pool));
+  EventBuckets events;
+  if (ResolveProfileIndex(index) == ProfileIndex::kGrid) {
+    const std::size_t k = t - 1;  // t = 1: every increment saturates.
+    std::vector<double> knn(n * k);
+    if (k > 0) {
+      DPC_ASSIGN_OR_RETURN(SpatialGrid grid,
+                           SpatialGrid::Build(s, domain, k, geometry));
+      grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
+    }
+    events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
   } else {
     events = BuildExactEvents(
         n, [&s](std::size_t i) { return s[i]; }, fine_step, max_fine, pool);
@@ -558,15 +586,12 @@ Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
   // list), which is exactly the row numbering of ActiveView() — so both
   // generators emit the same events the subset-rebuild path would, and the
   // sweep below is untouched.
-  std::vector<Event> events;
-  if (ResolveProfileIndex(profile_index, n, t, index.dim()) ==
-      ProfileIndex::kGrid) {
+  EventBuckets events;
+  if (ResolveProfileIndex(profile_index) == ProfileIndex::kGrid) {
     const std::size_t k = t - 1;
-    if (k > 0) {
-      std::vector<double> knn(n * k);
-      index.BatchKnn(k, knn, pool, /*sorted=*/false);
-      events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
-    }
+    std::vector<double> knn(n * k);
+    if (k > 0) index.BatchKnn(k, knn, pool, /*sorted=*/false);
+    events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
   } else {
     // Materialize the active view once: the O(n^2 d) pair sweep then streams
     // contiguous rows — a per-access rank indirection into the full dataset

@@ -9,11 +9,10 @@
 //
 // Construction is an event sweep: each pair (i, j) raises B_.(x_i) by one at
 // the fine index ceil(dist(i,j)/fine_step), and an amortized-O(1) tracker
-// maintains the sum of the t largest capped counts. Two event generators
-// feed the identical sweep:
+// maintains the sum of the t largest capped counts. Events are grouped by
+// fine index with one counting sort over 4-byte center ids. Two event
+// generators feed the identical sweep:
 //
-//  * kExact  — all n(n-1) ordered pairs, the documented O(n^2 (d + log n))
-//    quadratic core.
 //  * kGrid   — only each point's t-1 nearest neighbors, found through a
 //    geo/SpatialGrid index in ~O(n t) work at low dimension. This is lossless
 //    pruning, not an approximation: every per-center count is capped at t, so
@@ -24,11 +23,14 @@
 //    bit-identical to the exact sweep's — same breakpoints, same values —
 //    which determinism_test and radius_profile_test pin across all scenario
 //    families and thread counts.
+//  * kExact  — all n(n-1) ordered pairs, index-sorted: the
+//    O(n^2 (d + log n)) quadratic core of Algorithm 1 as written. It is the
+//    oracle the tests compare kGrid against and runs only when requested
+//    explicitly.
 //
-// kAuto picks between them with a measured crossover: the grid build wins
-// once the pruned event stream is >= ~4x smaller than the pair stream
-// (sorting the n(n-1) events dominates the exact build from n ~ 1000), and
-// the exact sweep keeps small inputs and t ~ n, where pruning saves nothing.
+// kAuto is kGrid for every unweighted build: even at t = n, where nothing is
+// pruned, the t-NN stream carries no more events than the pair sweep, and
+// the batched k-NN search costs less than the pair pass it replaces.
 
 #ifndef DPCLUSTER_CORE_RADIUS_PROFILE_H_
 #define DPCLUSTER_CORE_RADIUS_PROFILE_H_
@@ -50,9 +52,9 @@ class ThreadPool;
 /// How RadiusProfile::Build generates the pair events (see file comment).
 /// Every choice yields bit-identical profiles; only the runtime differs.
 enum class ProfileIndex {
-  kAuto,   ///< Measured crossover between the two (the default).
+  kAuto,   ///< kGrid (the default).
   kGrid,   ///< t-NN pruned events through a geo/SpatialGrid, ~O(n t) at low d.
-  kExact,  ///< All-pairs event sweep, O(n^2 (d + log n)).
+  kExact,  ///< All-pairs event sweep, O(n^2 (d + log n)): the test oracle.
 };
 
 /// "auto", "grid", "exact".
@@ -61,14 +63,8 @@ std::string_view ProfileIndexName(ProfileIndex index);
 /// Inverse of ProfileIndexName; InvalidArgument on unknown names.
 Result<ProfileIndex> ProfileIndexFromName(std::string_view name);
 
-/// The generator kAuto resolves to for a given problem shape (exposed for
-/// tests and benches; see the crossover note in the file comment). `d` is the
-/// data dimension: when the spatial index's cell grid collapses to one cell
-/// (d >= ~16 at bench sizes, or large t at moderate d) batched k-NN runs the
-/// blocked dense scan at a per-query cost independent of t, so the grid
-/// generator stays profitable up to a larger t (t-1 <= n/2 instead of n/4).
-ProfileIndex ResolveProfileIndex(ProfileIndex requested, std::size_t n,
-                                 std::size_t t, std::size_t d);
+/// The generator a request runs: kExact only when asked for, kGrid otherwise.
+ProfileIndex ResolveProfileIndex(ProfileIndex requested);
 
 /// Exact L(r, S) over the fine radius grid.
 class RadiusProfile {
@@ -93,9 +89,7 @@ class RadiusProfile {
   /// but the kGrid event generator queries the dataset's cached
   /// (deletion-pruned) spatial index instead of indexing the subset from
   /// scratch, which is what amortizes KCluster's per-round profile cost.
-  /// The kExact generator sweeps the active pairs directly. `profile_index`
-  /// resolves its kAuto crossover on (active_size, t), exactly as the
-  /// subset-rebuild path would.
+  /// The kExact generator sweeps the active pairs directly.
   static Result<RadiusProfile> Build(const IndexedDataset& index,
                                      std::size_t t, std::size_t max_points,
                                      ThreadPool* pool = nullptr,

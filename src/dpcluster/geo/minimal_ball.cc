@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dpcluster/common/check.h"
+#include "dpcluster/geo/spatial_grid.h"
 
 namespace dpcluster {
 namespace {
@@ -46,13 +47,26 @@ Result<Ball> SmallestInterval1D(const PointSet& s, std::size_t t) {
 
 Result<Ball> TwoApproxSmallestBall(const PointSet& s, std::size_t t) {
   DPC_RETURN_IF_ERROR(ValidateT(s, t));
+  DPC_ASSIGN_OR_RETURN(const SpatialGrid grid,
+                       SpatialGrid::BuildOverBoundingBox(s, t - 1));
+  SpatialGrid::Workspace scratch;
+  std::vector<double> knn;
   double best_r = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    const double r = RadiusCapturing(s, s[i], t);
-    if (r < best_r) {
+    // x_i's radius is <= best_r iff its best_r-ball holds >= t points (the
+    // grid's counts and distances are RadiusCapturing's, bit for bit); a
+    // strictly larger radius can never win, so skip the k-NN query.
+    if (i > 0 && grid.CountWithin(i, best_r, scratch) < t) continue;
+    double r = 0.0;  // t = 1: the center alone.
+    if (t > 1) {
+      grid.KnnDistances(i, t - 1, scratch, knn, /*sorted=*/false);
+      r = *std::max_element(knn.begin(), knn.end());
+    }
+    if (r < best_r) {  // Strict: the first index wins ties.
       best_r = r;
       best_i = i;
+      if (best_r == 0.0) break;  // Nothing later can be strictly smaller.
     }
   }
   Ball ball;

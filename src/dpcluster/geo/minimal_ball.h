@@ -23,7 +23,12 @@ namespace dpcluster {
 Result<Ball> SmallestInterval1D(const PointSet& s, std::size_t t);
 
 /// 2-approximation (Section 3, fact 3): smallest ball centered at an input
-/// point containing >= t points. O(n^2 d).
+/// point containing >= t points; the lowest index wins ties. Exact
+/// branch-and-bound over a geo/SpatialGrid of the data: x_i is skipped unless
+/// its ball of the best radius so far holds >= t points, and otherwise pays
+/// one (t-1)-NN query. The same radius and center as scanning every input
+/// point, at ~O(n t) work on clustered low-dimensional data (O(n^2 d) worst
+/// case, e.g. when the grid collapses to one cell at high d).
 Result<Ball> TwoApproxSmallestBall(const PointSet& s, std::size_t t);
 
 /// Exact search restricted to ball centers on the grid. O(|X|^d * n d) — only

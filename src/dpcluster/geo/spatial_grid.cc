@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "dpcluster/common/check.h"
+#include "dpcluster/common/simd.h"
 #include "dpcluster/la/matrix.h"
 #include "dpcluster/la/qr.h"
 #include "dpcluster/la/vector_ops.h"
@@ -67,6 +68,57 @@ inline double RowSquaredDistance(const double* x, const double* y,
                                  std::size_t d) {
   return SquaredDistanceRows(x, y, d);
 }
+
+// Squared distances from q to `count` indexed rows (ids into the row-major
+// `base`), written to out[0..count) — the blocked dense scan's inner loop.
+#if DPC_AVX2_MULTIVERSIONING
+__attribute__((target("default")))
+#endif
+void SquaredDistancesTo(const double* q, const double* base,
+                        const std::uint32_t* ids, std::size_t count,
+                        std::size_t d, double* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = SquaredDistanceRows(q, base + ids[i] * d, d);
+  }
+}
+
+#if DPC_AVX2_MULTIVERSIONING
+// The AVX2 overload, picked at runtime where the CPU has it. It holds
+// SquaredDistanceRows' four lane accumulators in one 4-wide vector, so each
+// 4-block is a single vector subtract, multiply and add; the lanes, their
+// (s0 + s1) + (s2 + s3) combine and the sequential tail are unchanged, and
+// without FMA every lane rounds as the scalar kernel does, so the values are
+// bit-identical. Below d = 4 there is no block to vectorize.
+__attribute__((target("avx2")))
+void SquaredDistancesTo(const double* q, const double* base,
+                        const std::uint32_t* ids, std::size_t count,
+                        std::size_t d, double* out) {
+  using Lanes = double __attribute__((vector_size(4 * sizeof(double))));
+  for (std::size_t i = 0; i < count; ++i) {
+    const double* y = base + ids[i] * d;
+    if (d < 4) {
+      out[i] = SquaredDistanceRows(q, y, d);
+      continue;
+    }
+    Lanes s = {0.0, 0.0, 0.0, 0.0};
+    std::size_t c = 0;
+    for (; c + 4 <= d; c += 4) {
+      Lanes a;
+      Lanes b;
+      std::memcpy(&a, q + c, sizeof a);
+      std::memcpy(&b, y + c, sizeof b);
+      const Lanes diff = a - b;
+      s += diff * diff;
+    }
+    double sum = (s[0] + s[1]) + (s[2] + s[3]);
+    for (; c < d; ++c) {
+      const double diff = q[c] - y[c];
+      sum += diff * diff;
+    }
+    out[i] = sum;
+  }
+}
+#endif
 
 // Keeps the k smallest of `vals` (non-negative doubles) as its first k
 // elements (unordered, exact value multiset) and truncates the rest. One
@@ -243,30 +295,8 @@ Result<SpatialGrid> SpatialGrid::Build(const PointSet& s,
     projection.MultiplyAll(grid.data_, grid.n_, grid.proj_points_, pool);
     MakeResiduals(grid.data_.data(), grid.proj_points_.data(), grid.n_,
                   grid.dim_, grid.geom_dim_, grid.res_lo_, grid.res_hi_);
-    // Projected coordinates are signed; anchor each axis at its data minimum
-    // and size cells from the widest axis extent so the grid covers the data.
-    grid.geom_origin_.assign(grid.geom_dim_, 0.0);
-    std::vector<double> axis_max(grid.geom_dim_,
-                                 -std::numeric_limits<double>::infinity());
-    for (std::size_t a = 0; a < grid.geom_dim_; ++a) {
-      grid.geom_origin_[a] = std::numeric_limits<double>::infinity();
-    }
-    for (std::size_t i = 0; i < grid.n_; ++i) {
-      const double* row = grid.proj_points_.data() + i * grid.geom_dim_;
-      for (std::size_t a = 0; a < grid.geom_dim_; ++a) {
-        grid.geom_origin_[a] = std::min(grid.geom_origin_[a], row[a]);
-        axis_max[a] = std::max(axis_max[a], row[a]);
-      }
-    }
-    double extent = 0.0;
-    for (std::size_t a = 0; a < grid.geom_dim_; ++a) {
-      extent = std::max(extent, axis_max[a] - grid.geom_origin_[a]);
-    }
-    grid.cells_per_axis_ =
-        ChooseCellsPerAxis(grid.n_, grid.geom_dim_, expected_neighbors);
-    grid.cell_size_ =
-        extent > 0.0 ? extent / static_cast<double>(grid.cells_per_axis_)
-                     : 1.0;
+    // Projected coordinates are signed.
+    grid.AnchorCellsAtBoundingBox(expected_neighbors);
   } else {
     grid.geom_dim_ = grid.dim_;
     grid.geom_origin_.assign(grid.geom_dim_, 0.0);
@@ -276,41 +306,85 @@ Result<SpatialGrid> SpatialGrid::Build(const PointSet& s,
         domain.axis_length() / static_cast<double>(grid.cells_per_axis_);
   }
 
+  grid.LayOutCells();
+  return grid;
+}
+
+Result<SpatialGrid> SpatialGrid::BuildOverBoundingBox(
+    const PointSet& s, std::size_t expected_neighbors) {
+  if (s.empty()) return Status::InvalidArgument("SpatialGrid: empty dataset");
+  for (const double x : s.Data()) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("SpatialGrid: non-finite coordinate");
+    }
+  }
+  SpatialGrid grid;
+  grid.n_ = s.size();
+  grid.live_ = grid.n_;
+  grid.dim_ = s.dim();
+  grid.data_ = s.Data();
+  grid.geometry_ = IndexGeometry::kExact;
+  grid.geom_dim_ = grid.dim_;
+  grid.AnchorCellsAtBoundingBox(expected_neighbors);
+  grid.LayOutCells();
+  return grid;
+}
+
+void SpatialGrid::AnchorCellsAtBoundingBox(std::size_t expected_neighbors) {
+  geom_origin_.assign(geom_dim_, std::numeric_limits<double>::infinity());
+  std::vector<double> axis_max(geom_dim_,
+                               -std::numeric_limits<double>::infinity());
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double* row = GeomRow(i);
+    for (std::size_t a = 0; a < geom_dim_; ++a) {
+      geom_origin_[a] = std::min(geom_origin_[a], row[a]);
+      axis_max[a] = std::max(axis_max[a], row[a]);
+    }
+  }
+  double extent = 0.0;
+  for (std::size_t a = 0; a < geom_dim_; ++a) {
+    extent = std::max(extent, axis_max[a] - geom_origin_[a]);
+  }
+  cells_per_axis_ = ChooseCellsPerAxis(n_, geom_dim_, expected_neighbors);
+  cell_size_ =
+      extent > 0.0 ? extent / static_cast<double>(cells_per_axis_) : 1.0;
+}
+
+void SpatialGrid::LayOutCells() {
   // Counting sort of the point ids by cell id; ascending index within a
   // cell. Segments are laid out back to back with zero slack (cap == count),
   // byte-identical to the classic prefix-sum CSR layout; Append() grows
   // capacities on demand.
   const std::size_t total_cells =
-      SaturatingCellCount(grid.cells_per_axis_, grid.geom_dim_);
-  grid.cell_of_.resize(grid.n_);
+      SaturatingCellCount(cells_per_axis_, geom_dim_);
+  cell_of_.resize(n_);
   std::vector<std::uint64_t> starts(total_cells + 1, 0);
-  for (std::size_t i = 0; i < grid.n_; ++i) {
-    grid.cell_of_[i] = grid.CellOf(grid.GeomRow(i));
-    ++starts[grid.cell_of_[i] + 1];
+  for (std::size_t i = 0; i < n_; ++i) {
+    cell_of_[i] = CellOf(GeomRow(i));
+    ++starts[cell_of_[i] + 1];
   }
   for (std::size_t c = 0; c < total_cells; ++c) {
     starts[c + 1] += starts[c];
     if (starts[c + 1] > starts[c]) {
-      grid.occupied_.push_back(c);
+      occupied_.push_back(c);
     }
   }
-  grid.live_occupied_ = grid.occupied_.size();
-  grid.seg_start_.assign(starts.begin(), starts.end() - 1);
-  grid.seg_end_.assign(starts.begin() + 1, starts.end());
-  grid.seg_cap_.resize(total_cells);
+  live_occupied_ = occupied_.size();
+  seg_start_.assign(starts.begin(), starts.end() - 1);
+  seg_end_.assign(starts.begin() + 1, starts.end());
+  seg_cap_.resize(total_cells);
   for (std::size_t c = 0; c < total_cells; ++c) {
-    grid.seg_cap_[c] = grid.seg_end_[c] - grid.seg_start_[c];
+    seg_cap_[c] = seg_end_[c] - seg_start_[c];
   }
-  grid.cell_end_ = grid.seg_end_;
-  grid.cell_points_.resize(grid.n_);
-  grid.pos_.resize(grid.n_);
+  cell_end_ = seg_end_;
+  cell_points_.resize(n_);
+  pos_.resize(n_);
   std::vector<std::uint64_t> cursor(starts.begin(), starts.end() - 1);
-  for (std::size_t i = 0; i < grid.n_; ++i) {
-    const std::uint64_t at = cursor[grid.cell_of_[i]]++;
-    grid.cell_points_[at] = static_cast<std::uint32_t>(i);
-    grid.pos_[i] = static_cast<std::uint32_t>(at);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::uint64_t at = cursor[cell_of_[i]]++;
+    cell_points_[at] = static_cast<std::uint32_t>(i);
+    pos_[i] = static_cast<std::uint32_t>(at);
   }
-  return grid;
 }
 
 void SpatialGrid::Remove(std::size_t point) {
@@ -683,12 +757,9 @@ void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
   for (std::uint64_t p0 = 0; p0 < live; p0 += kPointTile) {
     const std::uint64_t p1 = std::min(p0 + kPointTile, live);
     for (std::size_t qi = 0; qi < nq; ++qi) {
-      const double* qp = data_.data() + queries[qi] * dim_;
-      double* row = block.data() + qi * live;
-      for (std::uint64_t at = p0; at < p1; ++at) {
-        row[at] = RowSquaredDistance(
-            qp, data_.data() + cell_points_[start + at] * dim_, dim_);
-      }
+      SquaredDistancesTo(data_.data() + queries[qi] * dim_, data_.data(),
+                         cell_points_.data() + start + p0, p1 - p0, dim_,
+                         block.data() + qi * live + p0);
     }
   }
   std::vector<double>& cands = scratch.candidates;

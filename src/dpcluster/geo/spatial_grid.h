@@ -125,6 +125,14 @@ class SpatialGrid {
                                    IndexGeometry geometry = IndexGeometry::kAuto,
                                    ThreadPool* pool = nullptr);
 
+  /// Indexes `s` over its own bounding box rather than a domain cube (exact
+  /// geometry): cells are anchored at the per-axis data minimum and sized
+  /// from the widest axis extent, so any finite coordinates work — negative
+  /// ones included. For callers with no GridDomain (geo/minimal_ball).
+  /// InvalidArgument on an empty set or a non-finite coordinate.
+  static Result<SpatialGrid> BuildOverBoundingBox(
+      const PointSet& s, std::size_t expected_neighbors);
+
   std::size_t size() const { return n_; }
   /// Points not structurally removed; queries see only these.
   std::size_t live_size() const { return live_; }
@@ -232,6 +240,14 @@ class SpatialGrid {
 
  private:
   SpatialGrid() = default;
+
+  /// Anchors the cell grid at the per-axis minimum of the GeomRow()s and
+  /// sizes cells from the widest axis extent, so the grid covers the data
+  /// (the projected and the bounding-box builds).
+  void AnchorCellsAtBoundingBox(std::size_t expected_neighbors);
+  /// Buckets every point by cell into the CSR arena (the tail of every
+  /// build, once the cell geometry is set).
+  void LayOutCells();
 
   /// Row `i`'s coordinates in the cell grid's space: the original row for
   /// kExact, the projected row for kProjected.

@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -103,6 +104,25 @@ bool TokenEquals(std::string_view value, std::string_view token) {
       return false;
     }
   }
+  return true;
+}
+
+/// Parses a Content-Length field value: one or more digits between optional
+/// spaces or tabs, no larger than SIZE_MAX. False on anything else (empty,
+/// signs, lists, trailing junk, overflow), which must not frame a body.
+bool ParseContentLength(std::string_view value, std::size_t* out) {
+  const auto is_ows = [](char c) { return c == ' ' || c == '\t'; };
+  while (!value.empty() && is_ows(value.front())) value.remove_prefix(1);
+  while (!value.empty() && is_ows(value.back())) value.remove_suffix(1);
+  if (value.empty()) return false;
+  std::size_t result = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return false;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (result > (SIZE_MAX - digit) / 10) return false;
+    result = result * 10 + digit;
+  }
+  *out = result;
   return true;
 }
 
@@ -281,23 +301,29 @@ void HttpServer::ServeConnection(Connection connection) {
     bool keep_alive = version == "HTTP/1.1";
 
     // Headers: Content-Length frames the body, Connection overrides the
-    // version's persistence default.
+    // version's persistence default. Framing this server cannot read
+    // unambiguously (a malformed or overflowing Content-Length, two that
+    // disagree, any Transfer-Encoding) would desynchronize the kept-alive
+    // stream, so it gets a 400 and the connection closes.
     std::size_t content_length = 0;
+    bool has_content_length = false;
+    const char* framing_error = nullptr;
     std::size_t cursor = line_end + 2;
-    while (cursor < header_end) {
+    while (cursor < header_end && framing_error == nullptr) {
       std::size_t eol = head.find("\r\n", cursor);
       if (eol == std::string_view::npos) eol = header_end;
       const std::string_view line = head.substr(cursor, eol - cursor);
       if (HeaderIs(line, "Content-Length")) {
-        std::size_t value = line.find(':') + 1;
-        while (value < line.size() && line[value] == ' ') ++value;
-        content_length = 0;
-        for (; value < line.size() &&
-               std::isdigit(static_cast<unsigned char>(line[value]));
-             ++value) {
-          content_length = content_length * 10 +
-                           static_cast<std::size_t>(line[value] - '0');
+        std::size_t parsed = 0;
+        if (!ParseContentLength(line.substr(line.find(':') + 1), &parsed)) {
+          framing_error = "malformed Content-Length";
+        } else if (has_content_length && parsed != content_length) {
+          framing_error = "conflicting Content-Length headers";
         }
+        content_length = parsed;
+        has_content_length = true;
+      } else if (HeaderIs(line, "Transfer-Encoding")) {
+        framing_error = "Transfer-Encoding is not supported";
       } else if (HeaderIs(line, "Connection")) {
         std::size_t value = line.find(':') + 1;
         while (value < line.size() && line[value] == ' ') ++value;
@@ -306,6 +332,13 @@ void HttpServer::ServeConnection(Connection connection) {
         if (TokenEquals(token, "keep-alive")) keep_alive = true;
       }
       cursor = eol + 2;
+    }
+    if (framing_error != nullptr) {
+      const std::string body =
+          ErrorToJson(ServiceErrorCode::kParseError, framing_error).Encode();
+      SendReply(fd, 400, body, queue_ms);
+      DrainAndClose(fd);
+      return;
     }
 
     const std::size_t body_start = header_end + 4;

@@ -254,5 +254,37 @@ TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
   EXPECT_OK(GoodRadius(rng_legacy, w.points, w.t, w.domain, legacy).status());
 }
 
+// Under the default profile the cap is raised only while the rescaled
+// t - 1 stays within 1/4 of the enlarged sample (the t-NN stream's cheap
+// range); above it the subsample keeps the strict cap, so the run matches
+// the factor-1 run draw for draw.
+TEST(GoodRadiusTest, SubsampleCapStaysStrictAboveAQuarterOfTheRows) {
+  Rng data_rng(13);
+  PlantedClusterSpec spec;
+  spec.n = 600;
+  spec.t = 300;  // t - 1 > 600 / 4.
+  spec.dim = 2;
+  spec.levels = 1u << 10;
+  spec.cluster_radius = 0.02;
+  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+
+  GoodRadiusOptions raised = TestOptions(4.0);
+  raised.max_profile_points = 128;
+  raised.subsample_large_inputs = true;
+  raised.subsample_grid_cap_factor = 10.0;
+  GoodRadiusOptions strict = raised;
+  strict.subsample_grid_cap_factor = 1.0;
+
+  Rng rng_raised(99);
+  Rng rng_strict(99);
+  ASSERT_OK_AND_ASSIGN(GoodRadiusResult got,
+                       GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
+  ASSERT_OK_AND_ASSIGN(GoodRadiusResult want,
+                       GoodRadius(rng_strict, w.points, w.t, w.domain, strict));
+  EXPECT_EQ(got.radius, want.radius);
+  EXPECT_EQ(got.grid_index, want.grid_index);
+  EXPECT_EQ(rng_raised(), rng_strict());  // Same draws consumed.
+}
+
 }  // namespace
 }  // namespace dpcluster

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
+#include "reference/minimal_ball_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -87,6 +91,84 @@ TEST(TwoApproxTest, WithinFactorTwoOfGridOptimum) {
     // optimum is at most the grid optimum.
     EXPECT_LE(two.radius, 2.0 * grid.radius + 1e-9);
   }
+}
+
+void ExpectSameBallBytes(const Ball& expected, const Ball& actual,
+                         const std::string& context) {
+  EXPECT_EQ(std::memcmp(&expected.radius, &actual.radius, sizeof(double)), 0)
+      << context << " radius " << expected.radius << " vs " << actual.radius;
+  ASSERT_EQ(expected.center.size(), actual.center.size()) << context;
+  EXPECT_EQ(std::memcmp(expected.center.data(), actual.center.data(),
+                        expected.center.size() * sizeof(double)),
+            0)
+      << context << " center";
+}
+
+// The grid branch-and-bound must return the brute-force scan's radius and
+// center byte for byte (lowest index on ties) on every scenario family, at
+// the t edges, at low and high dimension, and on data the grid cannot take
+// at face value: duplicate rows and coordinates below zero.
+TEST(TwoApproxTest, MatchesBruteForceOracleAcrossScenarioFamilies) {
+  const ScenarioRegistry& registry = ScenarioRegistry::Global();
+  const std::vector<std::string> families = registry.Names();
+  ASSERT_EQ(families.size(), 9u);
+  std::uint64_t seed = 40;
+  for (const std::string& family : families) {
+    for (const std::size_t dim :
+         {std::size_t{2}, std::size_t{8}, std::size_t{32}}) {
+      ScenarioSpec spec;
+      spec.scenario = family;
+      spec.n = 240;
+      spec.dim = dim;
+      Rng rng(++seed);
+      ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
+                           registry.Lookup(family));
+      ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                           generator->Generate(rng, spec));
+      // Variant: every 5th row duplicated at the end, and the cube shifted
+      // to straddle zero.
+      PointSet shifted(dim);
+      std::vector<double> row(dim);
+      const auto add_shifted = [&](std::size_t i) {
+        for (std::size_t c = 0; c < dim; ++c) {
+          row[c] = instance.points[i][c] - 0.5 * instance.domain.axis_length();
+        }
+        shifted.Add(row);
+      };
+      for (std::size_t i = 0; i < instance.points.size(); ++i) add_shifted(i);
+      for (std::size_t i = 0; i < instance.points.size(); i += 5) {
+        add_shifted(i);
+      }
+      for (const PointSet* points : {&instance.points, &shifted}) {
+        const std::size_t n = points->size();
+        for (const std::size_t t :
+             {std::size_t{1}, std::size_t{2}, n / 4, n / 4 + 1, n / 2, n}) {
+          const std::string context =
+              family + " d=" + std::to_string(dim) + " n=" +
+              std::to_string(n) + " t=" + std::to_string(t);
+          ASSERT_OK_AND_ASSIGN(Ball fast, TwoApproxSmallestBall(*points, t));
+          ExpectSameBallBytes(
+              reference::BruteForceTwoApproxSmallestBall(*points, t), fast,
+              context);
+          ASSERT_OK_AND_ASSIGN(double lower, OptRadiusLowerBound(*points, t));
+          EXPECT_EQ(lower, fast.radius / 2.0) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(TwoApproxTest, TiesGoToTheLowestIndexAndAllDuplicatesHaveRadiusZero) {
+  // Four corners of a square: every center captures 2 points at radius 1.
+  const PointSet square =
+      MakePointSet(2, {0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0});
+  ASSERT_OK_AND_ASSIGN(Ball b, TwoApproxSmallestBall(square, 2));
+  EXPECT_EQ(b.radius, 1.0);
+  EXPECT_EQ(b.center, (std::vector<double>{0.0, 0.0}));
+  const PointSet same = MakePointSet(2, {-3.0, 2.0, -3.0, 2.0, -3.0, 2.0});
+  ASSERT_OK_AND_ASSIGN(Ball zero, TwoApproxSmallestBall(same, 3));
+  EXPECT_EQ(zero.radius, 0.0);
+  EXPECT_EQ(zero.center, (std::vector<double>{-3.0, 2.0}));
 }
 
 TEST(GridRestrictedTest, ExactOnTinyInstance) {

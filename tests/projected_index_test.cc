@@ -172,7 +172,8 @@ TEST(ProjectedIndexTest, ResolveIndexGeometryCrossover) {
             IndexGeometry::kExact);
   EXPECT_EQ(ResolveIndexGeometry(IndexGeometry::kAuto, 16, 20, 4),
             IndexGeometry::kExact);
-  // The collapse predicate that extends ResolveProfileIndex's grid range.
+  // The collapse predicate that widens the subsample cap's t range
+  // (good_radius.cc, EffectiveSubsampleCap).
   EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
   EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
   EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));

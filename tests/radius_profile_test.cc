@@ -134,32 +134,53 @@ TEST(RadiusProfileTest, ProfileIndexNamesRoundTrip) {
   EXPECT_FALSE(ProfileIndexFromName("fancy").ok());
 }
 
-TEST(RadiusProfileTest, AutoCrossoverPrefersGridForSmallT) {
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 256, 2),
-            ProfileIndex::kGrid);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 2048, 2),
-            ProfileIndex::kExact);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 100, 4, 2),
-            ProfileIndex::kExact);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kGrid, 100, 50, 2),
-            ProfileIndex::kGrid);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kExact, 4096, 2, 2),
-            ProfileIndex::kExact);
+TEST(RadiusProfileTest, AutoResolvesToGridAndExactOnlyOnRequest) {
+  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto), ProfileIndex::kGrid);
+  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kGrid), ProfileIndex::kGrid);
+  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kExact), ProfileIndex::kExact);
 }
 
-TEST(RadiusProfileTest, AutoCrossoverExtendsGridRangeAtHighDimension) {
-  // t - 1 in (n/4, n/2]: exact at low d, but at d >= 16 the cell grid
-  // collapses to one cell, batched k-NN runs the blocked dense scan at a
-  // cost independent of t, and the grid generator stays ahead of the pair
-  // sweep.
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 1500, 2),
-            ProfileIndex::kExact);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 1500, 32),
-            ProfileIndex::kGrid);
-  // Beyond n/2 even the t-independent dense scan cannot pay for itself
-  // against the events the sweep must then carry.
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 2500, 32),
-            ProfileIndex::kExact);
+// kAuto now takes the t-NN stream where it used to fall back to the
+// all-pairs sweep (n >= 512 and t - 1 in (n/4, n]); the profile must stay
+// bit-identical to the kExact oracle there, at any thread count.
+TEST(RadiusProfileTest, AutoBitIdenticalToExactAboveOldCrossover) {
+  const ScenarioRegistry& registry = ScenarioRegistry::Global();
+  const std::vector<std::string> families = registry.Names();
+  ASSERT_EQ(families.size(), 9u);
+  ThreadPool pool(8);
+  constexpr std::size_t n = 640;
+  std::uint64_t seed = 1300;
+  for (const std::string& family : families) {
+    for (const std::size_t dim : {std::size_t{2}, std::size_t{32}}) {
+      ScenarioSpec spec;
+      spec.scenario = family;
+      spec.n = n;
+      spec.dim = dim;
+      Rng rng(++seed);
+      ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
+                           registry.Lookup(family));
+      ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                           generator->Generate(rng, spec));
+      ASSERT_EQ(instance.points.size(), n) << family;
+      for (const std::size_t t :
+           {n / 4 + 2, n / 2 + 1, 3 * n / 4 + 1, n}) {
+        ASSERT_OK_AND_ASSIGN(
+            RadiusProfile exact,
+            RadiusProfile::Build(instance.points, t, instance.domain, n,
+                                 nullptr, ProfileIndex::kExact));
+        const std::string context = family + " d=" + std::to_string(dim) +
+                                    " t=" + std::to_string(t);
+        for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+          ASSERT_OK_AND_ASSIGN(
+              RadiusProfile automatic,
+              RadiusProfile::Build(instance.points, t, instance.domain, n,
+                                   threads, ProfileIndex::kAuto));
+          ExpectSameProfile(exact, automatic,
+                            context + (threads ? " (threads=8)" : ""));
+        }
+      }
+    }
+  }
 }
 
 // The lossless-pruning property: the grid-indexed profile must be
@@ -171,41 +192,47 @@ TEST(RadiusProfileTest, GridBitIdenticalToExactAcrossScenarioFamilies) {
   const std::vector<std::string> families = registry.Names();
   ASSERT_EQ(families.size(), 9u);
   ThreadPool pool(8);
-  std::uint64_t seed = 900;
-  for (const std::string& family : families) {
-    for (const auto& [n, dim] :
-         std::vector<std::pair<std::size_t, std::size_t>>{{64, 1},
-                                                          {192, 2},
-                                                          {256, 3}}) {
-      ScenarioSpec spec;
-      spec.scenario = family;
-      spec.n = n;
-      spec.dim = dim;
-      spec.levels = 1u << 8;
-      Rng rng(++seed);
-      ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
-                           registry.Lookup(family));
-      ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
-                           generator->Generate(rng, spec));
-      for (const std::size_t t :
-           {std::size_t{1}, std::size_t{2}, instance.t, n / 2, n}) {
-        ASSERT_OK_AND_ASSIGN(
-            RadiusProfile exact,
-            RadiusProfile::Build(instance.points, t, instance.domain, n,
-                                 nullptr, ProfileIndex::kExact));
-        ASSERT_OK_AND_ASSIGN(
-            RadiusProfile grid,
-            RadiusProfile::Build(instance.points, t, instance.domain, n,
-                                 nullptr, ProfileIndex::kGrid));
-        ASSERT_OK_AND_ASSIGN(
-            RadiusProfile grid_mt,
-            RadiusProfile::Build(instance.points, t, instance.domain, n,
-                                 &pool, ProfileIndex::kGrid));
-        const std::string context = family + " n=" + std::to_string(n) +
-                                    " d=" + std::to_string(dim) +
-                                    " t=" + std::to_string(t);
-        ExpectSameProfile(exact, grid, context);
-        ExpectSameProfile(exact, grid_mt, context + " (threads=8)");
+  // |X| = 2^20 makes the fine grid far larger than the t-NN stream at small
+  // t, which groups the events by sorting instead of by counting.
+  for (const std::uint64_t levels : {std::uint64_t{1} << 8,
+                                     std::uint64_t{1} << 20}) {
+    std::uint64_t seed = 900;
+    for (const std::string& family : families) {
+      for (const auto& [n, dim] :
+           std::vector<std::pair<std::size_t, std::size_t>>{{64, 1},
+                                                            {192, 2},
+                                                            {256, 3}}) {
+        ScenarioSpec spec;
+        spec.scenario = family;
+        spec.n = n;
+        spec.dim = dim;
+        spec.levels = levels;
+        Rng rng(++seed);
+        ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
+                             registry.Lookup(family));
+        ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                             generator->Generate(rng, spec));
+        for (const std::size_t t :
+             {std::size_t{1}, std::size_t{2}, instance.t, n / 2, n}) {
+          ASSERT_OK_AND_ASSIGN(
+              RadiusProfile exact,
+              RadiusProfile::Build(instance.points, t, instance.domain, n,
+                                   nullptr, ProfileIndex::kExact));
+          ASSERT_OK_AND_ASSIGN(
+              RadiusProfile grid,
+              RadiusProfile::Build(instance.points, t, instance.domain, n,
+                                   nullptr, ProfileIndex::kGrid));
+          ASSERT_OK_AND_ASSIGN(
+              RadiusProfile grid_mt,
+              RadiusProfile::Build(instance.points, t, instance.domain, n,
+                                   &pool, ProfileIndex::kGrid));
+          const std::string context = family + " n=" + std::to_string(n) +
+                                      " d=" + std::to_string(dim) +
+                                      " t=" + std::to_string(t) +
+                                      " |X|=" + std::to_string(levels);
+          ExpectSameProfile(exact, grid, context);
+          ExpectSameProfile(exact, grid_mt, context + " (threads=8)");
+        }
       }
     }
   }

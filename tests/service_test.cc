@@ -6,6 +6,9 @@
 // nothing; HttpServer + the loopback client cover the socket path.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -25,6 +28,7 @@
 #include "dpcluster/service/protocol.h"
 #include "dpcluster/service/service.h"
 #include "dpcluster/workload/synthetic.h"
+#include "reference/minimal_ball_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -233,6 +237,34 @@ TEST(ServiceCacheTest, CachedAndColdRunsReleaseIdenticalAnswers) {
   EXPECT_EQ(cold_body.Find("response")->Find("ball")->Encode(),
             warm_body.Find("response")->Find("ball")->Encode());
   EXPECT_TRUE(warm_body.Find("indexed")->AsBool());
+}
+
+TEST(ServiceCacheTest, NonprivateReplyCarriesTheBruteForceOracleBytes) {
+  // `nonprivate` releases TwoApproxSmallestBall's ball, and the default
+  // diagnostics carry OptRadiusLowerBound = its radius / 2: both must stay
+  // the bytes of the brute-force scan over every input point.
+  ClusterService service(UnmeteredOptions());
+  for (const std::uint64_t seed : {7u, 8u, 9u}) {
+    const ClusterWorkload workload = SmallWorkload(seed);
+    const ServiceReply reply = service.Handle(
+        "POST", "/v1/solve",
+        SolveBody(workload, "nonprivate", "public",
+                  "nonprivate/" + std::to_string(seed)));
+    ASSERT_EQ(reply.http_status, 200) << reply.body;
+    const JsonValue body = MustParse(reply.body);
+    const JsonValue* response = body.Find("response");
+    ASSERT_NE(response, nullptr) << reply.body;
+    const Ball oracle = reference::BruteForceTwoApproxSmallestBall(
+        workload.points, workload.t);
+    JsonValue center = JsonValue::Array();
+    for (const double c : oracle.center) center.Append(JsonValue::Number(c));
+    JsonValue ball = JsonValue::Object();
+    ball.Set("center", std::move(center));
+    ball.Set("radius", JsonValue::Number(oracle.radius));
+    EXPECT_EQ(response->Find("ball")->Encode(), ball.Encode());
+    EXPECT_EQ(response->Find("diagnostics")->Find("r_opt_lower")->Encode(),
+              JsonValue::Number(oracle.radius / 2.0).Encode());
+  }
 }
 
 // --- Streaming datasets ---------------------------------------------------
@@ -621,6 +653,63 @@ TEST(HttpServerTest, RemoteShutdownCanBeDisabled) {
   const ServiceReply reply = service.Handle("POST", "/v1/shutdown", "");
   EXPECT_EQ(reply.http_status, 404);
   EXPECT_FALSE(service.shutdown_requested());
+}
+
+/// Sends `request` verbatim on a fresh loopback connection, half-closes,
+/// reads until the server closes, and returns the first reply's HTTP status
+/// (0 when no status line arrived).
+int RawExchangeStatus(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return 0;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+          0 &&
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(request.size())) {
+    ::shutdown(fd, SHUT_WR);
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, chunk, sizeof chunk, 0)) > 0) {
+      reply.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  if (reply.compare(0, 9, "HTTP/1.1 ") != 0 || reply.size() < 12) return 0;
+  return std::stoi(reply.substr(9, 3));
+}
+
+TEST(HttpServerTest, AmbiguousBodyFramingIsRejectedWith400) {
+  ClusterService service(UnmeteredOptions());
+  HttpServerOptions options;
+  options.workers = 2;
+  HttpServer server(&service, options);
+  ASSERT_OK(server.Start());
+  const auto status = [&](const std::string& headers, const std::string& body) {
+    return RawExchangeStatus(server.port(),
+                             "GET /healthz HTTP/1.1\r\nHost: x\r\n" +
+                                 headers + "Connection: close\r\n\r\n" +
+                                 body);
+  };
+  // 2^64 + 1 must not wrap around to a 1-byte body.
+  EXPECT_EQ(status("Content-Length: 18446744073709551617\r\n", "x"), 400);
+  EXPECT_EQ(status("Content-Length: abc\r\n", ""), 400);
+  EXPECT_EQ(status("Content-Length: 1x\r\n", "x"), 400);
+  EXPECT_EQ(status("Content-Length: -1\r\n", ""), 400);
+  EXPECT_EQ(status("Content-Length:\r\n", ""), 400);
+  EXPECT_EQ(status("Content-Length: 0\r\nContent-Length: 5\r\n", "hello"),
+            400);
+  EXPECT_EQ(status("Transfer-Encoding: chunked\r\n", "0\r\n\r\n"), 400);
+  EXPECT_EQ(status("transfer-encoding: identity\r\nContent-Length: 0\r\n", ""),
+            400);
+  // Well-formed framing still serves, identical duplicates included.
+  EXPECT_EQ(status("Content-Length: 2\r\n", "ok"), 200);
+  EXPECT_EQ(status("Content-Length:  2 \r\nContent-Length: 2\r\n", "ok"), 200);
+  EXPECT_EQ(status("", ""), 200);
+  server.Stop();
 }
 
 // --- BoundedQueue ---------------------------------------------------------
