@@ -50,8 +50,6 @@ struct ConfigOptions {
   /// dedup key.
   std::string op_suffix;
   ProfileIndex profile_index = ProfileIndex::kAuto;
-  /// Cell space of any spatial index GoodRadius builds (geo/spatial_grid.h).
-  IndexGeometry index_geometry = IndexGeometry::kAuto;
 };
 
 void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
@@ -70,7 +68,6 @@ void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
   radius_opts.beta = 0.1;
   radius_opts.num_threads = cfg.num_threads;
   radius_opts.profile_index = cfg.profile_index;
-  radius_opts.index_geometry = cfg.index_geometry;
   Result<GoodRadiusResult> radius = Status::Internal("unset");
   const double radius_ms = bench::TimeMs(
       [&] { radius = GoodRadius(rng, w.points, w.t, w.domain, radius_opts); });
@@ -357,7 +354,7 @@ double BestOfThreeCenterMs(std::size_t num_threads) {
 }
 
 // Full GoodRadius + GoodCenter pipeline wall time at (n=4096, t=512, dim=d),
-// auto profile/geometry — the high-dimension smoke measurement. t = n/8 and
+// auto profile — the high-dimension smoke measurement. t = n/8 and
 // eps = 64 keep GoodCenter comfortably above its histogram-suppression
 // threshold at d = 64 (at t = 256 the released radius sits right on the
 // success boundary and the gate would flake).
@@ -616,8 +613,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner(
-      "High dimension: original-d grid vs JL-projected index vs exact sweep "
-      "(n=4096, t=n/16, |X|=2^12, eps=64)");
+      "High dimension: cell grid vs exact sweep (n=4096, t=n/16, |X|=2^12, "
+      "eps=64)");
   {
     TextTable table(kHeader);
     for (std::size_t d : {8u, 16u, 32u, 64u}) {
@@ -625,65 +622,48 @@ int main(int argc, char** argv) {
       grid.eps = 64.0;
       grid.t_divisor = 16;
       grid.profile_index = ProfileIndex::kGrid;
-      grid.index_geometry = IndexGeometry::kExact;
       grid.op_suffix = "/hd-grid";
       RunConfig(table, reporter, rng, 4096, d, 1u << 12, grid);
-      ConfigOptions proj = grid;
-      proj.index_geometry = IndexGeometry::kProjected;
-      proj.op_suffix = "/hd-proj";
-      RunConfig(table, reporter, rng, 4096, d, 1u << 12, proj);
       ConfigOptions exact = grid;
       exact.profile_index = ProfileIndex::kExact;
-      exact.index_geometry = IndexGeometry::kAuto;
       exact.op_suffix = "/hd-exact";
       RunConfig(table, reporter, rng, 4096, d, 1u << 12, exact);
     }
     table.Print();
-    bench::Note("Row triplets per d: the original-d cell grid (one occupied"
-                " cell once 3^d rings outgrow n — batched queries then run"
-                " the blocked dense scan; this is what auto picks), the"
-                " JL-projected candidate index (grid over a low-d orthonormal"
-                " projection + exact re-check; lossless, opt-in — the dense"
-                " scan beat it on every workload measured here), and the"
-                " forced all-pairs sweep. Outputs are bit-identical across"
-                " all three columns (projected_index_test).");
+    bench::Note("Row pairs per d: the cell grid (one occupied cell once 3^d"
+                " rings outgrow n — batched queries then run the blocked"
+                " dense scan; this is what auto picks) and the forced"
+                " all-pairs sweep. Outputs are bit-identical across both"
+                " (radius_profile_test).");
   }
 
   bench::Banner(
       "KCluster end-to-end (n=4096, 8-cluster mixture, d=16, k=8, |X|=2^12,"
-      " eps=64): per-round JL draw vs the per-dataset cached projection");
+      " eps=64)");
   {
-    TextTable table({"variant", "ms", "rounds"});
+    TextTable table({"ms", "rounds"});
     Rng data_rng(4321);
     // d = 16: the highest dimension where the per-round budget (eps / k
     // across 8 rounds) still clears GoodCenter's histogram thresholds, so
     // the bench measures found clusters rather than 8 suppressed rounds.
     const ClusterWorkload w =
         MakeGaussianMixture(data_rng, 4096, 8, 16, 1u << 12, 0.02, 0.1);
-    for (const bool cached : {false, true}) {
-      KClusterOptions options;
-      options.params = {64.0, 1e-9};
-      options.beta = 0.2;
-      options.k = 8;
-      if (cached) options.one_cluster.center.projection_seed = 99;
-      Rng rng_run(4331);
-      Result<KClusterResult> run = Status::Internal("unset");
-      const double ms = bench::TimeMs(
-          [&] { run = KCluster(rng_run, w.points, w.domain, options); });
-      const char* variant = cached ? "cached projection" : "per-round JL";
-      reporter.Add(cached ? "KClusterK8/cached-jl" : "KClusterK8",
-                   w.points.size(), w.points.dim(), 1, ms * 1e6);
-      table.AddRow({variant, TextTable::Fmt(ms, 1),
-                    run.ok() ? TextTable::FmtInt(
-                                   static_cast<long long>(run->rounds.size()))
-                             : "-"});
-    }
+    KClusterOptions options;
+    options.params = {64.0, 1e-9};
+    options.beta = 0.2;
+    options.k = 8;
+    Rng rng_run(4331);
+    Result<KClusterResult> run = Status::Internal("unset");
+    const double ms = bench::TimeMs(
+        [&] { run = KCluster(rng_run, w.points, w.domain, options); });
+    reporter.Add("KClusterK8", w.points.size(), w.points.dim(), 1, ms * 1e6);
+    table.AddRow({TextTable::Fmt(ms, 1),
+                  run.ok() ? TextTable::FmtInt(
+                                 static_cast<long long>(run->rounds.size()))
+                           : "-"});
     table.Print();
-    bench::Note("Both variants run the incremental shared-index path (span"
-                " GoodCenter, exact geometry via auto). The cached"
-                " variant reuses one ProjectionCache GEMM across the k"
-                " rounds (data-independent randomness, privacy unaffected;"
-                " released bytes differ from the per-round-draw reference).");
+    bench::Note("The incremental shared-index path: one index build, k"
+                " span-based GoodCenter rounds with a per-round JL draw.");
   }
 
   bench::Banner(

@@ -388,15 +388,8 @@ Result<GoodCenterResult> GoodCenter(Rng& rng, const IndexedDataset& index,
                                         : std::span<const std::uint64_t>{}};
 
   // ---- Step 1: JL projection of the active rows. --------------------------
-  // Default: redraw the matrix from the caller Rng and project the gathered
-  // active rows — bit-identical to the PointSet overload on ActiveView().
-  // With a projection seed: serve the slice from the dataset-wide cache (one
-  // GEMM for all rounds); the caller Rng skips the matrix draw.
-  if (options.projection_seed != 0) {
-    const Matrix& projected =
-        index.ProjectedActive(options.projection_seed, k, &pool);
-    return GoodCenterImpl(rng, src, t, r, options, projected, pool);
-  }
+  // The matrix comes from the caller Rng and projects the gathered active
+  // rows — bit-identical to the PointSet overload on ActiveView().
   const JlTransform jl(rng, index.dim(), k);
   const Matrix projected = jl.ApplyAllGathered(index.points(), src.ids, &pool);
   return GoodCenterImpl(rng, src, t, r, options, projected, pool);

@@ -90,17 +90,6 @@ struct GoodCenterOptions {
   /// when that reach exceeds the domain itself. 0 disables (paper-verbatim).
   double domain_axis_length = 1.0;
 
-  /// When non-zero and the call goes through the IndexedDataset overload, the
-  /// step-1 JL matrix is drawn once from Rng(projection_seed) and the
-  /// projection of the *full* dataset is cached on the dataset
-  /// (IndexedDataset::ProjectedActive), so repeated GoodCenter rounds over a
-  /// shrinking active set reuse one GEMM instead of re-projecting. The JL
-  /// matrix is data-independent randomness, so privacy is unaffected, but the
-  /// caller Rng no longer draws it: released bytes differ from the default
-  /// path (which redraws the matrix from the caller Rng every call and is
-  /// bit-identical to the PointSet overload). 0 = fresh per-call draw.
-  std::uint64_t projection_seed = 0;
-
   /// Paper-verbatim constants (Algorithm 2 as printed).
   static GoodCenterOptions PaperConstants();
 
@@ -132,10 +121,8 @@ Result<GoodCenterResult> GoodCenter(Rng& rng, const PointSet& s, std::size_t t,
 /// Runs GoodCenter on the *active* points of a prebuilt geo/IndexedDataset —
 /// no ActiveView materialization: the JL projection gathers active rows
 /// straight out of the full dataset and the heavy-box preimage D is assembled
-/// through the active-id indirection. With options.projection_seed == 0
-/// (default) the released outputs are bit-identical to
-/// GoodCenter(rng, index.ActiveView(), ...); a non-zero seed additionally
-/// reuses the dataset-cached projection across rounds (see the option).
+/// through the active-id indirection. The released outputs are bit-identical
+/// to GoodCenter(rng, index.ActiveView(), ...).
 Result<GoodCenterResult> GoodCenter(Rng& rng, const IndexedDataset& index,
                                     std::size_t t, double r,
                                     const GoodCenterOptions& options);

@@ -10,6 +10,7 @@
 #include "dpcluster/common/math_util.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/geo/dataset.h"
+#include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/random/distributions.h"
 
@@ -129,8 +130,7 @@ Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng, const PointSet* s,
           ? RadiusProfile::Build(*index, t, profile_cap, pool,
                                  options.profile_index)
           : RadiusProfile::Build(*s, t, domain, profile_cap, pool,
-                                 options.profile_index,
-                                 options.index_geometry);
+                                 options.profile_index);
   DPC_RETURN_IF_ERROR(built.status());
   const RadiusProfile& profile = *built;
 
@@ -195,7 +195,6 @@ Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
   } else {
     DPC_ASSIGN_OR_RETURN(IndexedDataset local,
                          IndexedDataset::Create(*s, domain));
-    local.set_index_geometry(options.index_geometry);
     built = KnnCappedCounts::Build(local, t, profile_cap, pool);
     DPC_RETURN_IF_ERROR(built.status());
     counts_ptr = &*built;

@@ -26,7 +26,6 @@
 #include "dpcluster/dp/privacy_params.h"
 #include "dpcluster/dp/rec_concave.h"
 #include "dpcluster/geo/grid_domain.h"
-#include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/geo/point_set.h"
 #include "dpcluster/random/rng.h"
 
@@ -65,14 +64,9 @@ struct GoodRadiusOptions {
   /// contract, so released outputs are unchanged. Ignored by the PointSet
   /// entry point and the kRecConcave engine. Not owned.
   const KnnCappedCounts* shared_counts = nullptr;
-  /// Cell-grid coordinate space for any spatial index this call builds itself
-  /// (the kGrid profile's index on a PointSet input, the kSparseVector
-  /// engine's local IndexedDataset): kAuto stays exact — degenerate one-cell
-  /// grids run the blocked dense scan; the JL-projected grid is an explicit
-  /// opt-in (geo/spatial_grid.h). Query answers are bit-identical across
-  /// geometries. When the call runs on a prebuilt IndexedDataset, that
-  /// dataset's own setting governs instead.
-  IndexGeometry index_geometry = IndexGeometry::kAuto;
+  /// Ignored; kept for the one caller IndexGeometry's comment names
+  /// (core/radius_profile.h).
+  IndexGeometry index_geometry = IndexGeometry::kExact;
   /// Worker threads for the deterministic numeric passes (the O(n^2 d)
   /// profile / pairwise builds). 0 = one per hardware thread, 1 = serial.
   /// Released outputs are bit-identical at any setting: threads never touch

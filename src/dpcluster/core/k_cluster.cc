@@ -120,11 +120,9 @@ Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
                            BuildCoreset(s, domain, options.coreset, &pool));
       DPC_ASSIGN_OR_RETURN(local_index,
                            MakeWeightedIndex(std::move(summary), domain));
-      local_index->set_index_geometry(options.index_geometry);
       index = &*local_index;
     } else {
       DPC_ASSIGN_OR_RETURN(local_index, IndexedDataset::Create(s, domain));
-      local_index->set_index_geometry(options.index_geometry);
       index = &*local_index;
     }
   }

@@ -49,12 +49,6 @@ struct KClusterOptions {
   /// (pinned by the k-cluster property test), only the runtime differs.
   enum class IndexMode { kIncremental, kRebuild };
   IndexMode index_mode = IndexMode::kIncremental;
-  /// Cell-grid coordinate space of the incremental path's own index: kAuto
-  /// stays exact (degenerate one-cell grids run the blocked dense scan; the
-  /// JL-projected grid is an explicit opt-in, geo/spatial_grid.h) —
-  /// bit-identical released outputs, only the runtime moves. Ignored when a
-  /// shared_index is lent (its setting governs).
-  IndexGeometry index_geometry = IndexGeometry::kAuto;
   /// Coreset stage: when enabled and n >= coreset.min_points (and no
   /// shared_index is lent), the input is collapsed once to a weighted
   /// k-center summary (coreset/coreset.h) and every round peels from the

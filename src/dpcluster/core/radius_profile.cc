@@ -501,7 +501,7 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
                                            std::size_t max_points,
                                            ThreadPool* pool,
                                            ProfileIndex index,
-                                           IndexGeometry geometry) {
+                                           IndexGeometry) {
   const std::size_t n = s.size();
   DPC_RETURN_IF_ERROR(ValidateBuildArgs(n, t, max_points));
   if (s.dim() != domain.dim()) {
@@ -521,7 +521,7 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
     std::vector<double> knn(n * k);
     if (k > 0) {
       DPC_ASSIGN_OR_RETURN(SpatialGrid grid,
-                           SpatialGrid::Build(s, domain, k, geometry));
+                           SpatialGrid::Build(s, domain, k));
       grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
     }
     events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);

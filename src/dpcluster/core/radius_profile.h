@@ -42,7 +42,6 @@
 #include "dpcluster/dp/step_function.h"
 #include "dpcluster/geo/grid_domain.h"
 #include "dpcluster/geo/point_set.h"
-#include "dpcluster/geo/spatial_grid.h"
 
 namespace dpcluster {
 
@@ -66,6 +65,15 @@ Result<ProfileIndex> ProfileIndexFromName(std::string_view name);
 /// The generator a request runs: kExact only when asked for, kGrid otherwise.
 ProfileIndex ResolveProfileIndex(ProfileIndex requested);
 
+/// A single-value placeholder kept for one caller: the daemon benchmark's
+/// tracer (daemon_bench/trace.cc) names GoodRadiusOptions::index_geometry and
+/// passes it as Build's last argument, and that directory changes only with
+/// the benchmark itself. The cell grid over the data's own coordinates is the
+/// only spatial index, so the value configures nothing and Build ignores it;
+/// the next change to the benchmark drops the field, the parameter and this
+/// type.
+enum class IndexGeometry { kExact };
+
 /// Exact L(r, S) over the fine radius grid.
 class RadiusProfile {
  public:
@@ -74,15 +82,13 @@ class RadiusProfile {
   /// parallelizes the event generation (null = serial); chunk-ordered
   /// assembly keeps the profile bit-identical at any thread count. `index`
   /// selects the event generator (bit-identical either way, see above).
-  /// `geometry` is the cell-coordinate space of the kGrid generator's
-  /// spatial index (geo/spatial_grid.h) — also bit-identical either way.
+  /// The trailing IndexGeometry is ignored (see IndexGeometry).
   static Result<RadiusProfile> Build(const PointSet& s, std::size_t t,
                                      const GridDomain& domain,
                                      std::size_t max_points,
                                      ThreadPool* pool = nullptr,
                                      ProfileIndex index = ProfileIndex::kAuto,
-                                     IndexGeometry geometry =
-                                         IndexGeometry::kAuto);
+                                     IndexGeometry = IndexGeometry::kExact);
 
   /// Builds the profile over the *active* points of a prebuilt
   /// geo/IndexedDataset — bit-identical to Build(index.ActiveView(), ...),

@@ -40,7 +40,6 @@
 #include "dpcluster/geo/grid_domain.h"
 #include "dpcluster/geo/point_set.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/la/matrix.h"
 
 namespace dpcluster {
 
@@ -113,9 +112,7 @@ class IndexedDataset {
 
   /// Appends one row as a new active point and returns its id (== the old
   /// size()). Amortized O(1) on the cached grid: the grid's per-cell segment
-  /// doubles in place instead of rebuilding (projected-geometry grids cannot
-  /// host new rows — their JL map is anchored to the build-time data — so
-  /// they are dropped and rebuilt lazily on the next query). The point must
+  /// doubles in place instead of rebuilding. The point must
   /// have dim() coordinates and lie in the domain cube (snap first; both are
   /// validated). `weight` attaches a multiplicity: inserting weight != 1
   /// into an unweighted dataset materializes the all-ones weight vector
@@ -126,7 +123,7 @@ class IndexedDataset {
 
   /// Drops the removed rows for good: rebuilds storage over the active rows
   /// (ascending original order), renumbering them 0..active_size()-1, and
-  /// discards the cached grid and projections for lazy rebuild. Returns
+  /// discards the cached grid for lazy rebuild. Returns
   /// old_ids with old_ids[new_id] = previous id — the caller's remap for any
   /// ids it kept. Outstanding Snapshots predate the renumbering and no
   /// longer apply. This is the live/total compaction step the streaming
@@ -191,34 +188,6 @@ class IndexedDataset {
   /// True if the grid has been built (diagnostics / tests).
   bool grid_built() const { return grid_.has_value(); }
 
-  /// The geometry policy of the cached grid (see IndexGeometry; default
-  /// kAuto). Changing the policy drops an already-built grid so the next
-  /// query rebuilds under the new policy — query answers are bit-identical
-  /// across geometries, only the candidate-collection cost changes.
-  void set_index_geometry(IndexGeometry geometry);
-  IndexGeometry index_geometry() const { return index_geometry_; }
-
-  /// Per-dataset JL projection cache: rows of all `size()` points projected
-  /// through the JL map drawn from Rng(seed) into `out_dim` dimensions
-  /// (JlTransform semantics, 1/sqrt(out_dim)-scaled). Computed once per
-  /// (seed, out_dim) via the batched GEMM and reused across rounds — the
-  /// returned reference is stable until a different (seed, out_dim) is
-  /// requested, so KCluster's k GoodCenter rounds stop paying O(n d k_jl)
-  /// each. Row i is bit-identical to applying the same JlTransform to
-  /// points()[i] alone.
-  const Matrix& ProjectedAll(std::uint64_t seed, std::size_t out_dim,
-                             ThreadPool* pool = nullptr) const;
-
-  /// The active-set slice of ProjectedAll: row r is the projected row of
-  /// ActiveIds()[r]. Cached per active-set version — any Remove / Restore /
-  /// RestoreAll invalidates the slice (the full-matrix cache above is
-  /// unaffected). When every point is active this returns ProjectedAll.
-  const Matrix& ProjectedActive(std::uint64_t seed, std::size_t out_dim,
-                                ThreadPool* pool = nullptr) const;
-
-  /// Bumped by every active-set mutation; versions the ProjectedActive cache.
-  std::uint64_t active_version() const { return active_version_; }
-
  private:
   IndexedDataset(PointSet points, GridDomain domain,
                  std::vector<std::uint64_t> weights = {});
@@ -242,18 +211,7 @@ class IndexedDataset {
   mutable std::vector<std::uint32_t> active_ids_;  // cache; see dirty flag
   mutable bool active_ids_dirty_ = false;
   mutable std::optional<SpatialGrid> grid_;  // lazy; kept in sync with active_
-  IndexGeometry index_geometry_ = IndexGeometry::kAuto;
-  std::uint64_t active_version_ = 0;
   std::uint64_t snapshot_epoch_ = 0;  // fresh per dataset; bumped by Compact
-  struct ProjectionCache {
-    std::uint64_t seed = 0;
-    std::size_t out_dim = 0;
-    Matrix all;                         // size() x out_dim
-    Matrix active;                      // active slice (lazy)
-    bool active_valid = false;
-    std::uint64_t active_version = 0;   // version `active` was gathered at
-  };
-  mutable std::optional<ProjectionCache> projection_;  // single entry
 };
 
 /// Order-sensitive 64-bit FNV-1a fingerprint of a dataset and its universe

@@ -8,26 +8,11 @@
 
 #include "dpcluster/common/check.h"
 #include "dpcluster/common/simd.h"
-#include "dpcluster/la/matrix.h"
-#include "dpcluster/la/qr.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/parallel_for.h"
-#include "dpcluster/random/rng.h"
 
 namespace dpcluster {
 namespace {
-
-// Seed of the projected geometry's JL draw. Fixed and data-independent: the
-// projection only steers candidate collection (answers are exact re-checks),
-// so any seed yields identical released bytes — a constant keeps rebuilds of
-// the same dataset byte-comparable internally too.
-constexpr std::uint64_t kProjectionSeed = 0x9e3779b97f4a7c15ull;
-
-// Relative haircut applied to certified lower bounds before rejecting a
-// candidate: absorbs the ~1e-13-relative slack of the projection's
-// orthonormality error and the accumulation rounding of the p-dim partial
-// distances, mirroring the ring guarantees' 1e-9 margins.
-constexpr double kLowerBoundHaircut = 1.0 - 1e-9;
 
 // Hard caps on the cell table: cells are dense (CSR offsets), so the table is
 // bounded independently of the data distribution. ~2M cells = 16 MB offsets.
@@ -170,102 +155,16 @@ void SelectSmallest(std::vector<double>& vals, std::size_t k,
   DPC_CHECK_EQ(out, k);
 }
 
-// Fills res_lo/res_hi with certified bounds on each point's residual norm
-// — the length of its component orthogonal to the projection's row space.
-// For orthonormal-row P the residual squared is ||x||^2 - ||Px||^2; the
-// difference-of-squares cancellation plus P's ~1e-14 orthonormality error
-// leave an absolute error of ~1e-13 * ||x||^2, so the interval is widened by
-// an absolute slack 1e-6 * (1 + ||x||^2) — about 1e7x the worst case — and
-// the true residual is guaranteed inside [res_lo, res_hi]. The pair feeds
-// the lower bound ||x - y||^2 >= ||Px - Py||^2 + (res_x - res_y)^2.
-void MakeResiduals(const double* data, const double* proj, std::size_t n,
-                   std::size_t d, std::size_t p, std::vector<double>& res_lo,
-                   std::vector<double>& res_hi) {
-  res_lo.resize(n);
-  res_hi.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* x = data + i * d;
-    const double* px = proj + i * p;
-    double sq = 0.0;
-    for (std::size_t c = 0; c < d; ++c) sq += x[c] * x[c];
-    double psq = 0.0;
-    for (std::size_t a = 0; a < p; ++a) psq += px[a] * px[a];
-    const double diff = sq - psq;
-    const double slack = 1e-6 * (1.0 + sq);
-    res_lo[i] = std::sqrt(std::max(0.0, diff - slack));
-    res_hi[i] = std::sqrt(std::max(0.0, diff + slack)) * (1.0 + 1e-12);
-  }
-}
-
 }  // namespace
-
-std::string_view IndexGeometryName(IndexGeometry geometry) {
-  switch (geometry) {
-    case IndexGeometry::kAuto:
-      return "auto";
-    case IndexGeometry::kExact:
-      return "exact";
-    case IndexGeometry::kProjected:
-      return "projected";
-  }
-  return "unknown";
-}
-
-Result<IndexGeometry> IndexGeometryFromName(std::string_view name) {
-  if (name == "auto") return IndexGeometry::kAuto;
-  if (name == "exact") return IndexGeometry::kExact;
-  if (name == "projected") return IndexGeometry::kProjected;
-  return Status::InvalidArgument("unknown index geometry: " +
-                                 std::string(name));
-}
-
-std::size_t ProjectedIndexDim(std::size_t n) {
-  const double bits = std::log2(static_cast<double>(std::max<std::size_t>(n, 2)));
-  return std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::ceil(bits * 2.0 / 3.0)), 4, 12);
-}
-
-std::size_t ProjectedGridDim(std::size_t n, std::size_t d,
-                             std::size_t expected_neighbors) {
-  const std::size_t cap = std::min(ProjectedIndexDim(n), d);
-  if (cap <= 2) return cap;
-  for (std::size_t p = cap; p > 2; --p) {
-    if (ChooseCellsPerAxis(n, p, expected_neighbors) >= 4) return p;
-  }
-  return 2;
-}
 
 bool GridCollapsesToSingleCell(std::size_t n, std::size_t d,
                                std::size_t expected_neighbors) {
   return ChooseCellsPerAxis(n, d, expected_neighbors) == 1;
 }
 
-IndexGeometry ResolveIndexGeometry(IndexGeometry requested, std::size_t n,
-                                   std::size_t d,
-                                   std::size_t expected_neighbors) {
-  if (requested != IndexGeometry::kAuto) return requested;
-  // Always exact. The projected geometry was built for the degenerate high-d
-  // case (one cell per axis: every query scans all n points at d-dim cost),
-  // but the batched one-cell scan now streams the dataset once per query
-  // chunk through the blocked distance kernel, and that beats the projected
-  // filter everywhere we measured (n=4096, d in {32, 64}, k in {15..511},
-  // clustered and uniform: exact 0.19-0.44s vs projected 0.38-1.38s per
-  // 4096-query batch) — at high d distance concentration leaves the certified
-  // lower bound too weak to reject candidates, so the filter pays p extra
-  // dimensions of work per pair without shrinking the exact re-checks.
-  // kProjected stays available as an explicit request (it answers every
-  // query bit-identically) for data with low intrinsic dimension.
-  (void)n;
-  (void)d;
-  (void)expected_neighbors;
-  return IndexGeometry::kExact;
-}
-
 Result<SpatialGrid> SpatialGrid::Build(const PointSet& s,
                                        const GridDomain& domain,
-                                       std::size_t expected_neighbors,
-                                       IndexGeometry geometry,
-                                       ThreadPool* pool) {
+                                       std::size_t expected_neighbors) {
   if (s.empty()) return Status::InvalidArgument("SpatialGrid: empty dataset");
   if (s.dim() != domain.dim()) {
     return Status::InvalidArgument("SpatialGrid: domain dimension mismatch");
@@ -275,37 +174,11 @@ Result<SpatialGrid> SpatialGrid::Build(const PointSet& s,
   grid.live_ = grid.n_;
   grid.dim_ = s.dim();
   grid.data_ = s.Data();
-  grid.geometry_ =
-      ResolveIndexGeometry(geometry, grid.n_, grid.dim_, expected_neighbors);
-  if (grid.geometry_ == IndexGeometry::kProjected) {
-    grid.geom_dim_ = ProjectedGridDim(grid.n_, grid.dim_, expected_neighbors);
-    // Projection = the first geom_dim rows of a Haar orthonormal basis, NOT
-    // 1/sqrt(k)-scaled: orthonormal rows make every projected distance a
-    // lower bound on the exact distance (up to the ~1e-14 orthonormality
-    // error the haircuts absorb), which is what the ring guarantees and the
-    // candidate rejection both certify against.
-    Rng rng(kProjectionSeed);
-    const Matrix basis = RandomOrthonormalBasis(rng, grid.dim_);
-    Matrix projection(grid.geom_dim_, grid.dim_);
-    for (std::size_t r = 0; r < grid.geom_dim_; ++r) {
-      std::copy(basis.Row(r).begin(), basis.Row(r).end(),
-                projection.Row(r).begin());
-    }
-    grid.proj_points_.resize(grid.n_ * grid.geom_dim_);
-    projection.MultiplyAll(grid.data_, grid.n_, grid.proj_points_, pool);
-    MakeResiduals(grid.data_.data(), grid.proj_points_.data(), grid.n_,
-                  grid.dim_, grid.geom_dim_, grid.res_lo_, grid.res_hi_);
-    // Projected coordinates are signed.
-    grid.AnchorCellsAtBoundingBox(expected_neighbors);
-  } else {
-    grid.geom_dim_ = grid.dim_;
-    grid.geom_origin_.assign(grid.geom_dim_, 0.0);
-    grid.cells_per_axis_ =
-        ChooseCellsPerAxis(grid.n_, grid.dim_, expected_neighbors);
-    grid.cell_size_ =
-        domain.axis_length() / static_cast<double>(grid.cells_per_axis_);
-  }
-
+  grid.origin_.assign(grid.dim_, 0.0);
+  grid.cells_per_axis_ =
+      ChooseCellsPerAxis(grid.n_, grid.dim_, expected_neighbors);
+  grid.cell_size_ =
+      domain.axis_length() / static_cast<double>(grid.cells_per_axis_);
   grid.LayOutCells();
   return grid;
 }
@@ -323,29 +196,26 @@ Result<SpatialGrid> SpatialGrid::BuildOverBoundingBox(
   grid.live_ = grid.n_;
   grid.dim_ = s.dim();
   grid.data_ = s.Data();
-  grid.geometry_ = IndexGeometry::kExact;
-  grid.geom_dim_ = grid.dim_;
   grid.AnchorCellsAtBoundingBox(expected_neighbors);
   grid.LayOutCells();
   return grid;
 }
 
 void SpatialGrid::AnchorCellsAtBoundingBox(std::size_t expected_neighbors) {
-  geom_origin_.assign(geom_dim_, std::numeric_limits<double>::infinity());
-  std::vector<double> axis_max(geom_dim_,
-                               -std::numeric_limits<double>::infinity());
+  origin_.assign(dim_, std::numeric_limits<double>::infinity());
+  std::vector<double> axis_max(dim_, -std::numeric_limits<double>::infinity());
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* row = GeomRow(i);
-    for (std::size_t a = 0; a < geom_dim_; ++a) {
-      geom_origin_[a] = std::min(geom_origin_[a], row[a]);
+    const double* row = Row(i);
+    for (std::size_t a = 0; a < dim_; ++a) {
+      origin_[a] = std::min(origin_[a], row[a]);
       axis_max[a] = std::max(axis_max[a], row[a]);
     }
   }
   double extent = 0.0;
-  for (std::size_t a = 0; a < geom_dim_; ++a) {
-    extent = std::max(extent, axis_max[a] - geom_origin_[a]);
+  for (std::size_t a = 0; a < dim_; ++a) {
+    extent = std::max(extent, axis_max[a] - origin_[a]);
   }
-  cells_per_axis_ = ChooseCellsPerAxis(n_, geom_dim_, expected_neighbors);
+  cells_per_axis_ = ChooseCellsPerAxis(n_, dim_, expected_neighbors);
   cell_size_ =
       extent > 0.0 ? extent / static_cast<double>(cells_per_axis_) : 1.0;
 }
@@ -356,11 +226,11 @@ void SpatialGrid::LayOutCells() {
   // byte-identical to the classic prefix-sum CSR layout; Append() grows
   // capacities on demand.
   const std::size_t total_cells =
-      SaturatingCellCount(cells_per_axis_, geom_dim_);
+      SaturatingCellCount(cells_per_axis_, dim_);
   cell_of_.resize(n_);
   std::vector<std::uint64_t> starts(total_cells + 1, 0);
   for (std::size_t i = 0; i < n_; ++i) {
-    cell_of_[i] = CellOf(GeomRow(i));
+    cell_of_[i] = CellOf(Row(i));
     ++starts[cell_of_[i] + 1];
   }
   for (std::size_t c = 0; c < total_cells; ++c) {
@@ -429,13 +299,12 @@ void SpatialGrid::ResetActive(std::span<const std::uint8_t> active) {
   }
 }
 
-bool SpatialGrid::Append(std::span<const double> all_data) {
-  if (geometry_ == IndexGeometry::kProjected) return false;
+void SpatialGrid::Append(std::span<const double> all_data) {
   DPC_CHECK_EQ(all_data.size(), (n_ + 1) * dim_);
   // PointSet::Add may have reallocated the storage the grid borrows.
   data_ = all_data;
   const std::size_t id = n_;
-  const std::uint64_t cell = CellOf(GeomRow(id));
+  const std::uint64_t cell = CellOf(Row(id));
 
   if (seg_end_[cell] - seg_start_[cell] == seg_cap_[cell]) {
     // Full segment: relocate the whole used range (live prefix + dead
@@ -475,15 +344,14 @@ bool SpatialGrid::Append(std::span<const double> all_data) {
   ++live_;
   const auto it = std::lower_bound(occupied_.begin(), occupied_.end(), cell);
   if (it == occupied_.end() || *it != cell) occupied_.insert(it, cell);
-  return true;
 }
 
 std::uint64_t SpatialGrid::CellOf(const double* p) const {
   const auto m = static_cast<std::int64_t>(cells_per_axis_);
   std::uint64_t id = 0;
-  for (std::size_t a = 0; a < geom_dim_; ++a) {
+  for (std::size_t a = 0; a < dim_; ++a) {
     auto c = static_cast<std::int64_t>(
-        std::floor((p[a] - geom_origin_[a]) / cell_size_));
+        std::floor((p[a] - origin_[a]) / cell_size_));
     c = std::clamp<std::int64_t>(c, 0, m - 1);
     id = id * static_cast<std::uint64_t>(m) + static_cast<std::uint64_t>(c);
   }
@@ -535,77 +403,19 @@ void SpatialGrid::ScanCell(std::uint64_t cell,
   }
 }
 
-void SpatialGrid::ScanCellProjectedKnn(std::uint64_t cell, std::size_t query,
-                                       std::size_t select_k,
-                                       Workspace& scratch,
-                                       double& bound_sq) const {
-  const double* base = data_.data();
-  const double* pbase = proj_points_.data();
-  const double* qp = base + query * dim_;
-  const double* qproj = pbase + query * geom_dim_;
-  const double q_lo = res_lo_[query];
-  const double q_hi = res_hi_[query];
-  std::vector<double>& cands = scratch.candidates;
-  // Past this size, re-select to tighten the bound mid-scan: SelectSmallest
-  // keeps exactly the select_k smallest exact values, and a candidate whose
-  // lower bound beats the running k-th can never re-enter the answer — so the
-  // final multiset is untouched while a degenerate one-cell grid stops paying
-  // the exact d-dim distance for every point.
-  const std::size_t reselect_at =
-      select_k + std::max<std::size_t>(select_k, 256);
-  const std::uint64_t hi = cell_end_[cell];
-  for (std::uint64_t at = seg_start_[cell]; at < hi; ++at) {
-    const std::uint32_t id = cell_points_[at];
-    const double proj_sq =
-        RowSquaredDistance(qproj, pbase + id * geom_dim_, geom_dim_);
-    const double diff = std::max(
-        std::max(res_lo_[id] - q_hi, q_lo - res_hi_[id]), 0.0);
-    const double lb = (proj_sq + diff * diff) * kLowerBoundHaircut;
-    if (lb > bound_sq) continue;
-    cands.push_back(RowSquaredDistance(qp, base + id * dim_, dim_));
-    if (cands.size() >= reselect_at) {
-      SelectSmallest(cands, select_k, scratch);
-      bound_sq = std::min(bound_sq,
-                          *std::max_element(cands.begin(), cands.end()));
-    }
-  }
-}
-
-void SpatialGrid::ScanCellProjectedCount(std::uint64_t cell, std::size_t query,
-                                         double bound_sq,
-                                         std::vector<double>& cands) const {
-  const double* base = data_.data();
-  const double* pbase = proj_points_.data();
-  const double* qp = base + query * dim_;
-  const double* qproj = pbase + query * geom_dim_;
-  const double q_lo = res_lo_[query];
-  const double q_hi = res_hi_[query];
-  const std::uint64_t hi = cell_end_[cell];
-  for (std::uint64_t at = seg_start_[cell]; at < hi; ++at) {
-    const std::uint32_t id = cell_points_[at];
-    const double proj_sq =
-        RowSquaredDistance(qproj, pbase + id * geom_dim_, geom_dim_);
-    const double diff = std::max(
-        std::max(res_lo_[id] - q_hi, q_lo - res_hi_[id]), 0.0);
-    const double lb = (proj_sq + diff * diff) * kLowerBoundHaircut;
-    if (lb > bound_sq) continue;
-    cands.push_back(RowSquaredDistance(qp, base + id * dim_, dim_));
-  }
-}
-
 std::size_t SpatialGrid::DecodeCenter(const double* q,
                                       Workspace& scratch) const {
   const auto m = static_cast<std::int64_t>(cells_per_axis_);
   std::vector<std::int64_t>& center = scratch.center;
-  center.assign(geom_dim_, 0);
+  center.assign(dim_, 0);
   std::uint64_t id = CellOf(q);
-  for (std::size_t a = geom_dim_; a-- > 0;) {
+  for (std::size_t a = dim_; a-- > 0;) {
     center[a] = static_cast<std::int64_t>(id % static_cast<std::uint64_t>(m));
     id /= static_cast<std::uint64_t>(m);
   }
   // After ring max_rho the whole grid has been scanned.
   std::size_t max_rho = 0;
-  for (std::size_t a = 0; a < geom_dim_; ++a) {
+  for (std::size_t a = 0; a < dim_; ++a) {
     max_rho = std::max<std::size_t>(
         max_rho,
         static_cast<std::size_t>(std::max(center[a], m - 1 - center[a])));
@@ -622,45 +432,27 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
   k = std::min(k, live_ - 1);
   if (k == 0) return;
 
-  const bool projected = geometry_ == IndexGeometry::kProjected;
-  const std::span<const double> q{data_.data() + query * dim_, dim_};
+  const std::span<const double> q{Row(query), dim_};
   const auto m = static_cast<std::int64_t>(cells_per_axis_);
-  const std::uint64_t center_cell = CellOf(GeomRow(query));
-  const std::size_t max_rho = DecodeCenter(GeomRow(query), scratch);
+  const std::uint64_t center_cell = CellOf(Row(query));
+  const std::size_t max_rho = DecodeCenter(Row(query), scratch);
   std::vector<std::int64_t>& center = scratch.center;
 
   std::vector<double>& cands = scratch.candidates;
   cands.clear();
-
-  // Projected-mode rejection bound: the current k-th smallest exact squared
-  // distance, tightened by every selection below. +inf until one exists.
-  double bound_sq = std::numeric_limits<double>::infinity();
-  // Scans one cell: the exact kernel, or the projected candidate filter.
-  // `select_k` is k + 1 while the query's own +0.0 entry is still in the
-  // candidate pool (ring 0), so mid-scan selections never squeeze out the
-  // k-th true neighbor; k afterwards.
-  std::size_t select_k = k + 1;
-  const auto scan = [&](std::uint64_t cell) {
-    if (projected) {
-      ScanCellProjectedKnn(cell, query, select_k, scratch, bound_sq);
-    } else {
-      ScanCell(cell, q, cands);
-    }
-  };
+  const auto scan = [&](std::uint64_t cell) { ScanCell(cell, q, cands); };
 
   // Ring 0 is the only cell that contains the query itself. Scan it with the
   // same branch-free kernel as every other cell — the self-distance comes out
   // as exactly +0.0 (x - x is +0.0 per coordinate) — then drop one 0.0 entry.
   // Duplicate points also land on exactly +0.0, so removing any one leaves
-  // the brute-force multiset (self excluded by index) unchanged. (The
-  // projected filter never rejects the self row: its lower bound is +0.0.)
+  // the brute-force multiset (self excluded by index) unchanged.
   {
     scan(center_cell);
     const auto self = std::find(cands.begin(), cands.end(), 0.0);
     DPC_CHECK(self != cands.end());
     *self = cands.back();
     cands.pop_back();
-    select_k = k;
   }
 
   // Visits every in-bounds cell at Chebyshev offset exactly rho from center.
@@ -668,7 +460,7 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
   // the last axis is restricted to +-rho when none has.
   auto visit_ring = [&](auto&& self, std::size_t axis, bool attained,
                         std::uint64_t partial, std::int64_t rho) -> void {
-    if (axis == geom_dim_) {
+    if (axis == dim_) {
       scan(partial);
       return;
     }
@@ -676,7 +468,7 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
     const std::int64_t hi = std::min<std::int64_t>(center[axis] + rho, m - 1);
     for (std::int64_t c = lo; c <= hi; ++c) {
       const bool at_rho = std::llabs(c - center[axis]) == rho;
-      if (axis + 1 == geom_dim_ && !attained && !at_rho) continue;
+      if (axis + 1 == dim_ && !attained && !at_rho) continue;
       self(self, axis + 1, attained || at_rho,
            partial * static_cast<std::uint64_t>(m) +
                static_cast<std::uint64_t>(c),
@@ -690,10 +482,7 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
   // rounding of the cell assignment and of rho * cell_size itself, so the
   // early stop can never exclude a point that brute force would return
   // (equal-distance ties beyond the boundary leave the k smallest values
-  // unchanged either way). In projected mode rings live in projected space,
-  // where distances only shrink (orthonormal rows), so covering projected
-  // radius rho * cell_size covers at least that exact radius too and the
-  // same stop test stays valid against the exact k-th candidate.
+  // unchanged either way).
   for (std::size_t rho = 0; rho < max_rho;) {
     if (cands.size() >= k) {
       // Keep only the k best so far: rejected candidates can never re-enter
@@ -701,7 +490,6 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
       // shrinks every later ring's work.
       SelectSmallest(cands, k, scratch);
       const double kth = *std::max_element(cands.begin(), cands.end());
-      bound_sq = std::min(bound_sq, kth);
       const double guarantee =
           static_cast<double>(rho) * cell_size_ * (1.0 - 1e-9);
       if (kth <= guarantee * guarantee) break;
@@ -711,15 +499,15 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
     // the remaining occupied cells is strictly cheaper and completes coverage.
     const double next_ring_cells =
         std::pow(2.0 * static_cast<double>(rho) + 3.0,
-                 static_cast<double>(geom_dim_)) -
+                 static_cast<double>(dim_)) -
         std::pow(2.0 * static_cast<double>(rho) + 1.0,
-                 static_cast<double>(geom_dim_));
+                 static_cast<double>(dim_));
     if (next_ring_cells > static_cast<double>(live_occupied_)) {
       for (const std::uint64_t cell : occupied_) {
         if (cell_end_[cell] == seg_start_[cell]) continue;  // Fully removed.
         std::uint64_t id = cell;
         std::size_t chebyshev = 0;
-        for (std::size_t a = geom_dim_; a-- > 0;) {
+        for (std::size_t a = dim_; a-- > 0;) {
           const auto c = static_cast<std::int64_t>(
               id % static_cast<std::uint64_t>(m));
           id /= static_cast<std::uint64_t>(m);
@@ -786,7 +574,7 @@ void SpatialGrid::BatchKnnDistances(std::size_t k, std::span<double> out,
   DPC_CHECK_EQ(out.size(), n_ * k);
   if (k == 0) return;
   constexpr std::size_t kQueryGrain = 16;
-  const bool dense = geometry_ == IndexGeometry::kExact && cells_per_axis_ == 1;
+  const bool dense = cells_per_axis_ == 1;
   ParallelForChunks(
       pool, 0, n_, kQueryGrain,
       [&](std::size_t lo, std::size_t hi, std::size_t) {
@@ -817,7 +605,7 @@ void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
   DPC_CHECK_EQ(out.size(), queries.size() * k);
   if (k == 0 || queries.empty()) return;
   constexpr std::size_t kQueryGrain = 16;
-  const bool dense = geometry_ == IndexGeometry::kExact && cells_per_axis_ == 1;
+  const bool dense = cells_per_axis_ == 1;
   ParallelForChunks(
       pool, 0, queries.size(), kQueryGrain,
       [&](std::size_t lo, std::size_t hi, std::size_t) {
@@ -836,35 +624,17 @@ void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
       kAlwaysParallel);
 }
 
-std::size_t SpatialGrid::CountWithin(std::size_t query, double r,
-                                     Workspace& scratch) const {
-  DPC_CHECK_LT(query, n_);
-  DPC_CHECK(IsLive(query));
-  if (r < 0.0) return 0;
-
-  const bool projected = geometry_ == IndexGeometry::kProjected;
-  const std::span<const double> q{data_.data() + query * dim_, dim_};
+template <typename ScanFn>
+void SpatialGrid::ForEachCellWithin(const double* p, double r,
+                                    Workspace& scratch, ScanFn&& scan) const {
   const auto m = static_cast<std::int64_t>(cells_per_axis_);
-  const std::size_t max_rho = DecodeCenter(GeomRow(query), scratch);
-  std::vector<std::int64_t>& center = scratch.center;
-  std::vector<double>& cands = scratch.candidates;
-  cands.clear();
-
-  // Projected-mode rejection bound: a candidate whose certified lower bound
-  // exceeds r^2 (inflated to cover the haircut) is strictly outside r, so
-  // skipping its exact distance cannot change the count.
-  const double reject_sq = r * r * (1.0 + 1e-9);
-  const auto scan = [&](std::uint64_t cell) {
-    if (projected) {
-      ScanCellProjectedCount(cell, query, reject_sq, cands);
-    } else {
-      ScanCell(cell, q, cands);
-    }
-  };
+  const std::size_t max_rho = DecodeCenter(p, scratch);
+  const std::vector<std::int64_t>& center = scratch.center;
 
   // Rings 0..rho cover every point within rho * cell_size (see KnnDistances);
   // the 1e-9 margin mirrors the k-NN early stop's haircut so cell-assignment
-  // rounding can never exclude a point at distance exactly r.
+  // rounding can never exclude a point at distance exactly r. CellOf clamps
+  // out-of-cube coordinates onto the boundary cell, which only widens the box.
   const double cells_needed = r / (cell_size_ * (1.0 - 1e-9));
   std::size_t rho_needed = max_rho;
   if (cells_needed < static_cast<double>(max_rho)) {
@@ -876,34 +646,46 @@ std::size_t SpatialGrid::CountWithin(std::size_t query, double r,
   // cell is cheaper and trivially complete.
   const double box_cells =
       std::pow(2.0 * static_cast<double>(rho_needed) + 1.0,
-               static_cast<double>(geom_dim_));
+               static_cast<double>(dim_));
   if (box_cells > static_cast<double>(live_occupied_)) {
     for (const std::uint64_t cell : occupied_) {
       if (cell_end_[cell] == seg_start_[cell]) continue;
       scan(cell);
     }
-  } else {
-    // Visits every in-bounds cell within Chebyshev distance rho_needed.
-    auto visit_box = [&](auto&& self, std::size_t axis,
-                         std::uint64_t partial) -> void {
-      if (axis == geom_dim_) {
-        if (cell_end_[partial] > seg_start_[partial]) {
-          scan(partial);
-        }
-        return;
-      }
-      const auto rho = static_cast<std::int64_t>(rho_needed);
-      const std::int64_t lo = std::max<std::int64_t>(center[axis] - rho, 0);
-      const std::int64_t hi =
-          std::min<std::int64_t>(center[axis] + rho, m - 1);
-      for (std::int64_t c = lo; c <= hi; ++c) {
-        self(self, axis + 1,
-             partial * static_cast<std::uint64_t>(m) +
-                 static_cast<std::uint64_t>(c));
-      }
-    };
-    visit_box(visit_box, 0, 0);
+    return;
   }
+  // Visits every in-bounds cell within Chebyshev distance rho_needed.
+  auto visit_box = [&](auto&& self, std::size_t axis,
+                       std::uint64_t partial) -> void {
+    if (axis == dim_) {
+      if (cell_end_[partial] > seg_start_[partial]) {
+        scan(partial);
+      }
+      return;
+    }
+    const auto rho = static_cast<std::int64_t>(rho_needed);
+    const std::int64_t lo = std::max<std::int64_t>(center[axis] - rho, 0);
+    const std::int64_t hi = std::min<std::int64_t>(center[axis] + rho, m - 1);
+    for (std::int64_t c = lo; c <= hi; ++c) {
+      self(self, axis + 1,
+           partial * static_cast<std::uint64_t>(m) +
+               static_cast<std::uint64_t>(c));
+    }
+  };
+  visit_box(visit_box, 0, 0);
+}
+
+std::size_t SpatialGrid::CountWithin(std::size_t query, double r,
+                                     Workspace& scratch) const {
+  DPC_CHECK_LT(query, n_);
+  DPC_CHECK(IsLive(query));
+  if (r < 0.0) return 0;
+
+  const std::span<const double> q{Row(query), dim_};
+  std::vector<double>& cands = scratch.candidates;
+  cands.clear();
+  ForEachCellWithin(q.data(), r, scratch,
+                    [&](std::uint64_t cell) { ScanCell(cell, q, cands); });
 
   std::size_t count = 0;
   for (const double sq : cands) {
@@ -917,64 +699,7 @@ void SpatialGrid::CollectWithin(std::size_t query, double r,
                                 std::vector<std::uint32_t>& out) const {
   DPC_CHECK_LT(query, n_);
   DPC_CHECK(IsLive(query));
-  if (r < 0.0) return;
-
-  const double* base = data_.data();
-  const double* qp = base + query * dim_;
-  const auto m = static_cast<std::int64_t>(cells_per_axis_);
-  const std::size_t max_rho = DecodeCenter(GeomRow(query), scratch);
-  std::vector<std::int64_t>& center = scratch.center;
-
-  // Every candidate pays the exact original-space distance (no projected
-  // lower-bound filter: the callers re-check candidates anyway, and the exact
-  // predicate keeps the result identical across geometries).
-  const auto scan = [&](std::uint64_t cell) {
-    const std::uint64_t hi = cell_end_[cell];
-    for (std::uint64_t at = seg_start_[cell]; at < hi; ++at) {
-      const std::uint32_t id = cell_points_[at];
-      const double sq = RowSquaredDistance(qp, base + id * dim_, dim_);
-      if (std::sqrt(sq) <= r) out.push_back(id);
-    }
-  };
-
-  // Same covering-box argument as CountWithin: rings 0..rho reach every point
-  // within rho * cell_size, with the 1e-9 haircut absorbing cell-assignment
-  // rounding at distance exactly r.
-  const double cells_needed = r / (cell_size_ * (1.0 - 1e-9));
-  std::size_t rho_needed = max_rho;
-  if (cells_needed < static_cast<double>(max_rho)) {
-    rho_needed = static_cast<std::size_t>(std::ceil(cells_needed));
-  }
-
-  const double box_cells =
-      std::pow(2.0 * static_cast<double>(rho_needed) + 1.0,
-               static_cast<double>(geom_dim_));
-  if (box_cells > static_cast<double>(live_occupied_)) {
-    for (const std::uint64_t cell : occupied_) {
-      if (cell_end_[cell] == seg_start_[cell]) continue;
-      scan(cell);
-    }
-  } else {
-    auto visit_box = [&](auto&& self, std::size_t axis,
-                         std::uint64_t partial) -> void {
-      if (axis == geom_dim_) {
-        if (cell_end_[partial] > seg_start_[partial]) {
-          scan(partial);
-        }
-        return;
-      }
-      const auto rho = static_cast<std::int64_t>(rho_needed);
-      const std::int64_t lo = std::max<std::int64_t>(center[axis] - rho, 0);
-      const std::int64_t hi =
-          std::min<std::int64_t>(center[axis] + rho, m - 1);
-      for (std::int64_t c = lo; c <= hi; ++c) {
-        self(self, axis + 1,
-             partial * static_cast<std::uint64_t>(m) +
-                 static_cast<std::uint64_t>(c));
-      }
-    };
-    visit_box(visit_box, 0, 0);
-  }
+  CollectWithinPoint({Row(query), dim_}, r, scratch, out);
 }
 
 void SpatialGrid::CollectWithinPoint(std::span<const double> p, double r,
@@ -985,68 +710,14 @@ void SpatialGrid::CollectWithinPoint(std::span<const double> p, double r,
 
   const double* base = data_.data();
   const double* qp = p.data();
-  const auto scan = [&](std::uint64_t cell) {
+  ForEachCellWithin(qp, r, scratch, [&](std::uint64_t cell) {
     const std::uint64_t hi = cell_end_[cell];
     for (std::uint64_t at = seg_start_[cell]; at < hi; ++at) {
       const std::uint32_t id = cell_points_[at];
       const double sq = RowSquaredDistance(qp, base + id * dim_, dim_);
       if (std::sqrt(sq) <= r) out.push_back(id);
     }
-  };
-
-  // Projected grids cannot place an arbitrary original-space row into a cell
-  // without re-projecting it; a full occupied scan is exact and the caller
-  // (KnnCappedCounts maintenance) already treats this as the slow path.
-  if (geometry_ == IndexGeometry::kProjected) {
-    for (const std::uint64_t cell : occupied_) {
-      if (cell_end_[cell] == seg_start_[cell]) continue;
-      scan(cell);
-    }
-    return;
-  }
-
-  const auto m = static_cast<std::int64_t>(cells_per_axis_);
-  const std::size_t max_rho = DecodeCenter(qp, scratch);
-  std::vector<std::int64_t>& center = scratch.center;
-
-  // Same covering-box argument as CollectWithin. CellOf clamps out-of-cube
-  // coordinates onto the boundary cell, which only widens the box — the
-  // predicate itself is always the exact distance.
-  const double cells_needed = r / (cell_size_ * (1.0 - 1e-9));
-  std::size_t rho_needed = max_rho;
-  if (cells_needed < static_cast<double>(max_rho)) {
-    rho_needed = static_cast<std::size_t>(std::ceil(cells_needed));
-  }
-
-  const double box_cells =
-      std::pow(2.0 * static_cast<double>(rho_needed) + 1.0,
-               static_cast<double>(geom_dim_));
-  if (box_cells > static_cast<double>(live_occupied_)) {
-    for (const std::uint64_t cell : occupied_) {
-      if (cell_end_[cell] == seg_start_[cell]) continue;
-      scan(cell);
-    }
-  } else {
-    auto visit_box = [&](auto&& self, std::size_t axis,
-                         std::uint64_t partial) -> void {
-      if (axis == geom_dim_) {
-        if (cell_end_[partial] > seg_start_[partial]) {
-          scan(partial);
-        }
-        return;
-      }
-      const auto rho = static_cast<std::int64_t>(rho_needed);
-      const std::int64_t lo = std::max<std::int64_t>(center[axis] - rho, 0);
-      const std::int64_t hi =
-          std::min<std::int64_t>(center[axis] + rho, m - 1);
-      for (std::int64_t c = lo; c <= hi; ++c) {
-        self(self, axis + 1,
-             partial * static_cast<std::uint64_t>(m) +
-                 static_cast<std::uint64_t>(c));
-      }
-    };
-    visit_box(visit_box, 0, 0);
-  }
+  });
 }
 
 void SpatialGrid::BatchCountWithin(std::span<const std::uint32_t> queries,

@@ -48,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "dpcluster/common/status.h"
@@ -59,74 +58,22 @@ namespace dpcluster {
 
 class ThreadPool;
 
-/// Which coordinate space the cell grid is built over.
-///
-///  * kExact: cells over the original d coordinates — the right call at low d,
-///    where Chebyshev rings prune well.
-///  * kProjected: cells over a fixed-seed JL projection into
-///    ProjectedGridDim(n, d, k) dimensions. Candidate collection happens in the
-///    low-d projected space; every surviving candidate is re-checked with the
-///    exact original-space distance, and a certified lower bound
-///    (orthonormal-row projection + residual norms) rejects only points that
-///    provably cannot affect the answer — so the returned k-NN multiset and
-///    radius counts are bit-identical to kExact for any projection seed.
-///  * kAuto: kExact. When the original-d grid degenerates to a single cell
-///    (d >= ~16 at bench sizes), batched queries run a blocked dense scan
-///    that streams the dataset once per query chunk — measured faster than
-///    the projected filter at every (d, k, workload) we benched, because
-///    high-d distance concentration leaves the certified lower bound too
-///    weak to reject candidates. kProjected remains an explicit opt-in.
-enum class IndexGeometry { kAuto, kExact, kProjected };
-
-std::string_view IndexGeometryName(IndexGeometry geometry);
-/// Inverse of IndexGeometryName; InvalidArgument on unknown names.
-Result<IndexGeometry> IndexGeometryFromName(std::string_view name);
-
-/// The projected-index target dimension cap: ceil(2/3 * log2 n) clamped to
-/// [4, 12] — enough axes that cells separate candidates, few enough that ring
-/// enumeration stays cheap.
-std::size_t ProjectedIndexDim(std::size_t n);
-
-/// The dimension the projected grid actually builds over: the largest
-/// p <= min(ProjectedIndexDim(n), d) whose cell grid keeps >= 4 cells per
-/// axis for `expected_neighbors`-sized queries, floored at 2. Spending the
-/// cell budget on fewer, finer axes keeps the Chebyshev rings meaningful —
-/// at p = ProjectedIndexDim(n) with large `expected_neighbors` the projected
-/// grid itself would collapse to one cell per axis, degrading every query to
-/// the same full scan the projection was built to avoid. Purely a layout
-/// choice: results are bit-identical for any p (exact re-check).
-std::size_t ProjectedGridDim(std::size_t n, std::size_t d,
-                             std::size_t expected_neighbors);
-
-/// True iff the exact-geometry grid sized for `expected_neighbors`-NN queries
-/// collapses to one cell per axis — the regime where batched k-NN runs the
-/// blocked dense scan, whose cost is one streamed pass over the data per
-/// query chunk regardless of k.
+/// True iff the grid sized for `expected_neighbors`-NN queries collapses to
+/// one cell per axis — the regime where batched k-NN runs the blocked dense
+/// scan, whose cost is one streamed pass over the data per query chunk
+/// regardless of k.
 bool GridCollapsesToSingleCell(std::size_t n, std::size_t d,
                                std::size_t expected_neighbors);
-
-/// Resolves kAuto: kExact (see the IndexGeometry comment — the blocked dense
-/// scan beats the projected filter on every workload we measured, so the
-/// projection is opt-in only). Explicit requests pass through untouched.
-IndexGeometry ResolveIndexGeometry(IndexGeometry requested, std::size_t n,
-                                   std::size_t d,
-                                   std::size_t expected_neighbors);
 
 /// Uniform cell grid over `domain`'s cube for exact k-NN distance queries.
 class SpatialGrid {
  public:
   /// Indexes `s` (points must lie in the cube). `expected_neighbors` sizes
   /// the cells for k-NN queries with k of that order; any k stays correct.
-  /// `geometry` selects the cell-grid coordinate space (see IndexGeometry);
-  /// every query answer is bit-identical across geometries. `pool` only
-  /// parallelizes the one-off projection GEMM of a kProjected build.
   static Result<SpatialGrid> Build(const PointSet& s, const GridDomain& domain,
-                                   std::size_t expected_neighbors,
-                                   IndexGeometry geometry = IndexGeometry::kAuto,
-                                   ThreadPool* pool = nullptr);
+                                   std::size_t expected_neighbors);
 
-  /// Indexes `s` over its own bounding box rather than a domain cube (exact
-  /// geometry): cells are anchored at the per-axis data minimum and sized
+  /// Indexes `s` over its own bounding box rather than a domain cube: cells are anchored at the per-axis data minimum and sized
   /// from the widest axis extent, so any finite coordinates work — negative
   /// ones included. For callers with no GridDomain (geo/minimal_ball).
   /// InvalidArgument on an empty set or a non-finite coordinate.
@@ -137,11 +84,6 @@ class SpatialGrid {
   /// Points not structurally removed; queries see only these.
   std::size_t live_size() const { return live_; }
   std::size_t dim() const { return dim_; }
-  /// The resolved geometry (kExact or kProjected, never kAuto).
-  IndexGeometry geometry() const { return geometry_; }
-  /// Dimensionality of the cell grid: dim() for kExact, the projection's
-  /// target dimension for kProjected.
-  std::size_t geom_dim() const { return geom_dim_; }
   /// Cells per axis (1 = degenerate single-cell grid, queries scan all points).
   std::size_t cells_per_axis() const { return cells_per_axis_; }
   double cell_size() const { return cell_size_; }
@@ -167,10 +109,7 @@ class SpatialGrid {
   /// reallocated), then places the new point at its cell's live-prefix
   /// boundary; a full segment is relocated with doubled capacity (amortized
   /// O(1)). The new row must lie inside the cube the grid was built over.
-  /// Returns false without mutating anything for kProjected geometry (the
-  /// projection and cell origins are anchored to the build-time data) —
-  /// callers drop the grid and rebuild lazily instead.
-  bool Append(std::span<const double> all_data);
+  void Append(std::span<const double> all_data);
 
   /// The min(k, live-1) smallest distances from s[query] to the other live
   /// points (self excluded by index, so duplicate coordinates count as
@@ -232,8 +171,6 @@ class SpatialGrid {
   /// appends every live id within Euclidean distance r of p, same predicate
   /// as CollectWithin. `p` need not be an indexed point — this is how
   /// KnnCappedCounts finds the rows a *removed* point used to influence.
-  /// Projected grids fall back to a full occupied-cell scan (still exact:
-  /// the predicate always uses original-space distances).
   void CollectWithinPoint(std::span<const double> p, double r,
                           Workspace& scratch,
                           std::vector<std::uint32_t>& out) const;
@@ -241,26 +178,19 @@ class SpatialGrid {
  private:
   SpatialGrid() = default;
 
-  /// Anchors the cell grid at the per-axis minimum of the GeomRow()s and
-  /// sizes cells from the widest axis extent, so the grid covers the data
-  /// (the projected and the bounding-box builds).
+  /// Anchors the cell grid at the per-axis data minimum and sizes cells
+  /// from the widest axis extent, so the grid covers the data.
   void AnchorCellsAtBoundingBox(std::size_t expected_neighbors);
   /// Buckets every point by cell into the CSR arena (the tail of every
   /// build, once the cell geometry is set).
   void LayOutCells();
 
-  /// Row `i`'s coordinates in the cell grid's space: the original row for
-  /// kExact, the projected row for kProjected.
-  const double* GeomRow(std::size_t i) const {
-    return (geometry_ == IndexGeometry::kProjected ? proj_points_.data()
-                                                   : data_.data()) +
-           i * geom_dim_;
-  }
+  const double* Row(std::size_t i) const { return data_.data() + i * dim_; }
   std::uint64_t CellOf(const double* p) const;
   /// Appends the squared distances from q to every live point of cell `cell`.
   void ScanCell(std::uint64_t cell, std::span<const double> q,
                 std::vector<double>& cands) const;
-  /// k-NN rows for a chunk of queries on the degenerate one-cell exact grid
+  /// k-NN rows for a chunk of queries on the degenerate one-cell grid
   /// (cells_per_axis_ == 1): tiles the live prefix across the chunk so the
   /// dataset streams once per chunk instead of once per query. Per-pair
   /// values, candidate order, self removal, and selection mirror KnnDistances
@@ -268,36 +198,24 @@ class SpatialGrid {
   void DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
                      std::size_t k, double* out, bool sorted,
                      Workspace& scratch) const;
-  /// Projected-mode cell scan for k-NN: appends the *exact* original-space
-  /// squared distance of every live point whose certified projected lower
-  /// bound does not exceed `bound_sq`, periodically re-selecting the
-  /// `select_k` smallest to tighten the bound mid-scan (the degenerate
-  /// one-cell grid never reaches the per-ring selection otherwise).
-  void ScanCellProjectedKnn(std::uint64_t cell, std::size_t query,
-                            std::size_t select_k, Workspace& scratch,
-                            double& bound_sq) const;
-  /// Projected-mode cell scan for CountWithin: like the k-NN variant but with
-  /// a fixed rejection bound (r^2 inflated by the lower-bound haircut).
-  void ScanCellProjectedCount(std::uint64_t cell, std::size_t query,
-                              double bound_sq,
-                              std::vector<double>& cands) const;
   /// Decodes the query's cell coordinates into scratch.center and returns the
   /// largest Chebyshev ring radius that still touches the grid.
   std::size_t DecodeCenter(const double* p, Workspace& scratch) const;
+  /// Calls scan(cell) for every cell with a non-empty live prefix that can
+  /// hold a point within Euclidean distance r of `p`: the Chebyshev box of
+  /// cells around p's cell, or every occupied cell once that box outgrows
+  /// the live occupancy.
+  template <typename ScanFn>
+  void ForEachCellWithin(const double* p, double r, Workspace& scratch,
+                         ScanFn&& scan) const;
 
   std::size_t n_ = 0;
   std::size_t live_ = 0;                    // points not removed
   std::size_t dim_ = 0;
-  IndexGeometry geometry_ = IndexGeometry::kExact;  // resolved at Build
-  std::size_t geom_dim_ = 0;                // == dim_ unless projected
   std::size_t cells_per_axis_ = 1;
   double cell_size_ = 1.0;
   std::span<const double> data_;     // borrowed from the indexed PointSet
-  std::vector<double> proj_points_;  // n x geom_dim projected rows (projected)
-  std::vector<double> geom_origin_;  // per-geom-axis cell origin (projected
-                                     // coordinates are signed)
-  std::vector<double> res_lo_;       // certified residual-norm bounds per
-  std::vector<double> res_hi_;       // point (projected; see MakeResiduals)
+  std::vector<double> origin_;       // per-axis cell origin
   std::vector<std::uint64_t> seg_start_;   // segment start per cell, size m^d
   std::vector<std::uint64_t> seg_end_;     // used end (live + dead) per cell
   std::vector<std::uint64_t> seg_cap_;     // segment capacity per cell

@@ -87,16 +87,9 @@ Status ParseTuning(const JsonValue& v, Tuning& tuning) {
       auto parsed = ProfileIndexFromName(name);
       if (!parsed.ok()) return FieldError(key, parsed.status().message());
       tuning.profile_index = *parsed;
-    } else if (key == "index_geometry") {
-      DPC_ASSIGN_OR_RETURN(const std::string name, AsStringField(key, value));
-      auto parsed = IndexGeometryFromName(name);
-      if (!parsed.ok()) return FieldError(key, parsed.status().message());
-      tuning.index_geometry = *parsed;
     } else if (key == "max_jl_dim") {
       DPC_ASSIGN_OR_RETURN(const std::uint64_t u, AsU64Field(key, value));
       tuning.max_jl_dim = static_cast<std::size_t>(u);
-    } else if (key == "projection_seed") {
-      DPC_ASSIGN_OR_RETURN(tuning.projection_seed, AsU64Field(key, value));
     } else if (key == "refine_fraction") {
       DPC_ASSIGN_OR_RETURN(tuning.refine_fraction, AsDoubleField(key, value));
     } else if (key == "refine_one_cluster") {
@@ -262,12 +255,8 @@ JsonValue TuningToJson(const Tuning& tuning) {
   object.Set("profile_index",
              JsonValue::String(std::string(
                  ProfileIndexName(tuning.profile_index))));
-  object.Set("index_geometry",
-             JsonValue::String(std::string(
-                 IndexGeometryName(tuning.index_geometry))));
   object.Set("max_jl_dim",
              JsonValue::Number(static_cast<std::uint64_t>(tuning.max_jl_dim)));
-  object.Set("projection_seed", JsonValue::Number(tuning.projection_seed));
   object.Set("refine_fraction", JsonValue::Number(tuning.refine_fraction));
   object.Set("refine_one_cluster", JsonValue::Bool(tuning.refine_one_cluster));
   object.Set("advanced_composition",

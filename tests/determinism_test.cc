@@ -17,7 +17,6 @@
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/pairwise.h"
-#include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/sa/estimators.h"
@@ -180,31 +179,11 @@ TEST(DeterminismTest, GoodCenterIndexOverloadMatchesActiveView) {
     EXPECT_EQ(run.jl_dim, serial.jl_dim) << "threads=" << threads;
     EXPECT_EQ(run.rounds_used, serial.rounds_used) << "threads=" << threads;
   }
-
-  // The cached-projection mode (projection_seed != 0) draws its JL matrix
-  // from its own seed — bytes may differ from the default path, but they must
-  // still be thread-invariant and stable across repeated calls (the cache).
-  options.projection_seed = 42;
-  options.num_threads = 1;
-  Rng rng_cached_serial(83);
-  ASSERT_OK_AND_ASSIGN(
-      GoodCenterResult cached_serial,
-      GoodCenter(rng_cached_serial, index, t, 0.05, options));
-  for (std::size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    Rng rng(83);
-    ASSERT_OK_AND_ASSIGN(GoodCenterResult run,
-                         GoodCenter(rng, index, t, 0.05, options));
-    EXPECT_EQ(run.center, cached_serial.center) << "threads=" << threads;
-    EXPECT_EQ(run.guarantee_radius, cached_serial.guarantee_radius)
-        << "threads=" << threads;
-  }
 }
 
 // High-dimensional KCluster: the incremental path (span-based rounds over one
-// shared index) must release the same bits as the PR-5 rebuild reference for
-// every index geometry — the JL-projected candidate index is lossless — at
-// any thread count.
+// shared index, whose d = 32 grid collapses to the blocked dense scan) must
+// release the same bits as the rebuild reference at any thread count.
 TEST(DeterminismTest, HighDimKClusterIndexPathsBitIdentical) {
   Rng data_rng(19);
   const ClusterWorkload w =
@@ -221,28 +200,21 @@ TEST(DeterminismTest, HighDimKClusterIndexPathsBitIdentical) {
                        KCluster(rng_serial, w.points, w.domain, options));
 
   options.index_mode = KClusterOptions::IndexMode::kIncremental;
-  for (const auto geometry : {IndexGeometry::kExact, IndexGeometry::kProjected,
-                              IndexGeometry::kAuto}) {
-    options.index_geometry = geometry;
-    for (std::size_t threads : kThreadCounts) {
-      options.num_threads = threads;
-      Rng rng(84);
-      ASSERT_OK_AND_ASSIGN(KClusterResult run,
-                           KCluster(rng, w.points, w.domain, options));
-      const std::string context =
-          std::string(" geometry=") +
-          std::string(IndexGeometryName(geometry)) +
-          " threads=" + std::to_string(threads);
-      ASSERT_EQ(run.rounds.size(), serial.rounds.size()) << context;
-      EXPECT_EQ(run.uncovered, serial.uncovered) << context;
-      for (std::size_t round = 0; round < run.rounds.size(); ++round) {
-        EXPECT_EQ(run.rounds[round].ball.center,
-                  serial.rounds[round].ball.center)
-            << context << " round=" << round;
-        EXPECT_EQ(run.rounds[round].ball.radius,
-                  serial.rounds[round].ball.radius)
-            << context << " round=" << round;
-      }
+  for (std::size_t threads : kThreadCounts) {
+    options.num_threads = threads;
+    Rng rng(84);
+    ASSERT_OK_AND_ASSIGN(KClusterResult run,
+                         KCluster(rng, w.points, w.domain, options));
+    const std::string context = " threads=" + std::to_string(threads);
+    ASSERT_EQ(run.rounds.size(), serial.rounds.size()) << context;
+    EXPECT_EQ(run.uncovered, serial.uncovered) << context;
+    for (std::size_t round = 0; round < run.rounds.size(); ++round) {
+      EXPECT_EQ(run.rounds[round].ball.center,
+                serial.rounds[round].ball.center)
+          << context << " round=" << round;
+      EXPECT_EQ(run.rounds[round].ball.radius,
+                serial.rounds[round].ball.radius)
+          << context << " round=" << round;
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "dpcluster/service/json.h"
 #include "dpcluster/service/protocol.h"
@@ -105,9 +106,7 @@ WireRequest FullWireRequest() {
   request.tuning.subsample_large_inputs = true;
   request.tuning.subsample_grid_cap_factor = 12.5;
   request.tuning.profile_index = ProfileIndex::kGrid;
-  request.tuning.index_geometry = IndexGeometry::kProjected;
   request.tuning.max_jl_dim = 9;
-  request.tuning.projection_seed = 123456789012345ull;
   request.tuning.refine_fraction = 0.3;
   request.tuning.refine_one_cluster = true;
   request.tuning.advanced_composition = true;
@@ -159,9 +158,7 @@ TEST(WireProtocolTest, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_TRUE(r.tuning.subsample_large_inputs);
   EXPECT_DOUBLE_EQ(r.tuning.subsample_grid_cap_factor, 12.5);
   EXPECT_EQ(r.tuning.profile_index, ProfileIndex::kGrid);
-  EXPECT_EQ(r.tuning.index_geometry, IndexGeometry::kProjected);
   EXPECT_EQ(r.tuning.max_jl_dim, 9u);
-  EXPECT_EQ(r.tuning.projection_seed, 123456789012345ull);
   EXPECT_DOUBLE_EQ(r.tuning.refine_fraction, 0.3);
   EXPECT_TRUE(r.tuning.refine_one_cluster);
   EXPECT_TRUE(r.tuning.advanced_composition);
@@ -360,6 +357,30 @@ TEST(ServiceErrorTest, NegativeEpsilonIsInvalidRequestAndChargesNothing) {
   ASSERT_OK_AND_ASSIGN(JsonValue body, JsonValue::Parse(reply.body));
   EXPECT_EQ(body.Find("error")->Find("code")->AsString(), "InvalidRequest");
   EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0);
+}
+
+// index_geometry and projection_seed are not tuning keys: a body naming
+// either is a 400 ParseError that says which key, and charges nothing.
+TEST(ServiceErrorTest, RemovedTuningKeysAreUnknownKeys) {
+  for (const auto& [key, value] : {std::pair<const char*, const char*>{
+                                       "index_geometry", R"("exact")"},
+                                   {"projection_seed", "7"}}) {
+    ClusterService service;
+    const std::string body =
+        std::string(R"({"dataset": "d", "algorithm": "one_cluster",)") +
+        R"( "points": [[0.5]], "levels": 4, "tuning": {")" + key + R"(": )" +
+        value + "}}";
+    const ServiceReply reply = service.Handle("POST", "/v1/solve", body);
+    EXPECT_EQ(reply.http_status, 400) << key;
+    ASSERT_OK_AND_ASSIGN(JsonValue json, JsonValue::Parse(reply.body));
+    EXPECT_EQ(json.Find("error")->Find("code")->AsString(), "ParseError")
+        << key;
+    EXPECT_NE(json.Find("error")->Find("message")->AsString().find(
+                  "tuning." + std::string(key) + "\": unknown key"),
+              std::string::npos)
+        << json.Find("error")->Find("message")->AsString();
+    EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0) << key;
+  }
 }
 
 }  // namespace

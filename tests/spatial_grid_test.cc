@@ -106,12 +106,9 @@ TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
   const GridDomain domain(1u << 10, d);
   PointSet s = testing_util::UniformCube(rng, 150, d);
   domain.SnapAll(s);
-  // The exact geometry at high d collapses to one cell and every query scans
-  // the full live prefix (kAuto resolves to exact too; the explicit request
-  // also pins the degenerate shape if the heuristics ever move).
-  ASSERT_OK_AND_ASSIGN(
-      SpatialGrid grid,
-      SpatialGrid::Build(s, domain, k, IndexGeometry::kExact));
+  // The grid at high d collapses to one cell and every query scans the full
+  // live prefix.
+  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
   EXPECT_EQ(grid.cells_per_axis(), 1u);
   ExpectMatchesBruteForce(s, domain, k);
 
@@ -149,6 +146,14 @@ TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
       ASSERT_EQ(batch_for[r * k + j], row[j]) << "r=" << r << " j=" << j;
     }
   }
+}
+
+// The collapse predicate that widens the subsample cap's t range
+// (good_radius.cc, EffectiveSubsampleCap).
+TEST(SpatialGridTest, GridCollapsesToSingleCellAtHighDimension) {
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
+  EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));
 }
 
 TEST(SpatialGridTest, KLargerThanNMinusOneIsClamped) {

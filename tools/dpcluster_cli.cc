@@ -22,9 +22,6 @@
 //   --seed S        RNG seed                   (default 2016)
 //   --profile-index I  GoodRadius L(r,S) event generator: auto | grid | exact
 //                   (bit-identical outputs; grid is ~O(n t) at low dimension)
-//   --index-geometry G  spatial-index cell space: auto | exact | projected
-//                   (auto stays exact; projected opts into the JL-projected
-//                   grid — bit-identical outputs, only the runtime moves)
 //   --shared-index  prebuild one geo/IndexedDataset over the input and lend
 //                   it to the algorithm (the Solver::RunAll index-reuse hook;
 //                   bit-identical outputs, k_cluster amortizes k index
@@ -82,7 +79,6 @@ struct CliOptions {
   std::uint64_t seed = 2016;
   bool refine = false;
   std::string profile_index = "auto";
-  std::string index_geometry = "auto";
   bool shared_index = false;
   double subsample_cap_factor = 10.0;
   bool coreset = false;
@@ -98,7 +94,6 @@ void Usage(std::FILE* out) {
                "       [--t T] [--k K] [--fraction F] [--epsilon E] [--delta D]\n"
                "       [--levels L] [--axis A] [--beta B] [--seed S]\n"
                "       [--profile-index auto|grid|exact] [--shared-index]\n"
-               "       [--index-geometry auto|exact|projected]\n"
                "       [--subsample-cap-factor F] [--refine] [--ledger]\n"
                "       [--coreset] [--coreset-target N] [--coreset-min-points N]\n"
                "       [--stream-ticks N] [--help]\n"
@@ -173,10 +168,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
       const char* v = next();
       if (!v) return false;
       opt.profile_index = v;
-    } else if (arg == "--index-geometry") {
-      const char* v = next();
-      if (!v) return false;
-      opt.index_geometry = v;
     } else if (arg == "--t") {
       const char* v = next();
       if (!v) return false;
@@ -408,12 +399,6 @@ int main_impl(int argc, char** argv) {
     return 2;
   }
   request.tuning.profile_index = *profile_index;
-  const auto index_geometry = IndexGeometryFromName(opt.index_geometry);
-  if (!index_geometry.ok()) {
-    std::fprintf(stderr, "%s\n", index_geometry.status().ToString().c_str());
-    return 2;
-  }
-  request.tuning.index_geometry = *index_geometry;
   request.tuning.subsample_grid_cap_factor = opt.subsample_cap_factor;
   request.tuning.coreset = opt.coreset;
   request.tuning.coreset_target_size = opt.coreset_target;

@@ -31,12 +31,15 @@
 // Shutdown: SIGINT/SIGTERM (or POST /v1/shutdown) drains gracefully —
 // admitted requests finish, then the daemon exits printing its counters.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "dpcluster/service/http_server.h"
 #include "dpcluster/service/service.h"
@@ -65,18 +68,32 @@ struct ServeOptions {
   ServiceOptions service;
 };
 
-bool ParseTenantBudget(const char* spec, ServiceOptions& service) {
+// Parses the whole of `text` as a T: no trailing characters, no sign on an
+// unsigned T, no overflow, and a finite value for a floating-point T.
+template <typename T>
+bool ParseNumber(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
+
+bool ParseTenantBudget(std::string_view spec, ServiceOptions& service) {
   // T=E:D
-  const char* eq = std::strchr(spec, '=');
-  const char* colon = eq != nullptr ? std::strchr(eq, ':') : nullptr;
-  if (eq == nullptr || colon == nullptr || eq == spec) return false;
-  const std::string tenant(spec, static_cast<std::size_t>(eq - spec));
-  char* end = nullptr;
-  const double eps = std::strtod(eq + 1, &end);
-  if (end != colon) return false;
-  const double delta = std::strtod(colon + 1, &end);
-  if (*end != '\0' || eps <= 0.0 || delta < 0.0) return false;
-  service.tenant_budgets[tenant] = PrivacyParams{eps, delta};
+  const std::size_t eq = spec.find('=');
+  const std::size_t colon = spec.find(':', eq);
+  if (eq == 0 || eq == std::string_view::npos ||
+      colon == std::string_view::npos) {
+    return false;
+  }
+  PrivacyParams budget;
+  if (!ParseNumber(spec.substr(eq + 1, colon - eq - 1), budget.epsilon) ||
+      !ParseNumber(spec.substr(colon + 1), budget.delta) ||
+      !budget.Validate().ok()) {
+    return false;
+  }
+  service.tenant_budgets[std::string(spec.substr(0, eq))] = budget;
   return true;
 }
 
@@ -86,6 +103,12 @@ bool ParseArgs(int argc, char** argv, ServeOptions& opt) {
     const auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // The flag's value, parsed whole; false on a missing or malformed value.
+    const auto number = [&](auto& out) {
+      const char* v = next();
+      return v != nullptr && ParseNumber(v, out);
+    };
+    bool ok = true;
     if (arg == "--help" || arg == "-h") {
       return false;
     } else if (arg == "--no-diagnostics") {
@@ -93,65 +116,43 @@ bool ParseArgs(int argc, char** argv, ServeOptions& opt) {
     } else if (arg == "--no-remote-shutdown") {
       opt.service.allow_remote_shutdown = false;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (!v) return false;
-      opt.port = std::atoi(v);
+      ok = number(opt.port);
     } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      opt.http.workers = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = number(opt.http.workers);
     } else if (arg == "--queue-depth") {
-      const char* v = next();
-      if (!v) return false;
-      opt.http.queue_depth =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = number(opt.http.queue_depth);
     } else if (arg == "--max-requests-per-connection") {
-      const char* v = next();
-      if (!v) return false;
-      opt.http.max_requests_per_connection =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = number(opt.http.max_requests_per_connection);
     } else if (arg == "--idle-timeout-ms") {
-      const char* v = next();
-      if (!v) return false;
-      opt.http.idle_timeout_ms = std::atoi(v);
+      ok = number(opt.http.idle_timeout_ms);
     } else if (arg == "--budget-eps") {
-      const char* v = next();
-      if (!v) return false;
-      opt.service.default_budget.epsilon = std::strtod(v, nullptr);
+      ok = number(opt.service.default_budget.epsilon);
     } else if (arg == "--budget-delta") {
-      const char* v = next();
-      if (!v) return false;
-      opt.service.default_budget.delta = std::strtod(v, nullptr);
+      ok = number(opt.service.default_budget.delta);
     } else if (arg == "--tenant-budget") {
       const char* v = next();
-      if (!v || !ParseTenantBudget(v, opt.service)) return false;
+      ok = v != nullptr && ParseTenantBudget(v, opt.service);
     } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      if (!v) return false;
-      opt.service.cache_capacity =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = number(opt.service.cache_capacity);
     } else if (arg == "--max-points") {
-      const char* v = next();
-      if (!v) return false;
-      opt.service.max_points =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      ok = number(opt.service.max_points);
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.service.seed = std::strtoull(v, nullptr, 10);
+      ok = number(opt.service.seed);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr, "malformed or missing value for %s\n",
+                   arg.c_str());
+      return false;
+    }
   }
-  if (opt.port < 0 || opt.port > 65535 || opt.http.workers < 1 ||
-      opt.http.queue_depth < 1 ||
-      opt.http.max_requests_per_connection < 1 ||
-      opt.http.idle_timeout_ms < 1 || opt.service.cache_capacity < 1 ||
-      opt.service.default_budget.epsilon <= 0.0) {
-    return false;
-  }
-  return true;
+  return opt.port >= 0 && opt.port <= 65535 && opt.http.workers >= 1 &&
+         opt.http.queue_depth >= 1 &&
+         opt.http.max_requests_per_connection >= 1 &&
+         opt.http.idle_timeout_ms >= 1 && opt.service.cache_capacity >= 1 &&
+         opt.service.default_budget.Validate().ok();
 }
 
 }  // namespace
