@@ -3,12 +3,12 @@
 //
 // Two layers:
 //  * A headline section that times the blocked kernels against frozen copies
-//    of the pre-PR serial implementations (naive pairwise build, per-point JL
-//    projection, std::upper_bound counting) and writes every measurement to
+//    of the pre-PR serial implementations (per-point JL projection,
+//    std::upper_bound counting) and writes every measurement to
 //    BENCH_primitives.json so the perf trajectory is machine-readable across
-//    PRs. `--smoke` shrinks the repetitions and turns the speedup ratios into
-//    hard floors (exit 1), which is what CI runs so kernel regressions fail
-//    loudly.
+//    PRs. `--smoke` shrinks the repetitions and turns the JL speedup ratio
+//    into a hard floor (exit 1), which is what CI runs so kernel regressions
+//    fail loudly.
 //  * The google-benchmark suite over the remaining primitives (skipped under
 //    --smoke).
 
@@ -30,13 +30,14 @@
 #include "dpcluster/dp/noisy_average.h"
 #include "dpcluster/dp/stable_histogram.h"
 #include "dpcluster/dp/step_function.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/grid_domain.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/la/qr.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/random/distributions.h"
+#include "reference/pairwise_reference.h"
 
 namespace dpcluster {
 namespace {
@@ -45,30 +46,6 @@ namespace {
 // Frozen pre-PR reference implementations (the serial baselines the
 // acceptance speedups are measured against — do not "optimize" these).
 // ------------------------------------------------------------------------
-
-// Seed-era PairwiseDistances::Compute: per-pair sqrt(SquaredDistance) with
-// symmetric fill, then per-row sorts.
-std::vector<float> ReferencePairwiseRows(const PointSet& s) {
-  const std::size_t n = s.size();
-  std::vector<float> rows(n * n, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto xi = s[i];
-    float* row_i = &rows[i * n];
-    for (std::size_t j = i; j < n; ++j) {
-      const float d = std::nextafter(
-          static_cast<float>(std::sqrt(SquaredDistance(xi, s[j]))),
-          std::numeric_limits<float>::infinity());
-      row_i[j] = d;
-      rows[j * n + i] = d;
-    }
-    row_i[i] = 0.0f;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = &rows[i * n];
-    std::sort(row, row + n);
-  }
-  return rows;
-}
 
 // Seed-era GoodCenter step 1: one matrix-vector Apply per point.
 void ReferenceJlLoop(const JlTransform& jl, const PointSet& s, Matrix& out) {
@@ -109,44 +86,12 @@ double BestOfMs(int reps, F&& f) {
   return best;
 }
 
-struct HeadlineResult {
-  double pairwise_speedup = 0.0;
+// Returns the batched JL projection's serial speedup over the per-point loop.
+double RunHeadline(bench::JsonReporter& reporter, bool smoke) {
   double jl_speedup = 0.0;
-};
-
-HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
-  HeadlineResult result;
   const int reps = smoke ? 2 : 5;
   Rng rng(20260730);
   const std::size_t hw = ThreadPool(0).num_threads();
-
-  bench::Banner("Pairwise distance build: naive baseline vs blocked Gram");
-  {
-    const std::size_t n = 2048, d = 64;
-    const PointSet s = ClusteredCube(rng, n, d);
-    const double naive_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(ReferencePairwiseRows(s));
-    });
-    ThreadPool serial(1);
-    const double gram_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(PairwiseDistances::Compute(s, n, &serial));
-    });
-    ThreadPool pool(0);
-    const double gram_mt_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(PairwiseDistances::Compute(s, n, &pool));
-    });
-    result.pairwise_speedup = naive_ms / gram_ms;
-    bench::Note("n=" + std::to_string(n) + " d=" + std::to_string(d) +
-                ": naive " + std::to_string(naive_ms) + " ms, gram(1T) " +
-                std::to_string(gram_ms) + " ms, gram(" + std::to_string(hw) +
-                "T) " + std::to_string(gram_mt_ms) + " ms  =>  " +
-                std::to_string(result.pairwise_speedup) + "x serial speedup");
-    const double per_op = 1e6 / static_cast<double>(n) / static_cast<double>(n);
-    reporter.Add("PairwiseDistances::Compute[naive-baseline]", n, d, 1,
-                 naive_ms * per_op);
-    reporter.Add("PairwiseDistances::Compute", n, d, 1, gram_ms * per_op);
-    reporter.Add("PairwiseDistances::Compute", n, d, hw, gram_mt_ms * per_op);
-  }
 
   bench::Banner("Batched JL projection: per-point baseline vs ApplyAll");
   {
@@ -164,13 +109,13 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
     const double batched_mt_ms = BestOfMs(reps, [&] {
       benchmark::DoNotOptimize(jl.ApplyAll(s, &pool));
     });
-    result.jl_speedup = loop_ms / batched_ms;
+    jl_speedup = loop_ms / batched_ms;
     bench::Note("n=" + std::to_string(n) + " d=" + std::to_string(d) + " k=" +
                 std::to_string(k) + ": loop " + std::to_string(loop_ms) +
                 " ms, ApplyAll(1T) " + std::to_string(batched_ms) +
                 " ms, ApplyAll(" + std::to_string(hw) + "T) " +
                 std::to_string(batched_mt_ms) + " ms  =>  " +
-                std::to_string(result.jl_speedup) + "x serial speedup");
+                std::to_string(jl_speedup) + "x serial speedup");
     const double per_op = 1e6 / static_cast<double>(n);
     reporter.Add("JlTransform::Apply[loop-baseline]", n, d, 1, loop_ms * per_op);
     reporter.Add("JlTransform::ApplyAll", n, d, 1, batched_ms * per_op);
@@ -181,18 +126,21 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
   {
     const std::size_t n = 2048, d = 4;
     const PointSet s = ClusteredCube(rng, n, d);
-    const auto pd = PairwiseDistances::Compute(s, n);
+    const reference::PairwiseRows rows(s);
     std::vector<double> radii(4096);
     for (double& r : radii) r = rng.NextDouble() * 1.2;
     std::size_t sink = 0;
     const double std_ms = BestOfMs(reps, [&] {
       for (std::size_t q = 0; q < radii.size(); ++q) {
-        sink += ReferenceCountWithin(pd->SortedRow(q % n), radii[q]);
+        sink += ReferenceCountWithin(rows.SortedRow(q % n), radii[q]);
       }
     });
     const double branchless_ms = BestOfMs(reps, [&] {
       for (std::size_t q = 0; q < radii.size(); ++q) {
-        sink += pd->CountWithin(q % n, radii[q]);
+        const float bound =
+            std::nextafter(static_cast<float>(radii[q]),
+                           std::numeric_limits<float>::infinity());
+        sink += BranchlessUpperBound(rows.SortedRow(q % n), bound);
       }
     });
     benchmark::DoNotOptimize(sink);
@@ -209,19 +157,22 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
   {
     const std::size_t n = 2048, d = 4;
     const PointSet s = ClusteredCube(rng, n, d);
-    const auto pd = PairwiseDistances::Compute(s, n);
+    auto index = IndexedDataset::Create(s, GridDomain(1u << 12, d));
+    if (!index.ok()) return jl_speedup;
+    const auto counts = KnnCappedCounts::Build(*index, n / 2, n);
+    if (!counts.ok()) return jl_speedup;
     const double ms = BestOfMs(reps, [&] {
       for (double r : {0.05, 0.2, 0.5, 0.9}) {
-        benchmark::DoNotOptimize(pd->CappedTopAverage(r, n / 2));
+        benchmark::DoNotOptimize(counts->CappedTopAverage(r, n / 2));
       }
     });
     bench::Note("4 L(r) queries at n=" + std::to_string(n) + ": " +
                 std::to_string(ms) + " ms");
-    reporter.Add("PairwiseDistances::CappedTopAverage", n, d, 1,
+    reporter.Add("KnnCappedCounts::CappedTopAverage", n, d, 1,
                  ms * 1e6 / 4.0);
   }
 
-  return result;
+  return jl_speedup;
 }
 
 // ------------------------------------------------------------------------
@@ -375,19 +326,6 @@ void BM_StepFunctionWindowMin(benchmark::State& state) {
 }
 BENCHMARK(BM_StepFunctionWindowMin)->Arg(1000)->Arg(100000);
 
-void BM_PairwiseCappedTopAverage(benchmark::State& state) {
-  Rng rng(10);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  PointSet s(4);
-  const std::vector<double> c(4, 0.5);
-  for (std::size_t i = 0; i < n; ++i) s.Add(SampleBall(rng, c, 0.4));
-  const auto pd = PairwiseDistances::Compute(s, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pd->CappedTopAverage(0.2, n / 2));
-  }
-}
-BENCHMARK(BM_PairwiseCappedTopAverage)->Arg(512)->Arg(2048);
-
 }  // namespace
 }  // namespace dpcluster
 
@@ -404,30 +342,20 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonReporter reporter("BENCH_primitives.json");
-  const HeadlineResult headline = RunHeadline(reporter, smoke);
+  const double jl_speedup = RunHeadline(reporter, smoke);
   reporter.Write();
 
   if (smoke) {
-    // Regression floors, deliberately below the recorded ~3x/2x speedups so
-    // shared CI runners don't flake, but far above any "kernel fell back to
-    // scalar" regression.
-    bool ok = true;
-    if (headline.pairwise_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: PairwiseDistances::Compute speedup %.2fx < 1.5x "
-                   "regression floor\n",
-                   headline.pairwise_speedup);
-      ok = false;
-    }
-    if (headline.jl_speedup < 1.2) {
+    // Regression floor, deliberately below the recorded ~2x speedup so shared
+    // CI runners don't flake, but far above any "kernel fell back to scalar"
+    // regression.
+    const bool ok = jl_speedup >= 1.2;
+    if (!ok) {
       std::fprintf(stderr,
                    "FAIL: batched JL speedup %.2fx < 1.2x regression floor\n",
-                   headline.jl_speedup);
-      ok = false;
+                   jl_speedup);
     }
-    std::printf("smoke: pairwise %.2fx (floor 1.5x), jl %.2fx (floor 1.2x) "
-                "=> %s\n",
-                headline.pairwise_speedup, headline.jl_speedup,
+    std::printf("smoke: jl %.2fx (floor 1.2x) => %s\n", jl_speedup,
                 ok ? "OK" : "FAIL");
     return ok ? 0 : 1;
   }

@@ -14,7 +14,7 @@
 // `--smoke` runs the perf regression gate instead (exit 1 on a miss):
 //  * GoodRadius n=2048/d=2/t=n/16 under an absolute ns floor, and the
 //    grid-indexed profile >= 3x faster than the exact sweep in-process;
-//  * GoodRadius n=4096/d=2/t=0.3n at the default (auto) profile under an
+//  * GoodRadius n=4096/d=2/t=0.3n at the default (grid) profile under an
 //    absolute floor and >= 3x faster than the exact oracle, so a fallback
 //    to the all-pairs sweep above t = n/4 fails;
 //  * GoodCenter n=4096/d=32 at threads=4 not slower than threads=1 (the
@@ -31,7 +31,6 @@
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/coreset/coreset.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
@@ -49,7 +48,7 @@ struct ConfigOptions {
   /// (|X| sweep, small-t sweep) do not collide on the (op, n, d, threads)
   /// dedup key.
   std::string op_suffix;
-  ProfileIndex profile_index = ProfileIndex::kAuto;
+  ProfileIndex profile_index = ProfileIndex::kGrid;
 };
 
 void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
@@ -354,7 +353,7 @@ double BestOfThreeCenterMs(std::size_t num_threads) {
 }
 
 // Full GoodRadius + GoodCenter pipeline wall time at (n=4096, t=512, dim=d),
-// auto profile — the high-dimension smoke measurement. t = n/8 and
+// default profile — the high-dimension smoke measurement. t = n/8 and
 // eps = 64 keep GoodCenter comfortably above its histogram-suppression
 // threshold at d = 64 (at t = 256 the released radius sits right on the
 // success boundary and the gate would flake).
@@ -441,24 +440,24 @@ int RunSmoke() {
   failures += radius_ok ? 0 : 1;
 
   // Default-profile floor above the former n/4 crossover (n=4096, t=0.3n,
-  // d=2), where kAuto used to run the all-pairs sweep: ~1.8e9 ns on a
+  // d=2), where the default used to run the all-pairs sweep: ~1.8e9 ns on a
   // 4-vCPU VM, against ~0.25-0.33e9 for the t-NN stream it takes now.
   const std::size_t t_high = 4096 * 3 / 10;
-  const double auto_ms =
-      BestOfThreeRadiusMs(4096, t_high, 2, ProfileIndex::kAuto);
+  const double grid_high_ms =
+      BestOfThreeRadiusMs(4096, t_high, 2, ProfileIndex::kGrid);
   const double oracle_ms =
       BestOfThreeRadiusMs(4096, t_high, 2, ProfileIndex::kExact);
-  constexpr double kAutoFloorMs = 1000.0;
-  constexpr double kAutoSpeedupFloor = 3.0;
-  const bool auto_ok = auto_ms > 0.0 && oracle_ms > 0.0 &&
-                       auto_ms < kAutoFloorMs &&
-                       oracle_ms / auto_ms >= kAutoSpeedupFloor;
+  constexpr double kHighFloorMs = 1000.0;
+  constexpr double kHighSpeedupFloor = 3.0;
+  const bool high_ok = grid_high_ms > 0.0 && oracle_ms > 0.0 &&
+                       grid_high_ms < kHighFloorMs &&
+                       oracle_ms / grid_high_ms >= kHighSpeedupFloor;
   std::printf(
-      "smoke: GoodRadius n=4096 t=%zu d=2: auto %.1fms (floor %.0fms), "
-      "exact/auto %.2fx (floor %.1fx) -> %s\n",
-      t_high, auto_ms, kAutoFloorMs, oracle_ms / auto_ms, kAutoSpeedupFloor,
-      auto_ok ? "OK" : "FAIL");
-  failures += auto_ok ? 0 : 1;
+      "smoke: GoodRadius n=4096 t=%zu d=2: grid %.1fms (floor %.0fms), "
+      "exact/grid %.2fx (floor %.1fx) -> %s\n",
+      t_high, grid_high_ms, kHighFloorMs, oracle_ms / grid_high_ms,
+      kHighSpeedupFloor, high_ok ? "OK" : "FAIL");
+  failures += high_ok ? 0 : 1;
 
   // GoodCenter thread floor: with the ParallelFor minimum-grain cutoff,
   // threads=4 runs the same serial regions as threads=1 at this size, so it
@@ -588,7 +587,7 @@ int main(int argc, char** argv) {
       RunConfig(table, reporter, rng, 4096, d, 1u << 12, exact);
     }
     table.Print();
-    bench::Note("Row pairs: auto (grid-indexed t-NN profile) vs forced exact"
+    bench::Note("Row pairs: default (grid-indexed t-NN profile) vs forced exact"
                 " sweep on the same workload. The paper's t << n regime is"
                 " where the ~O(n t) profile wins; outputs are bit-identical"
                 " (determinism_test).");
@@ -598,17 +597,17 @@ int main(int argc, char** argv) {
                 "|X|=2^12)");
   {
     TextTable table(kHeader);
-    ConfigOptions automatic;
-    automatic.t = 4096 * 3 / 10;
-    automatic.op_suffix = "/t03";
-    RunConfig(table, reporter, rng, 4096, 2, 1u << 12, automatic);
-    ConfigOptions exact = automatic;
+    ConfigOptions grid;
+    grid.t = 4096 * 3 / 10;
+    grid.op_suffix = "/t03";
+    RunConfig(table, reporter, rng, 4096, 2, 1u << 12, grid);
+    ConfigOptions exact = grid;
     exact.op_suffix = "/t03-exact";
     exact.profile_index = ProfileIndex::kExact;
     RunConfig(table, reporter, rng, 4096, 2, 1u << 12, exact);
     table.Print();
-    bench::Note("auto (t-NN stream) vs the exact oracle where auto used to"
-                " run the all-pairs sweep; outputs are bit-identical"
+    bench::Note("default (t-NN stream) vs the exact oracle where the default"
+                " used to run the all-pairs sweep; outputs are bit-identical"
                 " (radius_profile_test). The --smoke floor guards this row.");
   }
 
@@ -632,7 +631,7 @@ int main(int argc, char** argv) {
     table.Print();
     bench::Note("Row pairs per d: the cell grid (one occupied cell once 3^d"
                 " rings outgrow n — batched queries then run the blocked"
-                " dense scan; this is what auto picks) and the forced"
+                " dense scan; this is the default) and the forced"
                 " all-pairs sweep. Outputs are bit-identical across both"
                 " (radius_profile_test).");
   }
@@ -667,11 +666,10 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner(
-      "SparseVector engine structure (t=n/16): O(n t) KnnCappedCounts vs the "
-      "removed n x n PairwiseDistances matrix");
+      "SparseVector engine structure (t=n/16): O(n t) KnnCappedCounts vs an "
+      "n x n distance matrix");
   {
-    TextTable table({"n", "t", "d", "counts ms", "counts MB", "matrix ms",
-                     "matrix MB"});
+    TextTable table({"n", "t", "d", "counts ms", "counts MB", "matrix MB"});
     for (std::size_t n : {2048u, 4096u}) {
       const std::size_t t = n / 16;
       PlantedClusterSpec spec;
@@ -688,30 +686,24 @@ int main(int argc, char** argv) {
       Result<KnnCappedCounts> counts = Status::Internal("unset");
       const double counts_ms = bench::TimeMs(
           [&] { counts = KnnCappedCounts::Build(*index, t, n); });
-      Result<PairwiseDistances> matrix = Status::Internal("unset");
-      const double matrix_ms = bench::TimeMs(
-          [&] { matrix = PairwiseDistances::Compute(w.points, n); });
-      if (!counts.ok() || !matrix.ok()) continue;
+      if (!counts.ok()) continue;
       const std::size_t counts_bytes = counts->MemoryBytes();
+      // What a sorted n x n float matrix would hold: the engine allocates
+      // counts_bytes instead.
       const std::size_t matrix_bytes = n * n * sizeof(float);
-      // The bytes column pins the matrix removal: the engine now allocates
-      // counts_bytes where it used to allocate matrix_bytes.
       reporter.Add("SparseVectorCounts/t16", n, 2, 1, counts_ms * 1e6,
                    counts_bytes);
-      reporter.Add("SparseVectorMatrix[removed-baseline]/t16", n, 2, 1,
-                   matrix_ms * 1e6, matrix_bytes);
       table.AddRow({TextTable::FmtInt(static_cast<long long>(n)),
                     TextTable::FmtInt(static_cast<long long>(t)),
                     TextTable::FmtInt(2),
                     TextTable::Fmt(counts_ms, 1),
                     TextTable::Fmt(static_cast<double>(counts_bytes) / 1e6, 1),
-                    TextTable::Fmt(matrix_ms, 1),
                     TextTable::Fmt(static_cast<double>(matrix_bytes) / 1e6, 1)});
     }
     table.Print();
-    bench::Note("The footnote-2 SparseVector engine now answers its ~log|X|"
-                " radius queries from the t-NN count rows; the quadratic"
-                " matrix survives only as this bench's reference column.");
+    bench::Note("The footnote-2 SparseVector engine answers its ~log|X|"
+                " radius queries from the t-NN count rows; the matrix column"
+                " is the n^2 floats a pairwise structure would hold.");
   }
 
   bench::Banner("Runtime scaling, d sweep (n=2048, |X|=2^12)");

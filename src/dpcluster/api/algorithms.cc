@@ -68,7 +68,6 @@ OneClusterOptions OneClusterOptionsFrom(const Request& request) {
   o.radius.subsample_large_inputs = request.tuning.subsample_large_inputs;
   o.radius.subsample_grid_cap_factor =
       request.tuning.subsample_grid_cap_factor;
-  o.radius.profile_index = request.tuning.profile_index;
   o.center.max_jl_dim = request.tuning.max_jl_dim;
   o.num_threads = request.num_threads;
   return o;
@@ -157,7 +156,6 @@ class KClusterAlgorithm : public Algorithm {
         request.tuning.subsample_large_inputs;
     o.one_cluster.radius.subsample_grid_cap_factor =
         request.tuning.subsample_grid_cap_factor;
-    o.one_cluster.radius.profile_index = request.tuning.profile_index;
     o.one_cluster.center.max_jl_dim = request.tuning.max_jl_dim;
     o.coreset = CoresetOptionsFrom(request);
     DPC_ASSIGN_OR_RETURN(KClusterResult run,

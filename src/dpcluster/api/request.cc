@@ -1,6 +1,7 @@
 #include "dpcluster/api/request.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -70,6 +71,12 @@ Status Request::Validate() const {
   }
   if (data.empty()) {
     return Status::InvalidArgument("Request: data is empty");
+  }
+  for (const double x : data.Data()) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument(
+          "Request: data holds a non-finite coordinate");
+    }
   }
   if (domain.has_value() && domain->dim() != data.dim()) {
     return Status::InvalidArgument(

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "dpcluster/common/status.h"
-#include "dpcluster/core/radius_profile.h"
 #include "dpcluster/dp/privacy_params.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/grid_domain.h"
@@ -48,12 +47,6 @@ struct Tuning {
   /// ~O(n t) grid profile serves the subsampled problem (see
   /// GoodRadiusOptions::subsample_grid_cap_factor). Must be >= 1.
   double subsample_grid_cap_factor = 10.0;
-  /// GoodRadius L(r,S) event generator: auto (measured crossover), grid
-  /// (t-NN pruned spatial index, ~O(n t) at low dimension), or exact (the
-  /// all-pairs O(n^2) sweep). Bit-identical outputs either way; read by
-  /// every algorithm that runs GoodRadius (one_cluster, k_cluster,
-  /// outlier_screen, sample_aggregate's inner pipeline).
-  ProfileIndex profile_index = ProfileIndex::kAuto;
   /// GoodCenter: cap on the Johnson-Lindenstrauss projection dimension of the
   /// first phase (see GoodCenterOptions::max_jl_dim). Smaller = cheaper
   /// projections and coarser boxes; the eval harness sweeps this to map the

@@ -6,12 +6,24 @@
 // function is used. The AVX2 clone deliberately does NOT enable FMA: without
 // contraction every lane performs the same mul-then-add roundings as the
 // scalar build, so kernel outputs are bit-identical across instruction sets.
+//
+// ThreadSanitizer builds also get the plain functions: GCC 12's TSan runtime
+// segfaults before main in a program holding an ifunc-dispatched clone.
+// Since the baseline bodies produce the same bits, outputs do not change.
 
 #ifndef DPCLUSTER_COMMON_SIMD_H_
 #define DPCLUSTER_COMMON_SIMD_H_
 
+#if defined(__SANITIZE_THREAD__)
+#define DPC_THREAD_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define DPC_THREAD_SANITIZER 1
+#endif
+#endif
+
 #if defined(__x86_64__) && defined(__gnu_linux__) && \
-    (defined(__GNUC__) || defined(__clang__))
+    (defined(__GNUC__) || defined(__clang__)) && !defined(DPC_THREAD_SANITIZER)
 #define DPC_TARGET_CLONES_AVX2 __attribute__((target_clones("default", "avx2")))
 // 1 where the toolchain dispatches __attribute__((target("default"))) /
 // __attribute__((target("avx2"))) overloads of one function at runtime, for

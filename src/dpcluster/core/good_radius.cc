@@ -89,11 +89,11 @@ std::size_t RescaledT(std::size_t t, std::size_t m, std::size_t n) {
 // IndexedDataset PR): max_profile_points guards the quadratic structures,
 // but when the ~O(n t) grid profile serves the subsampled problem cheaply
 // the stage can afford subsample_grid_cap_factor times more rows — less
-// subsampling error at about the same cost. Only the RecConcave engine
-// qualifies, and under kAuto only from 512 rows and while t - 1 stays within
-// the t-NN stream's cheap range: n/4 (n/2 once the cell grid collapses to
-// one cell). Larger t keeps the strict cap, which bounds the ~n t events of
-// the enlarged sample.
+// subsampling error at about the same cost. Only the RecConcave engine's
+// grid generator qualifies, and only from 512 rows and while t - 1 stays
+// within the t-NN stream's cheap range: n/4 (n/2 once the cell grid
+// collapses to one cell). Larger t keeps the strict cap, which bounds the
+// ~n t events of the enlarged sample.
 std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
                                   const GoodRadiusOptions& options) {
   const std::size_t m = options.max_profile_points;
@@ -104,16 +104,11 @@ std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
   const std::size_t m2 = static_cast<std::size_t>(std::min(
       static_cast<double>(n), raised));
   if (m2 <= m) return m;
-  if (options.profile_index == ProfileIndex::kExact) return m;
-  if (options.profile_index == ProfileIndex::kAuto) {
-    if (m2 < 512) return m;
-    const std::size_t t2 = RescaledT(t, m2, n);
-    const std::size_t t_cap =
-        GridCollapsesToSingleCell(m2, d, t2 > 1 ? t2 - 1 : 1) ? m2 / 2
-                                                              : m2 / 4;
-    if (t2 - 1 > t_cap) return m;
-  }
-  return m2;
+  if (options.profile_index == ProfileIndex::kExact || m2 < 512) return m;
+  const std::size_t t2 = RescaledT(t, m2, n);
+  const std::size_t t_cap =
+      GridCollapsesToSingleCell(m2, d, t2 > 1 ? t2 - 1 : 1) ? m2 / 2 : m2 / 4;
+  return t2 - 1 > t_cap ? m : m2;
 }
 
 Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng, const PointSet* s,
@@ -172,8 +167,7 @@ Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
   const double eps = options.params.epsilon;
   const double beta = options.beta;
   // The ~log|X| capped counts of the binary search come from per-point t-NN
-  // rows (O(n t) memory) — the n x n PairwiseDistances matrix this engine
-  // used to materialize is gone.
+  // rows (O(n t) memory), never an n x n distance matrix.
   Result<KnnCappedCounts> built = Status::Internal("unset");
   const KnnCappedCounts* counts_ptr = nullptr;
   if (index != nullptr && options.shared_counts != nullptr) {

@@ -43,16 +43,15 @@ struct GoodRadiusOptions {
   Engine engine = Engine::kRecConcave;
   /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3).
   std::size_t max_profile_points = 4096;
-  /// Event generator for the kRecConcave engine's L(r,S) profile:
-  /// auto (= grid, for every unweighted build), grid (t-NN pruned through
-  /// geo/SpatialGrid, ~O(n t) at low dimension), or exact (the all-pairs
-  /// O(n^2 (d + log n)) sweep, kept as the oracle the tests compare grid
-  /// against). Released outputs are bit-identical for every choice — the
-  /// pruning is lossless (see core/radius_profile.h); only the runtime
-  /// moves. The kSparseVector engine answers its radius counts from
-  /// per-point t-NN rows (geo/KnnCappedCounts, O(n t) memory — it never
-  /// materializes the n x n PairwiseDistances matrix) and ignores this knob.
-  ProfileIndex profile_index = ProfileIndex::kAuto;
+  /// Event generator for the kRecConcave engine's L(r,S) profile: grid
+  /// (t-NN pruned through geo/SpatialGrid, ~O(n t) at low dimension; the
+  /// default) or exact (the all-pairs O(n^2 (d + log n)) sweep, the oracle
+  /// the tests compare grid against). Released outputs are bit-identical
+  /// either way — the pruning is lossless (see core/radius_profile.h). Not
+  /// on the wire: library callers keep the default. The kSparseVector
+  /// engine answers its radius counts from per-point t-NN rows
+  /// (geo/KnnCappedCounts, O(n t) memory) and ignores this knob.
+  ProfileIndex profile_index = ProfileIndex::kGrid;
   /// Borrowed caller-maintained t-NN rows for the kSparseVector engine on
   /// the IndexedDataset entry point: when set, the engine answers its radius
   /// counts from these rows instead of building its own O(n t) structure.
@@ -68,7 +67,7 @@ struct GoodRadiusOptions {
   /// (core/radius_profile.h).
   IndexGeometry index_geometry = IndexGeometry::kExact;
   /// Worker threads for the deterministic numeric passes (the O(n^2 d)
-  /// profile / pairwise builds). 0 = one per hardware thread, 1 = serial.
+  /// profile and t-NN builds). 0 = one per hardware thread, 1 = serial.
   /// Released outputs are bit-identical at any setting: threads never touch
   /// the Rng, and the work decomposition is independent of the thread count.
   std::size_t num_threads = 1;
@@ -79,9 +78,10 @@ struct GoodRadiusOptions {
   /// profile cap stays an explicit, opted-into tradeoff.
   bool subsample_large_inputs = false;
   /// Multiplier on max_profile_points for the subsample path when the ~O(n t)
-  /// grid profile serves the subsampled problem cheaply (RecConcave engine;
-  /// under auto, only while the rescaled t - 1 stays <= 1/4 of the enlarged
-  /// size, or 1/2 when its cell grid collapses to one cell): the cap that
+  /// grid profile serves the subsampled problem cheaply (RecConcave engine
+  /// with the grid generator, from 512 rows and only while the rescaled
+  /// t - 1 stays <= 1/4 of the enlarged size, or 1/2 when its cell grid
+  /// collapses to one cell): the cap that
   /// guards the quadratic sweep is far too conservative for the t-NN pruned
   /// build, so the subsample keeps ~factor more rows (less sampling error) at
   /// ~the same cost. 1 reproduces the pre-grid behavior; must be >= 1.

@@ -41,20 +41,11 @@ struct KClusterOptions {
   /// guarantee-radius ball can cover the whole domain and the first round
   /// swallows everything. 0 disables refinement.
   double refine_fraction = 0.25;
-  /// How each round's geometry is served. kIncremental (the default) builds
-  /// one deletion-capable geo/IndexedDataset and removes covered points in
-  /// place across the k rounds — one index build instead of k. kRebuild is
-  /// the pre-index path (subset + fresh index per round), kept as the
-  /// bit-identity reference: both modes release exactly the same bytes
-  /// (pinned by the k-cluster property test), only the runtime differs.
-  enum class IndexMode { kIncremental, kRebuild };
-  IndexMode index_mode = IndexMode::kIncremental;
   /// Coreset stage: when enabled and n >= coreset.min_points (and no
   /// shared_index is lent), the input is collapsed once to a weighted
   /// k-center summary (coreset/coreset.h) and every round peels from the
   /// summary's weighted index — per-round t sizing, refinement counts, and
   /// `uncovered` all use expanded mass, so t keeps its raw-input meaning.
-  /// Forces the incremental path (the rebuild path has no weighted form).
   /// Accuracy moves by at most the summary's coverage radius; privacy
   /// accounting is unchanged. A lent shared_index may itself be weighted
   /// (the service lends its cached coreset index); it is then trusted to
@@ -75,13 +66,16 @@ struct KClusterResult {
   Accountant ledger;
 };
 
-/// Runs the iterated heuristic on dataset s. `shared_index` (optional) lends
-/// a prebuilt IndexedDataset over exactly s with every row active — e.g. the
-/// per-request index a Solver::RunAll batch shares; the rounds then peel
-/// covered points from it instead of building their own. The index is
-/// restored to its entry state before returning (success or failure), so one
-/// index serves many runs. Passing a shared index implies the incremental
-/// path regardless of options.index_mode.
+/// Runs the iterated heuristic on dataset s. Every round runs on one
+/// deletion-capable geo/IndexedDataset, and covered points are removed from
+/// it in place — one index build instead of k. The released bytes equal
+/// re-subsetting s and running the PointSet OneCluster / RefineRadius
+/// overloads each round (tests/reference/k_cluster_reference.h, pinned by
+/// property_test). `shared_index` (optional) lends a prebuilt IndexedDataset
+/// over exactly s with every row active — e.g. the per-request index a
+/// Solver::RunAll batch shares; the rounds then peel covered points from it
+/// instead of building their own. The index is restored to its entry state
+/// before returning (success or failure), so one index serves many runs.
 Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
                                 const GridDomain& domain,
                                 const KClusterOptions& options,

@@ -329,60 +329,18 @@ inline std::uint64_t FineIndexOf(double dist, double fine_step,
   return static_cast<double>(g) < x ? g + 1 : g;
 }
 
-// All n(n-1) ordered pair events, index-sorted, then grouped — the
-// O(n^2 (d + log n)) oracle path, independent of the t-NN stream's counting
-// sort. `row(i)` yields the i-th point, so the same kernel sweeps a PointSet
-// directly (identity rows) or the active subset of an IndexedDataset
-// (rank -> original id indirection) with identical chunking and event order.
-template <typename GetRow>
-EventBuckets BuildExactEvents(std::size_t n, GetRow&& row, double fine_step,
-                              std::uint64_t max_fine, ThreadPool* pool) {
-  // The O(n^2 d) pair pass runs in parallel over row chunks; per-chunk event
-  // vectors concatenated in chunk order reproduce the serial i-ascending
-  // sequence exactly, so the profile is independent of the thread count.
-  constexpr std::size_t kRowGrain = 32;
-  const std::size_t num_chunks = NumChunks(n, kRowGrain);
-  std::vector<std::vector<Event>> chunk_events(num_chunks);
-  ParallelForChunks(
-      pool, 0, n, kRowGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t chunk) {
-        std::vector<Event>& local = chunk_events[chunk];
-        std::size_t pairs = 0;
-        for (std::size_t i = lo; i < hi; ++i) pairs += n - 1 - i;
-        local.reserve(2 * pairs);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const auto xi = row(i);
-          for (std::size_t j = i + 1; j < n; ++j) {
-            const std::uint64_t g =
-                FineIndexOf(Distance(xi, row(j)), fine_step, max_fine);
-            local.push_back({g, static_cast<std::uint32_t>(i)});
-            local.push_back({g, static_cast<std::uint32_t>(j)});
-          }
-        }
-      },
-      kAlwaysParallel);
-  std::vector<Event> events;
-  events.reserve(n * (n - 1));
-  for (std::vector<Event>& local : chunk_events) {
-    events.insert(events.end(), local.begin(), local.end());
-    local.clear();
-    local.shrink_to_fit();
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.index < b.index; });
-  return EventBuckets::FromSorted(events);
-}
-
 // All weighted pair events over the active rows, index-sorted: pair (i, j)
 // raises i's ball by weight(j) (and vice versa) at the shared fine index, and
 // each row with weight > 1 raises its own ball by weight - 1 at index 0 (its
-// expanded duplicate copies sit at distance 0). Same chunking and
-// chunk-ordered concatenation as BuildExactEvents, so the event sequence —
-// and therefore the profile — is independent of the thread count. The
-// weighted path always sweeps exact all-pairs events: rows are coreset-sized
-// (max_profile_points caps them), while a t-NN pruned stream would need
-// ~rows * (t-1) expanded entries, which at expanded t ~ 10^5 is exactly the
-// memory blow-up the compressed representation exists to avoid.
+// expanded duplicate copies sit at distance 0). The pair pass runs in
+// parallel over fixed row chunks; per-chunk event vectors concatenated in
+// chunk order reproduce the serial i-ascending sequence exactly, so the
+// event sequence — and therefore the profile — is independent of the thread
+// count. With unit weights this is the kExact oracle for unweighted data.
+// The weighted path always sweeps exact all-pairs events: rows are
+// coreset-sized (max_profile_points caps them), while a t-NN pruned stream
+// would need ~rows * (t-1) expanded entries, which at expanded t ~ 10^5 is
+// exactly the memory blow-up the compressed representation exists to avoid.
 std::vector<WeightedEvent> BuildWeightedExactEvents(
     const PointSet& view, std::span<const std::uint64_t> rank_weights,
     double fine_step, std::uint64_t max_fine, ThreadPool* pool) {
@@ -419,6 +377,9 @@ std::vector<WeightedEvent> BuildWeightedExactEvents(
         }
       },
       kAlwaysParallel);
+  // One allocation for the concatenation: growing it chunk by chunk would
+  // transiently hold up to twice the n(n-1) events.
+  events.reserve(events.size() + n * (n - 1));
   for (std::vector<WeightedEvent>& local : chunk_events) {
     events.insert(events.end(), local.begin(), local.end());
     local.clear();
@@ -452,6 +413,18 @@ EventBuckets EventsFromKnnRows(std::span<const double> knn, std::size_t n,
   });
 }
 
+// The all-pairs profile over `view` with per-row multiplicities (all 1 for
+// an unweighted kExact build, which the unit-weight sweep reproduces bit for
+// bit; see SweepWeightedEvents).
+StepFunction ExactProfile(const PointSet& view,
+                          std::span<const std::uint64_t> rank_weights,
+                          std::size_t t, double fine_step,
+                          std::uint64_t fine_domain, ThreadPool* pool) {
+  const std::vector<WeightedEvent> events = BuildWeightedExactEvents(
+      view, rank_weights, fine_step, fine_domain - 1, pool);
+  return SweepWeightedEvents(events, rank_weights, t, fine_domain);
+}
+
 // Validation shared by both Build entry points.
 Status ValidateBuildArgs(std::size_t n, std::size_t t, std::size_t max_points) {
   if (n == 0) return Status::InvalidArgument("RadiusProfile: empty dataset");
@@ -469,32 +442,6 @@ Status ValidateBuildArgs(std::size_t n, std::size_t t, std::size_t max_points) {
 }
 
 }  // namespace
-
-std::string_view ProfileIndexName(ProfileIndex index) {
-  switch (index) {
-    case ProfileIndex::kAuto:
-      return "auto";
-    case ProfileIndex::kGrid:
-      return "grid";
-    case ProfileIndex::kExact:
-      return "exact";
-  }
-  return "auto";
-}
-
-Result<ProfileIndex> ProfileIndexFromName(std::string_view name) {
-  if (name == "auto") return ProfileIndex::kAuto;
-  if (name == "grid") return ProfileIndex::kGrid;
-  if (name == "exact") return ProfileIndex::kExact;
-  return Status::InvalidArgument("ProfileIndex: unknown name '" +
-                                 std::string(name) +
-                                 "' (expected auto|grid|exact)");
-}
-
-ProfileIndex ResolveProfileIndex(ProfileIndex requested) {
-  return requested == ProfileIndex::kExact ? ProfileIndex::kExact
-                                           : ProfileIndex::kGrid;
-}
 
 Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
                                            const GridDomain& domain,
@@ -515,21 +462,20 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
       domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
   const std::uint64_t max_fine = fine_domain - 1;
 
-  EventBuckets events;
-  if (ResolveProfileIndex(index) == ProfileIndex::kGrid) {
-    const std::size_t k = t - 1;  // t = 1: every increment saturates.
-    std::vector<double> knn(n * k);
-    if (k > 0) {
-      DPC_ASSIGN_OR_RETURN(SpatialGrid grid,
-                           SpatialGrid::Build(s, domain, k));
-      grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
-    }
-    events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
-  } else {
-    events = BuildExactEvents(
-        n, [&s](std::size_t i) { return s[i]; }, fine_step, max_fine, pool);
+  if (index == ProfileIndex::kExact) {
+    const std::vector<std::uint64_t> unit(n, 1);
+    profile.fine_l_ = ExactProfile(s, unit, t, fine_step, fine_domain, pool);
+    return profile;
   }
-  profile.fine_l_ = SweepEvents(events, n, t, fine_domain);
+  const std::size_t k = t - 1;  // t = 1: every increment saturates.
+  std::vector<double> knn(n * k);
+  if (k > 0) {
+    DPC_ASSIGN_OR_RETURN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+    grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
+  }
+  profile.fine_l_ = SweepEvents(
+      EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain), n, t,
+      fine_domain);
   return profile;
 }
 
@@ -566,42 +512,29 @@ Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
       domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
   const std::uint64_t max_fine = fine_domain - 1;
 
-  if (index.weighted()) {
+  if (index.weighted() || profile_index == ProfileIndex::kExact) {
     // Weighted rows always take the exact all-pairs generator: the coreset
     // keeps rows well under max_profile_points, and a pruned t-NN stream
     // would have to expand to ~rows * (t - 1) entries at expanded t.
-    const PointSet view = index.ActiveView();
     const std::span<const std::uint32_t> active_ids = index.ActiveIds();
     std::vector<std::uint64_t> rank_weights(n);
     for (std::size_t rank = 0; rank < n; ++rank) {
       rank_weights[rank] = index.weight(active_ids[rank]);
     }
-    const std::vector<WeightedEvent> events = BuildWeightedExactEvents(
-        view, rank_weights, fine_step, max_fine, pool);
-    profile.fine_l_ = SweepWeightedEvents(events, rank_weights, t, fine_domain);
+    profile.fine_l_ = ExactProfile(index.ActiveView(), rank_weights, t,
+                                   fine_step, fine_domain, pool);
     return profile;
   }
 
   // Event centers are active *ranks* (positions in the ascending active-id
-  // list), which is exactly the row numbering of ActiveView() — so both
-  // generators emit the same events the subset-rebuild path would, and the
-  // sweep below is untouched.
-  EventBuckets events;
-  if (ResolveProfileIndex(profile_index) == ProfileIndex::kGrid) {
-    const std::size_t k = t - 1;
-    std::vector<double> knn(n * k);
-    if (k > 0) index.BatchKnn(k, knn, pool, /*sorted=*/false);
-    events = EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain);
-  } else {
-    // Materialize the active view once: the O(n^2 d) pair sweep then streams
-    // contiguous rows — a per-access rank indirection into the full dataset
-    // costs ~10% in this hot loop, far more than one O(n d) copy.
-    const PointSet view = index.ActiveView();
-    events = BuildExactEvents(
-        n, [&view](std::size_t i) { return view[i]; }, fine_step, max_fine,
-        pool);
-  }
-  profile.fine_l_ = SweepEvents(events, n, t, fine_domain);
+  // list), which is exactly the row numbering of ActiveView() — so the
+  // events are the ones a subset rebuild would emit.
+  const std::size_t k = t - 1;
+  std::vector<double> knn(n * k);
+  if (k > 0) index.BatchKnn(k, knn, pool, /*sorted=*/false);
+  profile.fine_l_ = SweepEvents(
+      EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain), n, t,
+      fine_domain);
   return profile;
 }
 

@@ -9,12 +9,12 @@
 //
 // Construction is an event sweep: each pair (i, j) raises B_.(x_i) by one at
 // the fine index ceil(dist(i,j)/fine_step), and an amortized-O(1) tracker
-// maintains the sum of the t largest capped counts. Events are grouped by
-// fine index with one counting sort over 4-byte center ids. Two event
-// generators feed the identical sweep:
+// maintains the sum of the t largest capped counts. Two event generators
+// yield the same profile:
 //
 //  * kGrid   — only each point's t-1 nearest neighbors, found through a
-//    geo/SpatialGrid index in ~O(n t) work at low dimension. This is lossless
+//    geo/SpatialGrid index in ~O(n t) work at low dimension, grouped by fine
+//    index with one counting sort over 4-byte center ids. This is lossless
 //    pruning, not an approximation: every per-center count is capped at t, so
 //    a center's increments beyond its t-1 nearest neighbors are no-ops in the
 //    exact sweep (the t-1 smallest distances are exactly the effective
@@ -23,20 +23,15 @@
 //    bit-identical to the exact sweep's — same breakpoints, same values —
 //    which determinism_test and radius_profile_test pin across all scenario
 //    families and thread counts.
-//  * kExact  — all n(n-1) ordered pairs, index-sorted: the
-//    O(n^2 (d + log n)) quadratic core of Algorithm 1 as written. It is the
-//    oracle the tests compare kGrid against and runs only when requested
-//    explicitly.
-//
-// kAuto is kGrid for every unweighted build: even at t = n, where nothing is
-// pruned, the t-NN stream carries no more events than the pair sweep, and
-// the batched k-NN search costs less than the pair pass it replaces.
+//  * kExact  — all n(n-1) ordered pairs, index-sorted, through the weighted
+//    (coreset) generator and sweep with unit weights: the O(n^2 (d + log n))
+//    quadratic core of Algorithm 1 as written. It is the oracle the tests
+//    compare kGrid against; no production caller selects it.
 
 #ifndef DPCLUSTER_CORE_RADIUS_PROFILE_H_
 #define DPCLUSTER_CORE_RADIUS_PROFILE_H_
 
 #include <cstdint>
-#include <string_view>
 
 #include "dpcluster/common/status.h"
 #include "dpcluster/dp/step_function.h"
@@ -49,21 +44,13 @@ class IndexedDataset;
 class ThreadPool;
 
 /// How RadiusProfile::Build generates the pair events (see file comment).
-/// Every choice yields bit-identical profiles; only the runtime differs.
+/// Both yield bit-identical profiles; only the runtime differs. Library
+/// callers take the kGrid default; the knob stays on Build and on
+/// GoodRadiusOptions so tests and benches can run the oracle.
 enum class ProfileIndex {
-  kAuto,   ///< kGrid (the default).
-  kGrid,   ///< t-NN pruned events through a geo/SpatialGrid, ~O(n t) at low d.
+  kGrid,   ///< t-NN pruned events through a geo/SpatialGrid (the default).
   kExact,  ///< All-pairs event sweep, O(n^2 (d + log n)): the test oracle.
 };
-
-/// "auto", "grid", "exact".
-std::string_view ProfileIndexName(ProfileIndex index);
-
-/// Inverse of ProfileIndexName; InvalidArgument on unknown names.
-Result<ProfileIndex> ProfileIndexFromName(std::string_view name);
-
-/// The generator a request runs: kExact only when asked for, kGrid otherwise.
-ProfileIndex ResolveProfileIndex(ProfileIndex requested);
 
 /// A single-value placeholder kept for one caller: the daemon benchmark's
 /// tracer (daemon_bench/trace.cc) names GoodRadiusOptions::index_geometry and
@@ -87,7 +74,7 @@ class RadiusProfile {
                                      const GridDomain& domain,
                                      std::size_t max_points,
                                      ThreadPool* pool = nullptr,
-                                     ProfileIndex index = ProfileIndex::kAuto,
+                                     ProfileIndex index = ProfileIndex::kGrid,
                                      IndexGeometry = IndexGeometry::kExact);
 
   /// Builds the profile over the *active* points of a prebuilt
@@ -100,7 +87,7 @@ class RadiusProfile {
                                      std::size_t t, std::size_t max_points,
                                      ThreadPool* pool = nullptr,
                                      ProfileIndex profile_index =
-                                         ProfileIndex::kAuto);
+                                         ProfileIndex::kGrid);
 
   /// L as a step function over fine indices [0, 2*(RadiusGridSize()-1)+1).
   const StepFunction& fine_l() const { return fine_l_; }

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "dpcluster/common/check.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/parallel_for.h"
 

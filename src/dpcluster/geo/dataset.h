@@ -10,7 +10,7 @@
 //    the prebuilt index (BatchKnn) instead of indexing the round's subset.
 //  * The footnote-2 SparseVector engine answers its ~log|X| capped radius
 //    counts from per-point t-NN rows (KnnCappedCounts, O(n t) memory)
-//    instead of the n x n PairwiseDistances matrix.
+//    instead of an n x n distance matrix.
 //  * Solver::RunAll batches attach one shared index to many requests over
 //    the same dataset (api/request.h).
 //
@@ -29,6 +29,7 @@
 #ifndef DPCLUSTER_GEO_DATASET_H_
 #define DPCLUSTER_GEO_DATASET_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -224,25 +225,47 @@ class IndexedDataset {
 std::uint64_t GeometryFingerprint(const PointSet& points,
                                   const GridDomain& domain);
 
-/// Sorted per-active-point rows of the (cap-1) nearest-neighbor distances —
-/// the O(n t) replacement for the n x n PairwiseDistances matrix on the
-/// SparseVector GoodRadius path. Because every per-center ball count is
-/// capped at `cap`, the cap-1 smallest distances determine min(B_r, cap)
-/// exactly: if all of them are <= r the count saturates at cap, otherwise
-/// the count is 1 + #{row entries <= r}. Distances are narrowed to float
-/// with the same inclusive one-ulp rounding PairwiseDistances stores
-/// (BumpDistanceUp), so the two backends agree on a count unless the
-/// underlying doubles already straddle a float rounding boundary — the grid
-/// accumulates coordinate-order squared diffs while the matrix uses the
-/// Gram identity, whose ~1e-16 absolute rounding difference can cross a
-/// float ulp for near-boundary distances on geometries whose coordinates
-/// are not exactly representable (dataset_test pins equality on snapped
-/// unit-cube data, where both formulas resolve identically).
+/// nextafter(f, +inf) for non-negative finite floats, without the libm call:
+/// incrementing the bit pattern of a non-negative float yields the next
+/// representable value (0.0f maps to the smallest subnormal, as nextafter
+/// does). This is the inclusive one-ulp rounding every stored distance float
+/// gets before a `<= bound` count comparison, so a query radius resolves
+/// against the rounded row the same way everywhere.
+inline float BumpDistanceUp(float f) {
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) + 1u);
+}
+
+/// Branchless upper_bound over an ascending row: the number of elements
+/// <= bound. Each halving step is a conditional move instead of a compare
+/// branch, so the n log n count queries of CappedTopAverage never stall on
+/// mispredictions.
+inline std::size_t BranchlessUpperBound(std::span<const float> sorted,
+                                        float bound) {
+  if (sorted.empty()) return 0;
+  const float* base = sorted.data();
+  std::size_t len = sorted.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += (base[half - 1] <= bound) ? half : 0;
+    len -= half;
+  }
+  return static_cast<std::size_t>(base - sorted.data()) +
+         (base[0] <= bound ? 1 : 0);
+}
+
+/// Sorted per-active-point rows of the (cap-1) nearest-neighbor distances:
+/// the O(n t) structure behind the SparseVector GoodRadius path's radius
+/// counts. Because every per-center ball count is capped at `cap`, the
+/// cap-1 smallest distances determine min(B_r, cap) exactly: if all of them
+/// are <= r the count saturates at cap, otherwise the count is
+/// 1 + #{row entries <= r}. Distances are narrowed to float with the
+/// inclusive one-ulp rounding of BumpDistanceUp; dataset_test pins the
+/// counts against a brute-force sorted-row oracle built the same way.
 class KnnCappedCounts {
  public:
   /// Builds the rows from `index`'s active points; 1 <= cap <= active_size().
-  /// Fails with ResourceExhausted when active_size() > max_points (the same
-  /// explicit cap contract PairwiseDistances::Compute had).
+  /// Fails with ResourceExhausted when active_size() > max_points (see
+  /// GoodRadiusOptions::max_profile_points).
   ///
   /// Weighted datasets build *compressed* rows — per active row, the
   /// ascending distinct (bumped-float) distances paired with cumulative mass
@@ -296,9 +319,8 @@ class KnnCappedCounts {
   std::size_t CountWithinCapped(std::size_t rank, double r) const;
 
   /// L(r) with counts capped at `top`: the average of the `top` largest
-  /// values of min(B_r(x_i), top). Requires 1 <= top <= cap. Mirrors
-  /// PairwiseDistances::CappedTopAverage (same scratch reuse: callers query
-  /// serially).
+  /// values of min(B_r(x_i), top). Requires 1 <= top <= cap. Reuses an
+  /// internal scratch buffer, so callers query serially.
   double CappedTopAverage(double r, std::size_t top) const;
 
  private:

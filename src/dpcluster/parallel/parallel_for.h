@@ -30,7 +30,7 @@ inline constexpr std::size_t kDefaultGrain = 256;
 /// the region is shorter than the worker wake-up it would pay for — the
 /// measured source of the 1->4 thread GoodCenter slowdown in
 /// BENCH_scaling.json. Call sites whose per-item work is itself O(n) or
-/// O(n d) (pairwise tiles, radius-profile rows, k-NN batches) pass
+/// O(n d) (pair-event chunks, radius-profile rows, k-NN batches) pass
 /// kAlwaysParallel to keep parallelism at any range size.
 ///
 /// Only the *execution policy* consults the thread count; the chunk

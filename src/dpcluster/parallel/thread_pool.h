@@ -1,5 +1,5 @@
 // Fixed-size worker pool for the deterministic compute kernels (Matrix GEMM,
-// PairwiseDistances tiles, CountBoxes, sample-aggregate blocks).
+// pair-event chunks, CountBoxes, sample-aggregate blocks).
 //
 // Determinism contract: the pool only ever executes *deterministic numeric
 // work* — no Rng is ever touched from a worker (all randomness stays on the

@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "dpcluster/core/radius_profile.h"
 #include "dpcluster/geo/spatial_grid.h"
 
 namespace dpcluster {
@@ -63,7 +62,13 @@ Result<PointSet> ParsePoints(const JsonValue& v) {
         return FieldError("points", "row " + std::to_string(i) +
                                         " holds a non-number coordinate");
       }
-      flat.push_back(coordinate.AsDouble());
+      // An out-of-range literal such as 1e999 decodes to infinity.
+      const double x = coordinate.AsDouble();
+      if (!std::isfinite(x)) {
+        return FieldError("points", "row " + std::to_string(i) +
+                                        " holds a non-finite coordinate");
+      }
+      flat.push_back(x);
     }
   }
   if (dim == 0) return FieldError("points", "empty dataset");
@@ -82,11 +87,6 @@ Status ParseTuning(const JsonValue& v, Tuning& tuning) {
     } else if (key == "subsample_grid_cap_factor") {
       DPC_ASSIGN_OR_RETURN(tuning.subsample_grid_cap_factor,
                            AsDoubleField(key, value));
-    } else if (key == "profile_index") {
-      DPC_ASSIGN_OR_RETURN(const std::string name, AsStringField(key, value));
-      auto parsed = ProfileIndexFromName(name);
-      if (!parsed.ok()) return FieldError(key, parsed.status().message());
-      tuning.profile_index = *parsed;
     } else if (key == "max_jl_dim") {
       DPC_ASSIGN_OR_RETURN(const std::uint64_t u, AsU64Field(key, value));
       tuning.max_jl_dim = static_cast<std::size_t>(u);
@@ -252,9 +252,6 @@ JsonValue TuningToJson(const Tuning& tuning) {
              JsonValue::Bool(tuning.subsample_large_inputs));
   object.Set("subsample_grid_cap_factor",
              JsonValue::Number(tuning.subsample_grid_cap_factor));
-  object.Set("profile_index",
-             JsonValue::String(std::string(
-                 ProfileIndexName(tuning.profile_index))));
   object.Set("max_jl_dim",
              JsonValue::Number(static_cast<std::uint64_t>(tuning.max_jl_dim)));
   object.Set("refine_fraction", JsonValue::Number(tuning.refine_fraction));

@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
+#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -181,9 +181,9 @@ TEST(IndexedDatasetTest, RemoveWithinMatchesBallContains) {
   EXPECT_EQ(index.RemoveWithin(ball), 0u);
 }
 
-// KnnCappedCounts must agree with the PairwiseDistances matrix it replaces:
-// identical CappedTopAverage at every queried radius (the two backends narrow
-// their distances to float with the same inclusive rounding).
+// KnnCappedCounts must agree with the brute-force pairwise oracle: identical
+// CappedTopAverage at every queried radius (both narrow their distances to
+// float with the same inclusive rounding).
 TEST(KnnCappedCountsTest, CappedTopAverageMatchesPairwiseMatrix) {
   std::uint64_t seed = 40;
   for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
@@ -192,8 +192,7 @@ TEST(KnnCappedCountsTest, CappedTopAverageMatchesPairwiseMatrix) {
     const GridDomain domain(1u << 8, dim);
     PointSet s = testing_util::UniformCube(rng, n, dim);
     domain.SnapAll(s);
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances matrix,
-                         PairwiseDistances::Compute(s, n));
+    const reference::PairwiseRows matrix(s);
     ASSERT_OK_AND_ASSIGN(IndexedDataset index,
                          IndexedDataset::Create(s, domain));
     for (const std::size_t t : {std::size_t{1}, std::size_t{2}, n / 8, n / 2}) {
@@ -235,8 +234,8 @@ TEST(KnnCappedCountsTest, RespectsMaxPointsCap) {
   EXPECT_OK(KnnCappedCounts::Build(index, 20, 100).status());
 }
 
-// After deletions, the capped counts must equal a PairwiseDistances matrix
-// built over the surviving points — the contract KCluster's SparseVector
+// After deletions, the capped counts must equal the pairwise oracle built
+// over the surviving points — the contract KCluster's SparseVector
 // rounds rely on.
 TEST(KnnCappedCountsTest, AgreesWithMatrixAfterRemoval) {
   Rng rng(9);
@@ -244,8 +243,7 @@ TEST(KnnCappedCountsTest, AgreesWithMatrixAfterRemoval) {
   index.Remove(EveryThird(140));
   const PointSet view = index.ActiveView();
   const std::size_t m = index.active_size();
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances matrix,
-                       PairwiseDistances::Compute(view, m));
+  const reference::PairwiseRows matrix(view);
   const std::size_t t = m / 6;
   ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
                        KnnCappedCounts::Build(index, t, m));

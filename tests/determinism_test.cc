@@ -16,12 +16,12 @@
 #include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/sa/sample_aggregate.h"
 #include "dpcluster/workload/synthetic.h"
+#include "reference/k_cluster_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -67,7 +67,7 @@ TEST(DeterminismTest, GoodRadiusBitIdenticalAcrossThreadCounts) {
     // thread count) combination must release the same bits — the spatial
     // grid's t-NN pruning is lossless, not an approximation.
     for (const auto profile_index :
-         {ProfileIndex::kExact, ProfileIndex::kGrid, ProfileIndex::kAuto}) {
+         {ProfileIndex::kExact, ProfileIndex::kGrid}) {
       options.profile_index = profile_index;
       for (std::size_t threads : kThreadCounts) {
         options.num_threads = threads;
@@ -75,8 +75,8 @@ TEST(DeterminismTest, GoodRadiusBitIdenticalAcrossThreadCounts) {
         ASSERT_OK_AND_ASSIGN(GoodRadiusResult run,
                              GoodRadius(rng, w.points, w.t, w.domain, options));
         const std::string context =
-            std::string(" profile_index=") +
-            std::string(ProfileIndexName(profile_index)) +
+            std::string(profile_index == ProfileIndex::kExact ? " exact"
+                                                              : " grid") +
             " threads=" + std::to_string(threads);
         EXPECT_EQ(run.radius, serial.radius) << context;
         EXPECT_EQ(run.grid_index, serial.grid_index) << context;
@@ -181,9 +181,9 @@ TEST(DeterminismTest, GoodCenterIndexOverloadMatchesActiveView) {
   }
 }
 
-// High-dimensional KCluster: the incremental path (span-based rounds over one
-// shared index, whose d = 32 grid collapses to the blocked dense scan) must
-// release the same bits as the rebuild reference at any thread count.
+// High-dimensional KCluster: the rounds over one shared index (whose d = 32
+// grid collapses to the blocked dense scan) must release the same bits as the
+// per-round rebuild reference at any thread count.
 TEST(DeterminismTest, HighDimKClusterIndexPathsBitIdentical) {
   Rng data_rng(19);
   const ClusterWorkload w =
@@ -193,13 +193,12 @@ TEST(DeterminismTest, HighDimKClusterIndexPathsBitIdentical) {
   options.beta = 0.2;
   options.k = 2;
 
-  options.index_mode = KClusterOptions::IndexMode::kRebuild;
   options.num_threads = 1;
   Rng rng_serial(84);
-  ASSERT_OK_AND_ASSIGN(KClusterResult serial,
-                       KCluster(rng_serial, w.points, w.domain, options));
+  ASSERT_OK_AND_ASSIGN(
+      KClusterResult serial,
+      reference::RebuildKCluster(rng_serial, w.points, w.domain, options));
 
-  options.index_mode = KClusterOptions::IndexMode::kIncremental;
   for (std::size_t threads : kThreadCounts) {
     options.num_threads = threads;
     Rng rng(84);
@@ -251,24 +250,6 @@ TEST(DeterminismTest, SampleAggregateBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.point, serial.point) << "threads=" << threads;
     EXPECT_EQ(run.radius, serial.radius) << "threads=" << threads;
     EXPECT_EQ(run.blocks, serial.blocks) << "threads=" << threads;
-  }
-}
-
-TEST(DeterminismTest, PairwiseDistancesBitIdenticalAcrossThreadCounts) {
-  Rng rng(15);
-  const PointSet s = testing_util::UniformCube(rng, 300, 5);
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances serial,
-                       PairwiseDistances::Compute(s, 1000, nullptr));
-  for (std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances run,
-                         PairwiseDistances::Compute(s, 1000, &pool));
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      const auto a = serial.SortedRow(i);
-      const auto b = run.SortedRow(i);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin()))
-          << "threads=" << threads << " row=" << i;
-    }
   }
 }
 

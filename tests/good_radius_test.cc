@@ -191,7 +191,7 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
   for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
                             GoodRadiusOptions::Engine::kSparseVector}) {
     for (const auto profile_index :
-         {ProfileIndex::kAuto, ProfileIndex::kGrid, ProfileIndex::kExact}) {
+         {ProfileIndex::kGrid, ProfileIndex::kExact}) {
       GoodRadiusOptions options = TestOptions(4.0);
       options.engine = engine;
       options.profile_index = profile_index;
@@ -204,8 +204,7 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
       const std::string context =
           std::string(" engine=") +
           (engine == GoodRadiusOptions::Engine::kRecConcave ? "rc" : "sv") +
-          " profile_index=" +
-          std::string(ProfileIndexName(profile_index));
+          (profile_index == ProfileIndex::kExact ? " exact" : " grid");
       EXPECT_EQ(got.radius, want.radius) << context;
       EXPECT_EQ(got.grid_index, want.grid_index) << context;
       EXPECT_EQ(got.gamma, want.gamma) << context;

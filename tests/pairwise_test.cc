@@ -1,5 +1,6 @@
-// Tests for PairwiseDistances and the capped averaged count L(r, S) —
-// including the paper's central sensitivity-2 property (Lemma 4.5's core).
+// Tests for the capped averaged count L(r, S) over the brute-force pairwise
+// oracle — including the paper's central sensitivity-2 property (Lemma 4.5's
+// core) — and for the branchless row search the t-NN counts use.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +9,14 @@
 #include <vector>
 
 #include "dpcluster/geo/ball.h"
-#include "dpcluster/geo/pairwise.h"
+#include "dpcluster/geo/dataset.h"
+#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
 
+using reference::PairwiseRows;
 using testing_util::MakePointSet;
 
 // Direct O(n^2) evaluation of L(r, S) from the definition.
@@ -53,18 +56,10 @@ TEST(BranchlessUpperBoundTest, MatchesStdUpperBound) {
   EXPECT_EQ(BranchlessUpperBound({}, 1.0f), 0u);
 }
 
-TEST(PairwiseDistancesTest, RespectsCap) {
-  Rng rng(1);
-  const PointSet s = testing_util::UniformCube(rng, 10, 2);
-  EXPECT_EQ(PairwiseDistances::Compute(s, 5).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_OK(PairwiseDistances::Compute(s, 10).status());
-}
-
-TEST(PairwiseDistancesTest, CountWithinMatchesBruteForce) {
+TEST(PairwiseReferenceTest, CountWithinMatchesBruteForce) {
   Rng rng(2);
   const PointSet s = testing_util::UniformCube(rng, 50, 3);
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+  const PairwiseRows pd(s);
   for (double r : {0.0, 0.1, 0.3, 0.7, 2.0}) {
     for (std::size_t i = 0; i < s.size(); ++i) {
       EXPECT_EQ(pd.CountWithin(i, r), CountWithin(s, s[i], r))
@@ -73,17 +68,17 @@ TEST(PairwiseDistancesTest, CountWithinMatchesBruteForce) {
   }
 }
 
-TEST(PairwiseDistancesTest, CountIncludesSelfAndDuplicates) {
+TEST(PairwiseReferenceTest, CountIncludesSelfAndDuplicates) {
   const PointSet s = MakePointSet(1, {0.5, 0.5, 0.5, 0.9});
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 10));
+  const PairwiseRows pd(s);
   EXPECT_EQ(pd.CountWithin(0, 0.0), 3u);
   EXPECT_EQ(pd.CountWithin(3, 0.0), 1u);
 }
 
-TEST(PairwiseDistancesTest, CappedTopAverageMatchesDefinition) {
+TEST(PairwiseReferenceTest, CappedTopAverageMatchesDefinition) {
   Rng rng(3);
   const PointSet s = testing_util::UniformCube(rng, 60, 2);
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+  const PairwiseRows pd(s);
   for (std::size_t t : {1u, 5u, 20u, 60u}) {
     for (double r : {0.0, 0.05, 0.2, 0.5, 1.5}) {
       EXPECT_NEAR(pd.CappedTopAverage(r, t), BruteForceL(s, r, t), 1e-9)
@@ -92,10 +87,10 @@ TEST(PairwiseDistancesTest, CappedTopAverageMatchesDefinition) {
   }
 }
 
-TEST(PairwiseDistancesTest, LIsMonotoneInRadius) {
+TEST(PairwiseReferenceTest, LIsMonotoneInRadius) {
   Rng rng(4);
   const PointSet s = testing_util::UniformCube(rng, 40, 2);
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+  const PairwiseRows pd(s);
   const std::size_t t = 10;
   double prev = -1.0;
   for (double r = 0.0; r <= 1.5; r += 0.05) {
@@ -105,10 +100,10 @@ TEST(PairwiseDistancesTest, LIsMonotoneInRadius) {
   }
 }
 
-TEST(PairwiseDistancesTest, LBoundedByTAndReachesT) {
+TEST(PairwiseReferenceTest, LBoundedByTAndReachesT) {
   Rng rng(5);
   const PointSet s = testing_util::UniformCube(rng, 30, 2);
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+  const PairwiseRows pd(s);
   const std::size_t t = 12;
   EXPECT_LE(pd.CappedTopAverage(0.01, t), static_cast<double>(t));
   // At the cube diameter every ball holds all points.
@@ -117,18 +112,18 @@ TEST(PairwiseDistancesTest, LBoundedByTAndReachesT) {
 
 // The property Lemma 4.5 rests on: |L(r, S) - L(r, S')| <= 2 for neighboring
 // datasets (one row replaced).
-TEST(PairwiseDistancesTest, LSensitivityAtMostTwoUnderReplacement) {
+TEST(PairwiseReferenceTest, LSensitivityAtMostTwoUnderReplacement) {
   Rng rng(6);
   for (int trial = 0; trial < 15; ++trial) {
     PointSet s = testing_util::UniformCube(rng, 30, 2);
     const std::size_t t = 1 + rng.NextUint64(29);
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances pd0, PairwiseDistances::Compute(s, 64));
+    const PairwiseRows pd0(s);
 
     PointSet s2 = s;
     const std::size_t victim = rng.NextUint64(s.size());
     std::vector<double> replacement = {rng.NextDouble(), rng.NextDouble()};
     s2.ReplaceRow(victim, replacement);
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances pd1, PairwiseDistances::Compute(s2, 64));
+    const PairwiseRows pd1(s2);
 
     for (double r : {0.0, 0.1, 0.25, 0.6, 1.2}) {
       const double l0 = pd0.CappedTopAverage(r, t);

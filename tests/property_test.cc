@@ -21,6 +21,7 @@
 #include "dpcluster/random/distributions.h"
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/workload/synthetic.h"
+#include "reference/k_cluster_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -208,8 +209,8 @@ TEST(KMeansEstimatorTest, BlockOutputsConcentrateAcrossBlocks) {
 }
 
 // The IndexedDataset inversion of KCluster: one deletion-capable index
-// peeled across the k rounds must release exactly the bytes of the legacy
-// per-round subset+rebuild path — on every scenario family, at every thread
+// peeled across the k rounds must release exactly the bytes of the per-round
+// subset+rebuild reference — on every scenario family, at every thread
 // count, and through a lent (snapshot/restored) shared index.
 void ExpectSameKClusterResult(const KClusterResult& got,
                               const KClusterResult& want,
@@ -251,15 +252,13 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
     options.beta = 0.2;
     options.k = 2;
 
-    // Reference: the legacy per-round subset + fresh-index path, serial.
-    options.index_mode = KClusterOptions::IndexMode::kRebuild;
+    // Reference: the per-round subset + fresh-index loop, serial.
     options.num_threads = 1;
     Rng ref_rng(4096);
-    ASSERT_OK_AND_ASSIGN(
-        KClusterResult reference,
-        KCluster(ref_rng, instance.points, instance.domain, options));
+    ASSERT_OK_AND_ASSIGN(KClusterResult want,
+                         reference::RebuildKCluster(ref_rng, instance.points,
+                                                    instance.domain, options));
 
-    options.index_mode = KClusterOptions::IndexMode::kIncremental;
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       options.num_threads = threads;
@@ -268,7 +267,7 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
           KClusterResult run,
           KCluster(rng, instance.points, instance.domain, options));
       ExpectSameKClusterResult(
-          run, reference,
+          run, want,
           family + " incremental threads=" + std::to_string(threads));
     }
 
@@ -284,7 +283,7 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
     ASSERT_OK_AND_ASSIGN(KClusterResult shared_run,
                          KCluster(shared_rng, instance.points, instance.domain,
                                   options, &shared));
-    ExpectSameKClusterResult(shared_run, reference, family + " shared-index");
+    ExpectSameKClusterResult(shared_run, want, family + " shared-index");
     EXPECT_EQ(shared.active_size(), shared.size()) << family;
     // And the restored index still answers like a fresh one.
     std::vector<double> warm_after(shared.size() * 2);

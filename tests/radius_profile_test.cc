@@ -10,8 +10,8 @@
 
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/parallel/thread_pool.h"
+#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -41,7 +41,7 @@ TEST(RadiusProfileTest, MatchesDirectEvaluation) {
     const std::size_t t = 1 + rng.NextUint64(29);
     ASSERT_OK_AND_ASSIGN(RadiusProfile profile,
                          RadiusProfile::Build(s, t, domain, 100));
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+    const reference::PairwiseRows pd(s);
     // Check agreement at every solution-grid radius.
     for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 7) {
       const double r = domain.RadiusFromIndex(g);
@@ -124,26 +124,11 @@ void ExpectSameProfile(const RadiusProfile& a, const RadiusProfile& b,
   }
 }
 
-TEST(RadiusProfileTest, ProfileIndexNamesRoundTrip) {
-  for (const auto index :
-       {ProfileIndex::kAuto, ProfileIndex::kGrid, ProfileIndex::kExact}) {
-    ASSERT_OK_AND_ASSIGN(ProfileIndex parsed,
-                         ProfileIndexFromName(ProfileIndexName(index)));
-    EXPECT_EQ(parsed, index);
-  }
-  EXPECT_FALSE(ProfileIndexFromName("fancy").ok());
-}
-
-TEST(RadiusProfileTest, AutoResolvesToGridAndExactOnlyOnRequest) {
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto), ProfileIndex::kGrid);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kGrid), ProfileIndex::kGrid);
-  EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kExact), ProfileIndex::kExact);
-}
-
-// kAuto now takes the t-NN stream where it used to fall back to the
-// all-pairs sweep (n >= 512 and t - 1 in (n/4, n]); the profile must stay
-// bit-identical to the kExact oracle there, at any thread count.
-TEST(RadiusProfileTest, AutoBitIdenticalToExactAboveOldCrossover) {
+// The default generator takes the t-NN stream even where the old automatic
+// choice fell back to the all-pairs sweep (n >= 512 and t - 1 in (n/4, n]);
+// the profile must stay bit-identical to the kExact oracle there, at any
+// thread count.
+TEST(RadiusProfileTest, DefaultBitIdenticalToExactAboveOldCrossover) {
   const ScenarioRegistry& registry = ScenarioRegistry::Global();
   const std::vector<std::string> families = registry.Names();
   ASSERT_EQ(families.size(), 9u);
@@ -172,10 +157,10 @@ TEST(RadiusProfileTest, AutoBitIdenticalToExactAboveOldCrossover) {
                                     " t=" + std::to_string(t);
         for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
           ASSERT_OK_AND_ASSIGN(
-              RadiusProfile automatic,
+              RadiusProfile grid,
               RadiusProfile::Build(instance.points, t, instance.domain, n,
-                                   threads, ProfileIndex::kAuto));
-          ExpectSameProfile(exact, automatic,
+                                   threads));
+          ExpectSameProfile(exact, grid,
                             context + (threads ? " (threads=8)" : ""));
         }
       }

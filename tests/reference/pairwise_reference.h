@@ -1,0 +1,79 @@
+// Reference oracle for the ball counts B_r(x_i, S) and the capped average
+//   L(r, S) = (1/t) max_{distinct i_1..i_t} sum_j min(B_r(x_{i_j}), t)
+// of Algorithm 1: every pair distance, one sorted row per center. O(n^2 d)
+// time and n^2 floats, for small test inputs only. Stored distances get the
+// same one-ulp inclusive rounding as geo/dataset.h's KnnCappedCounts, so the
+// two agree count for count.
+
+#ifndef DPCLUSTER_TESTS_REFERENCE_PAIRWISE_REFERENCE_H_
+#define DPCLUSTER_TESTS_REFERENCE_PAIRWISE_REFERENCE_H_
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <functional>
+#include <limits>
+#include <span>
+#include <vector>
+
+#include "dpcluster/geo/dataset.h"
+#include "dpcluster/geo/point_set.h"
+#include "dpcluster/la/vector_ops.h"
+
+namespace dpcluster::reference {
+
+/// Sorted per-center distance rows of a dataset, built by brute force.
+class PairwiseRows {
+ public:
+  explicit PairwiseRows(const PointSet& s) : n_(s.size()), rows_(n_ * n_) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      float* row = &rows_[i * n_];
+      for (std::size_t j = 0; j < n_; ++j) {
+        row[j] = i == j ? 0.0f
+                        : BumpDistanceUp(
+                              static_cast<float>(Distance(s[i], s[j])));
+      }
+      std::sort(row, row + n_);
+    }
+  }
+
+  std::size_t size() const { return n_; }
+
+  /// Distances from point i to all n points (itself included), ascending.
+  std::span<const float> SortedRow(std::size_t i) const {
+    return {&rows_[i * n_], n_};
+  }
+
+  /// B_r(x_i, S): points within distance r of x_i, itself included.
+  std::size_t CountWithin(std::size_t i, double r) const {
+    if (r < 0.0) return 0;
+    const float bound = std::nextafter(static_cast<float>(r),
+                                       std::numeric_limits<float>::infinity());
+    const std::span<const float> row = SortedRow(i);
+    return static_cast<std::size_t>(
+        std::upper_bound(row.begin(), row.end(), bound) - row.begin());
+  }
+
+  /// L(r, S) with counts capped at `cap` (1 <= cap <= n): the average of the
+  /// `cap` largest values of min(B_r(x_i), cap).
+  double CappedTopAverage(double r, std::size_t cap) const {
+    std::vector<std::size_t> counts(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      counts[i] = std::min(CountWithin(i, r), cap);
+    }
+    std::sort(counts.begin(), counts.end(), std::greater<>());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < cap; ++i) {
+      sum += static_cast<double>(counts[i]);
+    }
+    return sum / static_cast<double>(cap);
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<float> rows_;  // n_ x n_, each row ascending.
+};
+
+}  // namespace dpcluster::reference
+
+#endif  // DPCLUSTER_TESTS_REFERENCE_PAIRWISE_REFERENCE_H_

@@ -105,7 +105,6 @@ WireRequest FullWireRequest() {
   request.tuning.radius_budget_fraction = 0.4;
   request.tuning.subsample_large_inputs = true;
   request.tuning.subsample_grid_cap_factor = 12.5;
-  request.tuning.profile_index = ProfileIndex::kGrid;
   request.tuning.max_jl_dim = 9;
   request.tuning.refine_fraction = 0.3;
   request.tuning.refine_one_cluster = true;
@@ -157,7 +156,6 @@ TEST(WireProtocolTest, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_DOUBLE_EQ(r.tuning.radius_budget_fraction, 0.4);
   EXPECT_TRUE(r.tuning.subsample_large_inputs);
   EXPECT_DOUBLE_EQ(r.tuning.subsample_grid_cap_factor, 12.5);
-  EXPECT_EQ(r.tuning.profile_index, ProfileIndex::kGrid);
   EXPECT_EQ(r.tuning.max_jl_dim, 9u);
   EXPECT_DOUBLE_EQ(r.tuning.refine_fraction, 0.3);
   EXPECT_TRUE(r.tuning.refine_one_cluster);
@@ -211,11 +209,12 @@ TEST(WireProtocolTest, RejectsMalformedWireRequests) {
            R"({"dataset": "d", "algorithm": "a", "points": [[1]], "t": -1})",
            R"({"dataset": "d", "algorithm": "a", "points": [[1]], "t": 1.5})",
            R"({"dataset": "d", "algorithm": "a", "points": [["x"]]})",
+           R"({"dataset": "d", "algorithm": "a", "points": [[1e999]]})",
            R"({"dataset": "d", "algorithm": "a", "points": [[1]], "snap": true})",
            R"({"dataset": "d", "algorithm": "a", "points": [[1]],)"
            R"( "tuning": {"bogus_knob": 1}})",
            R"({"dataset": "d", "algorithm": "a", "points": [[1]],)"
-           R"( "tuning": {"profile_index": "never"}})",
+           R"( "tuning": {"profile_index": "exact"}})",
        }) {
     EXPECT_FALSE(ParseWireRequest(bad).ok()) << bad;
   }
@@ -359,12 +358,45 @@ TEST(ServiceErrorTest, NegativeEpsilonIsInvalidRequestAndChargesNothing) {
   EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0);
 }
 
-// index_geometry and projection_seed are not tuning keys: a body naming
-// either is a 400 ParseError that says which key, and charges nothing.
+// A coordinate literal too large for a double decodes to infinity; the wire
+// parser refuses it (400 ParseError, nothing charged) instead of handing it
+// to the spatial index, and the service keeps serving.
+TEST(ServiceErrorTest, NonFiniteCoordinateIsParseErrorAndChargesNothing) {
+  ClusterService service;
+  std::string rows;
+  for (int i = 0; i < 256; ++i) {
+    rows += "[0.5" + std::to_string(i % 8) + ", 0.4" +
+            std::to_string(i / 8 % 8) + "], ";
+  }
+  const auto body = [&](const std::string& last_row) {
+    return R"({"dataset": "d", "algorithm": "one_cluster", "levels": 1024,)"
+           R"( "snap": false, "epsilon": 4, "t": 256, "points": [)" +
+           rows + last_row + "]}";
+  };
+  const ServiceReply bad =
+      service.Handle("POST", "/v1/solve", body("[1e999, 0.5]"));
+  EXPECT_EQ(bad.http_status, 400);
+  ASSERT_OK_AND_ASSIGN(JsonValue json, JsonValue::Parse(bad.body));
+  EXPECT_EQ(json.Find("error")->Find("code")->AsString(), "ParseError");
+  EXPECT_NE(json.Find("error")->Find("message")->AsString().find("non-finite"),
+            std::string::npos)
+      << json.Find("error")->Find("message")->AsString();
+  EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0);
+
+  const ServiceReply good =
+      service.Handle("POST", "/v1/solve", body("[0.5, 0.5]"));
+  EXPECT_EQ(good.http_status, 200) << good.body;
+  EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 4.0);
+}
+
+// index_geometry, projection_seed and profile_index are not tuning keys: a
+// body naming any of them is a 400 ParseError that says which key, and
+// charges nothing.
 TEST(ServiceErrorTest, RemovedTuningKeysAreUnknownKeys) {
   for (const auto& [key, value] : {std::pair<const char*, const char*>{
                                        "index_geometry", R"("exact")"},
-                                   {"projection_seed", "7"}}) {
+                                   {"projection_seed", "7"},
+                                   {"profile_index", R"("exact")"}}) {
     ClusterService service;
     const std::string body =
         std::string(R"({"dataset": "d", "algorithm": "one_cluster",)") +

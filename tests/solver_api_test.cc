@@ -104,6 +104,14 @@ TEST(RequestValidationTest, GenericFieldChecks) {
   bad = request;
   bad.tuning.refine_fraction = 1.0;
   EXPECT_FALSE(bad.Validate().ok());
+
+  // A non-finite coordinate (e.g. a "nan" CSV cell) never reaches the
+  // spatial index.
+  for (const double x : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    bad = request;
+    bad.data.ReplaceRow(0, std::vector<double>(bad.data.dim(), x));
+    EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument) << x;
+  }
 }
 
 TEST(RequestValidationTest, AlgorithmSpecificChecksSurfaceThroughSolver) {

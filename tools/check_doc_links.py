@@ -27,7 +27,7 @@ def anchor_of(heading: str) -> str:
     """GitHub's anchor slug: lowercase, punctuation dropped, spaces to -."""
     slug = heading.strip().lower()
     # Formatting markers only — a literal underscore survives in GitHub's
-    # slug (heading "profile_index" anchors as #profile_index).
+    # slug (heading "shared_index" anchors as #shared_index).
     slug = re.sub(r"[`*~]", "", slug)
     slug = re.sub(r"[^\w\- ]", "", slug)
     return slug.replace(" ", "-")

@@ -7,6 +7,9 @@
 //   dpcluster_cli --list                     # list registered algorithms
 //
 // Input: one point per line, comma-separated coordinates, all in [0, axis].
+// Every cell must be one whole finite number (surrounding blanks allowed);
+// a malformed cell names its line and column and exits 1. A malformed or
+// missing flag value exits 2 with usage.
 //
 // Options:
 //   --algorithm A   registry name (see --list)  (default one_cluster)
@@ -20,8 +23,6 @@
 //   --axis A        axis length of the cube    (default 1.0)
 //   --beta B        utility failure prob       (default 0.1)
 //   --seed S        RNG seed                   (default 2016)
-//   --profile-index I  GoodRadius L(r,S) event generator: auto | grid | exact
-//                   (bit-identical outputs; grid is ~O(n t) at low dimension)
 //   --shared-index  prebuild one geo/IndexedDataset over the input and lend
 //                   it to the algorithm (the Solver::RunAll index-reuse hook;
 //                   bit-identical outputs, k_cluster amortizes k index
@@ -46,19 +47,20 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dpcluster/dpcluster.h"
+#include "parse_number.h"
 
 namespace {
 
 using namespace dpcluster;
+using tools::ParseNumber;
 
 struct CliOptions {
   std::string input;
@@ -78,7 +80,6 @@ struct CliOptions {
   double beta = 0.1;
   std::uint64_t seed = 2016;
   bool refine = false;
-  std::string profile_index = "auto";
   bool shared_index = false;
   double subsample_cap_factor = 10.0;
   bool coreset = false;
@@ -93,8 +94,8 @@ void Usage(std::FILE* out) {
                "       [--algorithm NAME] [--mode cluster|outlier|interior]\n"
                "       [--t T] [--k K] [--fraction F] [--epsilon E] [--delta D]\n"
                "       [--levels L] [--axis A] [--beta B] [--seed S]\n"
-               "       [--profile-index auto|grid|exact] [--shared-index]\n"
-               "       [--subsample-cap-factor F] [--refine] [--ledger]\n"
+               "       [--shared-index] [--subsample-cap-factor F]\n"
+               "       [--refine] [--ledger]\n"
                "       [--coreset] [--coreset-target N] [--coreset-min-points N]\n"
                "       [--stream-ticks N] [--help]\n"
                "--stream-ticks N replays the \"streaming\" scenario family\n"
@@ -119,6 +120,14 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
     const auto next = [&]() -> const char* {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
+    // The flag's value, parsed whole; false on a missing or malformed value.
+    const auto number = [&](auto& out) {
+      const char* v = next();
+      if (v != nullptr && ParseNumber(v, out)) return true;
+      std::fprintf(stderr, "malformed or missing value for %s\n",
+                   arg.c_str());
+      return false;
+    };
     if (arg == "--help" || arg == "-h") {
       opt.help = true;
     } else if (arg == "--demo") {
@@ -130,26 +139,15 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
     } else if (arg == "--shared-index") {
       opt.shared_index = true;
     } else if (arg == "--subsample-cap-factor") {
-      const char* v = next();
-      if (!v) return false;
-      opt.subsample_cap_factor = std::strtod(v, nullptr);
+      if (!number(opt.subsample_cap_factor)) return false;
     } else if (arg == "--coreset") {
       opt.coreset = true;
     } else if (arg == "--coreset-target") {
-      const char* v = next();
-      if (!v) return false;
-      opt.coreset_target =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(opt.coreset_target)) return false;
     } else if (arg == "--coreset-min-points") {
-      const char* v = next();
-      if (!v) return false;
-      opt.coreset_min_points =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(opt.coreset_min_points)) return false;
     } else if (arg == "--stream-ticks") {
-      const char* v = next();
-      if (!v) return false;
-      opt.stream_ticks =
-          static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(opt.stream_ticks)) return false;
     } else if (arg == "--ledger") {
       opt.ledger = true;
     } else if (arg == "--input") {
@@ -164,46 +162,24 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
       const char* v = next();
       if (!v) return false;
       opt.mode = v;
-    } else if (arg == "--profile-index") {
-      const char* v = next();
-      if (!v) return false;
-      opt.profile_index = v;
     } else if (arg == "--t") {
-      const char* v = next();
-      if (!v) return false;
-      opt.t = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(opt.t)) return false;
     } else if (arg == "--k") {
-      const char* v = next();
-      if (!v) return false;
-      opt.k = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      if (!number(opt.k)) return false;
     } else if (arg == "--fraction") {
-      const char* v = next();
-      if (!v) return false;
-      opt.fraction = std::strtod(v, nullptr);
+      if (!number(opt.fraction)) return false;
     } else if (arg == "--epsilon") {
-      const char* v = next();
-      if (!v) return false;
-      opt.epsilon = std::strtod(v, nullptr);
+      if (!number(opt.epsilon)) return false;
     } else if (arg == "--delta") {
-      const char* v = next();
-      if (!v) return false;
-      opt.delta = std::strtod(v, nullptr);
+      if (!number(opt.delta)) return false;
     } else if (arg == "--levels") {
-      const char* v = next();
-      if (!v) return false;
-      opt.levels = std::strtoull(v, nullptr, 10);
+      if (!number(opt.levels)) return false;
     } else if (arg == "--axis") {
-      const char* v = next();
-      if (!v) return false;
-      opt.axis = std::strtod(v, nullptr);
+      if (!number(opt.axis)) return false;
     } else if (arg == "--beta") {
-      const char* v = next();
-      if (!v) return false;
-      opt.beta = std::strtod(v, nullptr);
+      if (!number(opt.beta)) return false;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!number(opt.seed)) return false;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
@@ -333,13 +309,30 @@ Result<PointSet> LoadCsv(const std::string& path) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
+    if (line.find_first_not_of(" \t\r") == std::string::npos ||
+        line[0] == '#') {
+      continue;
+    }
     std::stringstream row(line);
     std::string cell;
     std::size_t cols = 0;
     while (std::getline(row, cell, ',')) {
-      flat.push_back(std::strtod(cell.c_str(), nullptr));
       ++cols;
+      // Blanks around a cell (and a CRLF line's '\r') are not part of it.
+      const std::size_t first = cell.find_first_not_of(" \t\r");
+      const std::size_t last = cell.find_last_not_of(" \t\r");
+      const std::string_view text =
+          first == std::string::npos
+              ? std::string_view()
+              : std::string_view(cell).substr(first, last - first + 1);
+      double x = 0.0;
+      if (!ParseNumber(text, x)) {
+        return Status::InvalidArgument(
+            path + ": line " + std::to_string(line_no) + ", column " +
+            std::to_string(cols) + ": '" + cell +
+            "' is not a finite number");
+      }
+      flat.push_back(x);
     }
     if (dim == 0) {
       dim = cols;
@@ -393,12 +386,6 @@ int main_impl(int argc, char** argv) {
   request.k = opt.k;
   request.inlier_fraction = opt.fraction;
   request.tuning.subsample_large_inputs = true;
-  const auto profile_index = ProfileIndexFromName(opt.profile_index);
-  if (!profile_index.ok()) {
-    std::fprintf(stderr, "%s\n", profile_index.status().ToString().c_str());
-    return 2;
-  }
-  request.tuning.profile_index = *profile_index;
   request.tuning.subsample_grid_cap_factor = opt.subsample_cap_factor;
   request.tuning.coreset = opt.coreset;
   request.tuning.coreset_target_size = opt.coreset_target;

@@ -31,22 +31,20 @@
 // Shutdown: SIGINT/SIGTERM (or POST /v1/shutdown) drains gracefully —
 // admitted requests finish, then the daemon exits printing its counters.
 
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <thread>
-#include <type_traits>
 
 #include "dpcluster/service/http_server.h"
 #include "dpcluster/service/service.h"
+#include "parse_number.h"
 
 namespace {
 
 using namespace dpcluster;
+using tools::ParseNumber;
 
 volatile std::sig_atomic_t g_signal = 0;
 void OnSignal(int) { g_signal = 1; }
@@ -67,17 +65,6 @@ struct ServeOptions {
   HttpServerOptions http;
   ServiceOptions service;
 };
-
-// Parses the whole of `text` as a T: no trailing characters, no sign on an
-// unsigned T, no overflow, and a finite value for a floating-point T.
-template <typename T>
-bool ParseNumber(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
-  return true;
-}
 
 bool ParseTenantBudget(std::string_view spec, ServiceOptions& service) {
   // T=E:D
