@@ -14,6 +14,7 @@
 #include "dpcluster/baselines/noisy_mean_baseline.h"
 #include "dpcluster/baselines/nonprivate_baseline.h"
 #include "dpcluster/baselines/threshold_release_1d.h"
+#include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/interior_point.h"
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/core/one_cluster.h"
@@ -41,6 +42,25 @@ Status RequireT(const Request& request) {
         ", n=" + std::to_string(request.data.size()));
   }
   return Status::OK();
+}
+
+// The radius profile refuses more than max_profile_points rows unless the
+// request subsamples the radius stage or the coreset collapses the rows.
+// That refusal depends only on the request's shape, so it is decided here —
+// before the service admits (and charges) the request — rather than inside
+// the run, where one_cluster would fail charged and every k_cluster round
+// would fail and be charged under best_effort.
+Status RequireProfileFits(const Request& request) {
+  const std::size_t n = request.data.size();
+  const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
+  if (n <= cap || request.tuning.subsample_large_inputs ||
+      (request.tuning.coreset && n >= request.tuning.coreset_min_points)) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "Request: '" + request.algorithm + "' has n=" + std::to_string(n) +
+      " rows, over the radius profile's max_points=" + std::to_string(cap) +
+      "; set tuning subsample_large_inputs (or coreset) to run it");
 }
 
 Status Require1D(const Request& request) {
@@ -85,7 +105,8 @@ class OneClusterAlgorithm : public Algorithm {
   }
   Status ValidateRequest(const Request& request) const override {
     DPC_RETURN_IF_ERROR(RequireDomain(request));
-    return RequireT(request);
+    DPC_RETURN_IF_ERROR(RequireT(request));
+    return RequireProfileFits(request);
   }
   Result<Response> Run(Rng& rng, const Request& request,
                        BudgetSession& session) const override {
@@ -138,7 +159,7 @@ class KClusterAlgorithm : public Algorithm {
     if (request.k < 1) {
       return Status::InvalidArgument("Request: k_cluster needs k >= 1");
     }
-    return Status::OK();
+    return RequireProfileFits(request);
   }
   Result<Response> Run(Rng& rng, const Request& request,
                        BudgetSession& session) const override {
@@ -195,7 +216,8 @@ class OutlierScreenAlgorithm : public Algorithm {
            "as an outlier-screening predicate";
   }
   Status ValidateRequest(const Request& request) const override {
-    return RequireDomain(request);
+    DPC_RETURN_IF_ERROR(RequireDomain(request));
+    return RequireProfileFits(request);
   }
   Result<Response> Run(Rng& rng, const Request& request,
                        BudgetSession& session) const override {

@@ -158,43 +158,33 @@ struct WeightedEvent {
 // the centers whose ball gains one point at fine index FineIndex(b). The
 // sweep only needs each index's events together (see CappedTopTracker), so
 // when the fine grid is comparably sized to the event stream — the common
-// case — one counting sort over the indices groups the t-NN stream without
-// ever materializing (index, center) records.
+// case — one counting sort over 4-byte fine indices groups the t-NN stream
+// without ever materializing (index, center) records.
 class EventBuckets {
  public:
-  /// `for_each_event(emit)` must call emit(fine_index, center) once per event,
-  /// the same events on every call (Group makes up to two passes).
-  template <typename ForEachEvent>
-  static EventBuckets Group(std::size_t num_events, std::uint64_t fine_domain,
-                            ForEachEvent&& for_each_event) {
-    if (fine_domain > 8 * num_events + 1024) {
-      // Huge |X| with few events: sorting the records beats a mostly empty
-      // bucket table.
-      std::vector<Event> events;
-      events.reserve(num_events);
-      for_each_event([&](std::uint64_t g, std::uint32_t center) {
-        events.push_back({g, center});
-      });
-      std::sort(events.begin(), events.end(),
-                [](const Event& a, const Event& b) {
-                  return a.index < b.index;
-                });
-      return FromSorted(events);
-    }
+  /// Groups n rows of k fine indices (row r = center r, every index <
+  /// fine_domain) with one counting sort; centers keep row order within a
+  /// bucket.
+  static EventBuckets FromFineRows(std::span<const std::uint32_t> fine,
+                                   std::size_t k, std::uint64_t fine_domain) {
     EventBuckets buckets;
     std::vector<std::size_t>& offsets = buckets.offsets_;
     offsets.assign(fine_domain + 1, 0);
-    for_each_event([&](std::uint64_t g, std::uint32_t) { ++offsets[g + 1]; });
+    for (const std::uint32_t g : fine) ++offsets[g + 1];
     for (std::uint64_t g = 0; g < fine_domain; ++g) {
       offsets[g + 1] += offsets[g];
     }
-    DPC_CHECK_EQ(offsets[fine_domain], num_events);
-    buckets.centers_.resize(num_events);
+    DPC_CHECK_EQ(offsets[fine_domain], fine.size());
+    buckets.centers_.resize(fine.size());
     // Scatter with offsets[g] as bucket g's cursor; it ends at bucket g+1's
     // start, so one shift restores the starts.
-    for_each_event([&](std::uint64_t g, std::uint32_t center) {
-      buckets.centers_[offsets[g]++] = center;
-    });
+    const std::size_t n = k == 0 ? 0 : fine.size() / k;
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t j = 0; j < k; ++j) {
+        buckets.centers_[offsets[fine[r * k + j]]++] =
+            static_cast<std::uint32_t>(r);
+      }
+    }
     std::copy_backward(offsets.begin(), offsets.end() - 2, offsets.end() - 1);
     offsets[0] = 0;
     return buckets;
@@ -392,25 +382,60 @@ std::vector<WeightedEvent> BuildWeightedExactEvents(
   return events;
 }
 
-// Groups n rows of k nearest-neighbor distances (row r = center r) — the
-// t-NN pruned event stream: each center emits exactly its t-1 nearest-
-// neighbor distances (any farther pair is a no-op in the capped sweep — see
-// the header). The grid computes squared distances with the same
+// Distance values a profile build holds at once: the t-NN rows are produced
+// and turned into fine indices one block of rows at a time, so the doubles
+// never coexist with the whole 4-byte event stream.
+constexpr std::size_t kKnnBlockDoubles = std::size_t{1} << 18;
+// ... but at least this many rows per block, so a pooled kNN pass still
+// splits into enough 16-query chunks to keep 8 workers busy.
+constexpr std::size_t kMinKnnBlockRows = 128;
+
+// The t-NN pruned event stream of n centers, grouped by fine index: center
+// r emits exactly its k = t-1 nearest-neighbor distances (any farther pair
+// is a no-op in the capped sweep — see the header). `knn_rows(lo, hi, out)`
+// writes the distance rows of centers [lo, hi) into `out` (row stride k, any
+// order within a row). The grid computes squared distances with the same
 // accumulation order as Distance(), so sqrt() reproduces the exact path's
-// event indices bit-for-bit.
-EventBuckets EventsFromKnnRows(std::span<const double> knn, std::size_t n,
-                               std::size_t k, double fine_step,
-                               std::uint64_t max_fine,
-                               std::uint64_t fine_domain) {
-  return EventBuckets::Group(n * k, fine_domain, [&](auto&& emit) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* row = knn.data() + i * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        emit(FineIndexOf(row[j], fine_step, max_fine),
-             static_cast<std::uint32_t>(i));
+// event indices bit-for-bit. Grouping order never changes the sweep's
+// output, so the two groupings below are interchangeable.
+template <typename KnnRows>
+EventBuckets KnnEventBuckets(std::size_t n, std::size_t k, double fine_step,
+                             std::uint64_t fine_domain, KnnRows&& knn_rows) {
+  const std::uint64_t max_fine = fine_domain - 1;
+  const std::size_t num_events = n * k;
+  // Huge |X| with few events: sorting (index, center) records beats a mostly
+  // empty bucket table (and fine indices may not fit in 4 bytes).
+  const bool sparse = fine_domain > 8 * num_events + 1024 ||
+                      fine_domain > (std::uint64_t{1} << 32);
+  std::vector<std::uint32_t> fine;
+  std::vector<Event> events;
+  if (sparse) {
+    events.reserve(num_events);
+  } else {
+    fine.resize(num_events);
+  }
+  if (k > 0) {
+    const std::size_t block_rows =
+        std::max(kMinKnnBlockRows, kKnnBlockDoubles / k);
+    std::vector<double> block;
+    for (std::size_t lo = 0; lo < n; lo += block_rows) {
+      const std::size_t hi = std::min(n, lo + block_rows);
+      block.resize((hi - lo) * k);
+      knn_rows(lo, hi, std::span<double>(block));
+      for (std::size_t e = 0; e < block.size(); ++e) {
+        const std::uint64_t g = FineIndexOf(block[e], fine_step, max_fine);
+        if (sparse) {
+          events.push_back({g, static_cast<std::uint32_t>(lo + e / k)});
+        } else {
+          fine[lo * k + e] = static_cast<std::uint32_t>(g);
+        }
       }
     }
-  });
+  }
+  if (!sparse) return EventBuckets::FromFineRows(fine, k, fine_domain);
+  std::sort(events.begin(), events.end(),
+            [](const Event& a, const Event& b) { return a.index < b.index; });
+  return EventBuckets::FromSorted(events);
 }
 
 // The all-pairs profile over `view` with per-row multiplicities (all 1 for
@@ -455,28 +480,12 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
     return Status::InvalidArgument("RadiusProfile: domain dimension mismatch");
   }
 
-  RadiusProfile profile;
-  profile.solution_grid_ = domain.RadiusGridSize();
-  const std::uint64_t fine_domain = 2 * (profile.solution_grid_ - 1) + 1;
-  const double fine_step =
-      domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
-  const std::uint64_t max_fine = fine_domain - 1;
-
-  if (index == ProfileIndex::kExact) {
-    const std::vector<std::uint64_t> unit(n, 1);
-    profile.fine_l_ = ExactProfile(s, unit, t, fine_step, fine_domain, pool);
-    return profile;
-  }
-  const std::size_t k = t - 1;  // t = 1: every increment saturates.
-  std::vector<double> knn(n * k);
-  if (k > 0) {
-    DPC_ASSIGN_OR_RETURN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
-    grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
-  }
-  profile.fine_l_ = SweepEvents(
-      EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain), n, t,
-      fine_domain);
-  return profile;
+  // One implementation serves both entry points: s goes behind a throwaway
+  // index (an O(n d) copy next to the ~O(n t) profile), whose memo dies
+  // with it.
+  DPC_ASSIGN_OR_RETURN(IndexedDataset indexed,
+                       IndexedDataset::Create(s, domain));
+  return Build(indexed, t, max_points, pool, index);
 }
 
 Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
@@ -510,7 +519,6 @@ Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
   const std::uint64_t fine_domain = 2 * (profile.solution_grid_ - 1) + 1;
   const double fine_step =
       domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
-  const std::uint64_t max_fine = fine_domain - 1;
 
   if (index.weighted() || profile_index == ProfileIndex::kExact) {
     // Weighted rows always take the exact all-pairs generator: the coreset
@@ -526,15 +534,28 @@ Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
     return profile;
   }
 
+  // The full row set's profile at t is memoized on the dataset: a hit is the
+  // very StepFunction an earlier cold build produced. The validation above
+  // runs first, so a hit never masks a refusal.
+  if (const IndexedDataset::ProfileBreakpoints* memo = index.LookupProfile(t)) {
+    profile.fine_l_ =
+        StepFunction::FromBreakpoints(fine_domain, memo->starts, memo->values);
+    return profile;
+  }
+
   // Event centers are active *ranks* (positions in the ascending active-id
   // list), which is exactly the row numbering of ActiveView() — so the
   // events are the ones a subset rebuild would emit.
   const std::size_t k = t - 1;
-  std::vector<double> knn(n * k);
-  if (k > 0) index.BatchKnn(k, knn, pool, /*sorted=*/false);
-  profile.fine_l_ = SweepEvents(
-      EventsFromKnnRows(knn, n, k, fine_step, max_fine, fine_domain), n, t,
-      fine_domain);
+  const std::span<const std::uint32_t> active_ids = index.ActiveIds();
+  const EventBuckets events = KnnEventBuckets(
+      n, k, fine_step, fine_domain,
+      [&](std::size_t lo, std::size_t hi, std::span<double> out) {
+        index.EnsureGrid(k).BatchKnnDistancesFor(
+            active_ids.subspan(lo, hi - lo), k, out, pool, /*sorted=*/false);
+      });
+  profile.fine_l_ = SweepEvents(events, n, t, fine_domain);
+  index.StoreProfile(t, profile.fine_l_.starts(), profile.fine_l_.values());
   return profile;
 }
 

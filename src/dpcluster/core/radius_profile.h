@@ -14,7 +14,9 @@
 //
 //  * kGrid   — only each point's t-1 nearest neighbors, found through a
 //    geo/SpatialGrid index in ~O(n t) work at low dimension, grouped by fine
-//    index with one counting sort over 4-byte center ids. This is lossless
+//    index with one counting sort over 4-byte center ids. The distance rows
+//    are computed one block of rows at a time and kept only as 4-byte fine
+//    indices, so a build holds ~8 n t bytes of events. This is lossless
 //    pruning, not an approximation: every per-center count is capped at t, so
 //    a center's increments beyond its t-1 nearest neighbors are no-ops in the
 //    exact sweep (the t-1 smallest distances are exactly the effective
@@ -82,7 +84,12 @@ class RadiusProfile {
   /// but the kGrid event generator queries the dataset's cached
   /// (deletion-pruned) spatial index instead of indexing the subset from
   /// scratch, which is what amortizes KCluster's per-round profile cost.
-  /// The kExact generator sweeps the active pairs directly.
+  /// When every row is active, the kGrid profile is memoized on the dataset
+  /// per t (IndexedDataset::LookupProfile), so a repeat build over a
+  /// resident index copies the earlier result instead of rerunning the t-NN
+  /// pass; validation and the max_points check run first either way. The
+  /// kExact generator sweeps the active pairs directly and never reads the
+  /// memo, nor does a weighted dataset.
   static Result<RadiusProfile> Build(const IndexedDataset& index,
                                      std::size_t t, std::size_t max_points,
                                      ThreadPool* pool = nullptr,

@@ -135,6 +135,7 @@ Result<std::size_t> IndexedDataset::Insert(std::span<const double> point,
   // The new id is the maximum, so a clean ascending cache stays ascending.
   if (!active_ids_dirty_) active_ids_.push_back(static_cast<std::uint32_t>(id));
   if (grid_.has_value()) grid_->Append(points_.Data());
+  profile_memo_.clear();  // The full row set gained a row.
   return id;
 }
 
@@ -165,6 +166,7 @@ std::vector<std::uint32_t> IndexedDataset::Compact() {
   active_ids_dirty_ = false;
   snapshot_epoch_ = NextSnapshotEpoch();  // Old snapshots no longer apply.
   grid_.reset();
+  profile_memo_.clear();  // The full row set lost its removed rows.
   return old_ids;
 }
 
@@ -238,6 +240,41 @@ const SpatialGrid& IndexedDataset::EnsureGrid(
     if (active_count_ < points_.size()) grid_->ResetActive(active_);
   }
   return *grid_;
+}
+
+const IndexedDataset::ProfileBreakpoints* IndexedDataset::LookupProfile(
+    std::size_t t) const {
+  if (!weighted() && active_count_ == points_.size()) {
+    for (std::size_t slot = 0; slot < profile_memo_.size(); ++slot) {
+      if (profile_memo_[slot].first != t) continue;
+      // Most recently used first: rotate the hit to the front.
+      std::rotate(profile_memo_.begin(),
+                  profile_memo_.begin() + static_cast<std::ptrdiff_t>(slot),
+                  profile_memo_.begin() + static_cast<std::ptrdiff_t>(slot) +
+                      1);
+      ++profile_memo_counts_.hits;
+      return &profile_memo_.front().second;
+    }
+  }
+  ++profile_memo_counts_.misses;
+  return nullptr;
+}
+
+void IndexedDataset::StoreProfile(std::size_t t,
+                                  std::span<const std::uint64_t> starts,
+                                  std::span<const double> values) const {
+  if (weighted() || active_count_ != points_.size()) return;
+  std::erase_if(profile_memo_,
+                [t](const auto& entry) { return entry.first == t; });
+  if (profile_memo_.size() >= kProfileMemoCapacity) profile_memo_.pop_back();
+  profile_memo_.emplace(
+      profile_memo_.begin(), t,
+      ProfileBreakpoints{{starts.begin(), starts.end()},
+                         {values.begin(), values.end()}});
+}
+
+IndexedDataset::ProfileMemoCounts IndexedDataset::TakeProfileMemoCounts() {
+  return std::exchange(profile_memo_counts_, ProfileMemoCounts{});
 }
 
 void IndexedDataset::BatchKnn(std::size_t k, std::span<double> out,

@@ -13,6 +13,9 @@
 //    instead of an n x n distance matrix.
 //  * Solver::RunAll batches attach one shared index to many requests over
 //    the same dataset (api/request.h).
+//  * RadiusProfile::Build memoizes the profile of the full row set per t
+//    (LookupProfile / StoreProfile), so repeat solves over a resident index
+//    skip the t-NN pass and the sweep altogether.
 //
 // Exactness contract: every query answers over exactly the active points and
 // is bit-identical to rebuilding a fresh index over ActiveView() — deletion
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "dpcluster/common/status.h"
@@ -189,6 +193,40 @@ class IndexedDataset {
   /// True if the grid has been built (diagnostics / tests).
   bool grid_built() const { return grid_.has_value(); }
 
+  /// Breakpoints of one memoized radius profile: core/RadiusProfile's
+  /// StepFunction as plain vectors, so geo/ needs no core/ or dp/ include.
+  struct ProfileBreakpoints {
+    std::vector<std::uint64_t> starts;
+    std::vector<double> values;
+  };
+  /// Profile builds served from the memo and builds that ran cold since the
+  /// last TakeProfileMemoCounts (the index cache folds them into its stats).
+  struct ProfileMemoCounts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  /// Profiles kept, most recently used first; one is ~1-2k pieces.
+  static constexpr std::size_t kProfileMemoCapacity = 4;
+
+  /// The memo of RadiusProfile::Build's default (kGrid) profile of the FULL
+  /// row set at `t`. L(r, S) is a deterministic function of (S, t) — privacy
+  /// comes only from the noise applied to it afterwards — so a memoized
+  /// profile releases exactly the bytes a cold build would. Returns null and
+  /// counts a miss when some row is inactive (the profile would describe a
+  /// subset) or t is not memoized; counts a hit otherwise. Weighted datasets
+  /// never memoize (their profile takes the exact weighted sweep).
+  const ProfileBreakpoints* LookupProfile(std::size_t t) const;
+  /// Memoizes the breakpoints (`starts`, `values`) as the full-row-set
+  /// profile at `t`, evicting the least recently used entry beyond
+  /// kProfileMemoCapacity. Ignored unless every row is active. Insert and
+  /// Compact clear the memo (the rows change); Remove/Restore only gate
+  /// lookups, since restoring the full active set restores exactly the rows
+  /// the memo describes.
+  void StoreProfile(std::size_t t, std::span<const std::uint64_t> starts,
+                    std::span<const double> values) const;
+  /// Returns and zeroes the memo's hit/miss counters.
+  ProfileMemoCounts TakeProfileMemoCounts();
+
  private:
   IndexedDataset(PointSet points, GridDomain domain,
                  std::vector<std::uint64_t> weights = {});
@@ -213,6 +251,11 @@ class IndexedDataset {
   mutable bool active_ids_dirty_ = false;
   mutable std::optional<SpatialGrid> grid_;  // lazy; kept in sync with active_
   std::uint64_t snapshot_epoch_ = 0;  // fresh per dataset; bumped by Compact
+  // Full-row-set radius profiles by t, most recently used first (see
+  // LookupProfile); cleared by Insert and Compact.
+  mutable std::vector<std::pair<std::size_t, ProfileBreakpoints>>
+      profile_memo_;
+  mutable ProfileMemoCounts profile_memo_counts_;
 };
 
 /// Order-sensitive 64-bit FNV-1a fingerprint of a dataset and its universe

@@ -567,36 +567,6 @@ void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
   }
 }
 
-void SpatialGrid::BatchKnnDistances(std::size_t k, std::span<double> out,
-                                    ThreadPool* pool, bool sorted) const {
-  DPC_CHECK_EQ(live_, n_);
-  DPC_CHECK_LE(k, n_ - 1);
-  DPC_CHECK_EQ(out.size(), n_ * k);
-  if (k == 0) return;
-  constexpr std::size_t kQueryGrain = 16;
-  const bool dense = cells_per_axis_ == 1;
-  ParallelForChunks(
-      pool, 0, n_, kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Workspace scratch;
-        if (dense) {
-          std::vector<std::uint32_t> ids(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            ids[i - lo] = static_cast<std::uint32_t>(i);
-          }
-          DenseKnnChunk(ids.data(), ids.size(), k, out.data() + lo * k, sorted,
-                        scratch);
-          return;
-        }
-        std::vector<double> row;
-        for (std::size_t i = lo; i < hi; ++i) {
-          KnnDistances(i, k, scratch, row, sorted);
-          std::copy(row.begin(), row.end(), out.begin() + i * k);
-        }
-      },
-      kAlwaysParallel);
-}
-
 void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
                                        std::size_t k, std::span<double> out,
                                        ThreadPool* pool, bool sorted) const {

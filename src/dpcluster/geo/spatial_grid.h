@@ -38,7 +38,7 @@
 // Determinism: queries return the sorted k smallest distance values, which
 // are independent of cell-enumeration order, of tie-breaking among
 // equidistant neighbors, and of the intra-cell permutation left behind by
-// swap-removal. BatchKnnDistances writes each query's row into a
+// swap-removal. BatchKnnDistancesFor writes each query's row into a
 // caller-owned slice through ParallelForChunks, so the batch is bit-identical
 // at any thread count.
 
@@ -129,18 +129,11 @@ class SpatialGrid {
   void KnnDistances(std::size_t query, std::size_t k, Workspace& scratch,
                     std::vector<double>& out, bool sorted = true) const;
 
-  /// All n queries at once: row i of `out` (row stride `k`) receives
-  /// KnnDistances(i, k, sorted) — callers pass k <= n-1. out.size() must be
-  /// n * k. Only valid while no point has been removed (every index is
-  /// queried). Rows are chunk-owned, so the result is bit-identical at any
-  /// thread count.
-  void BatchKnnDistances(std::size_t k, std::span<double> out,
-                         ThreadPool* pool, bool sorted = true) const;
-
   /// Batched k-NN for an explicit query list (every id must be live): row r
   /// of `out` (row stride `k`) receives KnnDistances(queries[r], k, sorted);
   /// callers pass k <= live_size()-1 and out.size() == queries.size() * k.
-  /// Bit-identical at any thread count.
+  /// Rows are chunk-owned, so the result is bit-identical at any thread
+  /// count.
   void BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
                             std::size_t k, std::span<double> out,
                             ThreadPool* pool, bool sorted = true) const;

@@ -134,6 +134,11 @@ void IndexCache::ReleaseEntry(const IndexedDataset* index) {
   for (Entry& entry : entries_) {
     if (entry.index.get() == index || entry.coreset_index.get() == index) {
       DPC_CHECK(entry.leased);
+      const IndexedDataset::ProfileMemoCounts memo =
+          (entry.index.get() == index ? entry.index : entry.coreset_index)
+              ->TakeProfileMemoCounts();
+      stats_.profile_hits += memo.hits;
+      stats_.profile_misses += memo.misses;
       // Hand the dataset back in its committed state, whatever the
       // borrower's algorithm removed. For a stream's raw index that is the
       // post-mutation live set — RestoreAll would resurrect expired rows.

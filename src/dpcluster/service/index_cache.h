@@ -2,8 +2,9 @@
 //
 // Clients name their dataset with a string key ("dataset" in the wire
 // request); the cache maps that key to one IndexedDataset whose SpatialGrid
-// and JL projection cache survive across requests, so repeated solves over
-// the same data stop paying the index build. Because the client key is
+// and radius-profile memo (geo/dataset.h) survive across requests, so
+// repeated solves over the same data stop paying the index build and, at a
+// t already seen on the full row set, the L(r, S) profile build. Because the client key is
 // *claimed*, not proven, every hit is verified against GeometryFingerprint
 // (geo/dataset.h): a key reused for different bytes replaces the entry
 // instead of silently serving the wrong geometry.
@@ -27,7 +28,9 @@
 //
 // Eviction: least-recently-used among entries not currently leased, only
 // when inserting above capacity. Stats() exposes hit/miss/replace/evict/
-// bypass counters for /v1/stats and the cache tests.
+// bypass counters for /v1/stats and the cache tests, plus the profile memo's
+// hit/miss counts, folded in under the cache mutex when a lease returns so
+// no counter is read while a solve holds the index.
 //
 // Coreset: when Acquire is passed enabled CoresetOptions (and the dataset
 // clears min_points), the entry lazily builds and caches a weighted
@@ -99,6 +102,10 @@ class IndexCache {
     std::uint64_t bypasses = 0;   ///< Served index-free (entry busy / full
                                   ///< of leased entries / build failure).
     std::uint64_t entries = 0;    ///< Current resident indexes.
+    /// Radius-profile builds over leased indexes served from the memo, and
+    /// those that ran cold (a subset, a new t, or fresh rows).
+    std::uint64_t profile_hits = 0;
+    std::uint64_t profile_misses = 0;
   };
 
   /// Post-call state of one streaming dataset (the /v1/stream/* reply body).
@@ -188,9 +195,9 @@ class IndexCache {
   Lease LeaseEntry(Entry& entry, const PointSet& points,
                    const GridDomain& domain, const CoresetOptions& coreset);
 
-  /// Marks the entry holding `index` not-leased and restores the dataset the
-  /// borrower edited: committed live set for streams, full active set
-  /// otherwise. Entries can shift position while a lease is out (a lower
+  /// Marks the entry holding `index` not-leased, folds its profile-memo
+  /// counts into the stats, and restores the dataset the borrower edited:
+  /// committed live set for streams, full active set otherwise. Entries can shift position while a lease is out (a lower
   /// slot may be evicted), so the entry is found by pointer identity —
   /// leased entries are never evicted.
   void ReleaseEntry(const IndexedDataset* index);

@@ -203,6 +203,8 @@ ServiceReply ClusterService::StatsReply() const {
   cache_json.Set("evictions", JsonValue::Number(cache.evictions));
   cache_json.Set("bypasses", JsonValue::Number(cache.bypasses));
   cache_json.Set("entries", JsonValue::Number(cache.entries));
+  cache_json.Set("profile_hits", JsonValue::Number(cache.profile_hits));
+  cache_json.Set("profile_misses", JsonValue::Number(cache.profile_misses));
   reply.Set("index_cache", std::move(cache_json));
   JsonValue tenants = JsonValue::Array();
   {
@@ -288,7 +290,9 @@ ServiceReply ClusterService::Solve(std::string_view body) {
     return Error(ServiceErrorCode::kInvalidRequest, status.message());
   }
   if (Status status = (*algorithm)->ValidateRequest(request); !status.ok()) {
-    return Error(ServiceErrorCode::kInvalidRequest, status.message());
+    // A shape-only resource refusal (n over the radius profile's cap) keeps
+    // its 422 ResourceLimit code; either way nothing has been charged.
+    return Error(ServiceErrorFromStatus(status), status.message());
   }
 
   // Phase 3 — admission. Under the ledger mutex: charge the FULL requested

@@ -132,7 +132,7 @@ TEST(IndexedDatasetTest, KnnAfterRemovalMatchesFreshRebuild) {
                            SpatialGrid::Build(view, index.domain(), k));
       std::vector<double> got(m * k);
       std::vector<double> want(m * k);
-      fresh.BatchKnnDistances(k, want, nullptr, /*sorted=*/true);
+      fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
       for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         ThreadPool pool(threads);
         index.BatchKnn(k, got, &pool, /*sorted=*/true);
@@ -295,7 +295,7 @@ TEST(IndexedDatasetTest, InsertMatchesFreshRebuild) {
       ASSERT_OK_AND_ASSIGN(SpatialGrid fresh,
                            SpatialGrid::Build(view, domain, k));
       std::vector<double> want(m * k);
-      fresh.BatchKnnDistances(k, want, nullptr, /*sorted=*/true);
+      fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
       std::vector<double> got(m * k);
       for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         ThreadPool pool(threads);
@@ -366,7 +366,7 @@ TEST(IndexedDatasetTest, CompactRenumbersActiveRows) {
   index.BatchKnn(3, got, nullptr);
   ASSERT_OK_AND_ASSIGN(SpatialGrid fresh, SpatialGrid::Build(before,
                                                              index.domain(), 3));
-  fresh.BatchKnnDistances(3, want, nullptr, /*sorted=*/true);
+  fresh.BatchKnnDistancesFor(testing_util::AllIds(m), 3, want, nullptr, /*sorted=*/true);
   EXPECT_EQ(got, want);
   // Snapshots from before the renumbering no longer apply.
   EXPECT_FALSE(index.Restore(stale).ok());

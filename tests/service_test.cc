@@ -20,6 +20,7 @@
 
 #include "dpcluster/api/algorithm.h"
 #include "dpcluster/api/registry.h"
+#include "dpcluster/core/good_radius.h"
 #include "dpcluster/parallel/bounded_queue.h"
 #include "dpcluster/random/rng.h"
 #include "dpcluster/service/http_client.h"
@@ -427,6 +428,156 @@ TEST(ServiceStreamTest, MissingStreamsAreStructured404s) {
                                 R"({"dataset": "ghost", "count": 1})"));
   expect_unknown(service.Handle("POST", "/v1/stream/append",
                                 AppendBody("ghost", SmallWorkload().points)));
+}
+
+// --- Radius-profile memo and shape-only refusals ---------------------------
+
+/// The released bytes of a 200 reply's "response": everything but wall_ms.
+std::string ReleasedBytes(const ServiceReply& reply) {
+  JsonValue response = *MustParse(reply.body).Find("response");
+  response.Set("wall_ms", JsonValue::Number(0));
+  return response.Encode();
+}
+
+TEST(ServiceProfileMemoTest, RepeatSolvesReleaseColdBytesAndCountMemoHits) {
+  // Repeat one_cluster solves and interleaved k_cluster solves over one
+  // resident key: every reply must carry the bytes a cold service releases
+  // for the same body, while the memoized full-set profile serves the
+  // repeats.
+  ClusterService warm(UnmeteredOptions());
+  const ClusterWorkload workload = SmallWorkload();
+  std::vector<std::string> bodies;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    WireRequest wire;
+    wire.dataset = "memo/data";
+    wire.seed = seed;
+    wire.request.algorithm = seed % 2 == 0 ? "k_cluster" : "one_cluster";
+    wire.request.data = workload.points;
+    wire.request.domain = workload.domain;
+    wire.request.t = workload.t;
+    wire.request.k = 2;
+    wire.request.budget = {16.0, 1e-9};
+    bodies.push_back(WireRequestToJson(wire).Encode());
+  }
+  for (const std::string& body : bodies) {
+    const ServiceReply reply = warm.Handle("POST", "/v1/solve", body);
+    ASSERT_EQ(reply.http_status, 200) << reply.body;
+    EXPECT_TRUE(MustParse(reply.body).Find("indexed")->AsBool());
+    ClusterService cold(UnmeteredOptions());
+    const ServiceReply reference = cold.Handle("POST", "/v1/solve", body);
+    ASSERT_EQ(reference.http_status, 200) << reference.body;
+    EXPECT_EQ(ReleasedBytes(reply), ReleasedBytes(reference));
+    const JsonValue balls = *MustParse(reply.body).Find("response")->Find(
+        "balls");
+    if (body.find("k_cluster") != std::string::npos) {
+      ASSERT_EQ(balls.items().size(), 2u) << "both rounds must release";
+    }
+  }
+  // one_cluster builds the profile once, k_cluster once per round (round 0
+  // on the full set, round 1 on what round 0 left): the first solve misses,
+  // every later full-set build hits, and round 1 always runs cold.
+  const IndexCache::Stats stats = warm.CacheStats();
+  EXPECT_EQ(stats.profile_hits, 3u);
+  EXPECT_EQ(stats.profile_misses, 3u);
+  const JsonValue cache =
+      *MustParse(warm.Handle("GET", "/v1/stats", "").body).Find("index_cache");
+  EXPECT_EQ(U64(cache, "profile_hits"), 3u);
+  EXPECT_EQ(U64(cache, "profile_misses"), 3u);
+}
+
+/// n points of a planted 2-d cluster at daemon-default caps: t = 256 keeps
+/// the n = 4096 solves cheap.
+ClusterWorkload ProfileCapWorkload(std::size_t n) {
+  Rng rng(29);
+  PlantedClusterSpec spec;
+  spec.n = n;
+  spec.t = 256;
+  spec.dim = 2;
+  spec.levels = 1u << 10;
+  spec.cluster_radius = 0.02;
+  return MakePlantedCluster(rng, spec);
+}
+
+/// The first `n` rows of `workload`.
+ClusterWorkload FirstRows(const ClusterWorkload& workload, std::size_t n) {
+  ClusterWorkload prefix = workload;
+  std::vector<std::size_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+  prefix.points = workload.points.Subset(rows);
+  return prefix;
+}
+
+TEST(ServiceRefusalTest, OverProfileCapSolveIsRefusedUncharged) {
+  // At daemon defaults the radius profile caps n at 4096 rows. A request
+  // over the cap is refused with 422 ResourceLimit before admission, so the
+  // ledger is untouched; one_cluster used to be charged for its 422, and
+  // k_cluster answered 200 with no balls and the whole budget spent.
+  const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
+  ASSERT_EQ(cap, 4096u);
+  ClusterService service(UnmeteredOptions());
+  const ClusterWorkload over = ProfileCapWorkload(cap + 1);
+  const ClusterWorkload at = FirstRows(over, cap);
+  for (const char* algorithm : {"one_cluster", "k_cluster"}) {
+    const std::string dataset = std::string("cap/") + algorithm;
+    WireRequest wire;
+    wire.dataset = dataset;
+    wire.request.algorithm = algorithm;
+    wire.request.domain = at.domain;
+    wire.request.t = at.t;
+    wire.request.k = 1;
+    wire.request.budget = {8.0, 1e-9};
+    wire.request.data = at.points;
+    const ServiceReply fits =
+        service.Handle("POST", "/v1/solve", WireRequestToJson(wire).Encode());
+    ASSERT_EQ(fits.http_status, 200) << algorithm << " " << fits.body;
+    const PrivacyParams spent = service.SpentBy("public", dataset);
+    EXPECT_DOUBLE_EQ(spent.epsilon, 8.0) << algorithm;
+
+    wire.request.data = over.points;
+    const ServiceReply refused =
+        service.Handle("POST", "/v1/solve", WireRequestToJson(wire).Encode());
+    EXPECT_EQ(refused.http_status, 422) << algorithm << " " << refused.body;
+    const JsonValue body = MustParse(refused.body);
+    ASSERT_NE(body.Find("error"), nullptr) << algorithm << " " << refused.body;
+    EXPECT_EQ(body.Find("error")->Find("code")->AsString(), "ResourceLimit")
+        << algorithm;
+    EXPECT_EQ(service.SpentBy("public", dataset).epsilon, spent.epsilon)
+        << algorithm;
+  }
+}
+
+TEST(ServiceRefusalTest, OverProfileCapStreamSolveIsRefusedUncharged) {
+  // A stream solve over 4096 live rows answers; one more row is refused
+  // uncharged the same way.
+  const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
+  ClusterService service(UnmeteredOptions());
+  const ClusterWorkload over = ProfileCapWorkload(cap + 1);
+  const ClusterWorkload at = FirstRows(over, cap);
+  ASSERT_EQ(service
+                .Handle("POST", "/v1/stream/append",
+                        AppendBody("cap/stream", at.points, at.domain.levels(),
+                                   at.domain.axis_length()))
+                .http_status,
+            200);
+  const std::string solve =
+      StreamSolveBody("one_cluster", "cap/stream", at.t);
+  const ServiceReply fits = service.Handle("POST", "/v1/solve", solve);
+  ASSERT_EQ(fits.http_status, 200) << fits.body;
+  const PrivacyParams spent = service.SpentBy("public", "cap/stream");
+  EXPECT_DOUBLE_EQ(spent.epsilon, 8.0);
+  PointSet extra(2);
+  extra.Add(over.points[cap]);
+  ASSERT_EQ(service
+                .Handle("POST", "/v1/stream/append",
+                        AppendBody("cap/stream", extra))
+                .http_status,
+            200);
+  const ServiceReply refused = service.Handle("POST", "/v1/solve", solve);
+  EXPECT_EQ(refused.http_status, 422) << refused.body;
+  const JsonValue body = MustParse(refused.body);
+  ASSERT_NE(body.Find("error"), nullptr) << refused.body;
+  EXPECT_EQ(body.Find("error")->Find("code")->AsString(), "ResourceLimit");
+  EXPECT_EQ(service.SpentBy("public", "cap/stream").epsilon, spent.epsilon);
 }
 
 // --- Live HTTP server -----------------------------------------------------

@@ -117,9 +117,10 @@ TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
   // thread count, and for explicit query lists after a removal.
   SpatialGrid::Workspace ws;
   std::vector<double> row;
+  const std::vector<std::uint32_t> all = testing_util::AllIds(s.size());
   for (const bool sorted : {true, false}) {
     std::vector<double> batch(s.size() * k);
-    grid.BatchKnnDistances(k, batch, nullptr, sorted);
+    grid.BatchKnnDistancesFor(all, k, batch, nullptr, sorted);
     for (std::size_t i = 0; i < s.size(); ++i) {
       grid.KnnDistances(i, k, ws, row, sorted);
       for (std::size_t j = 0; j < k; ++j) {
@@ -129,7 +130,7 @@ TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
     }
     ThreadPool pool(4);
     std::vector<double> parallel(s.size() * k);
-    grid.BatchKnnDistances(k, parallel, &pool, sorted);
+    grid.BatchKnnDistancesFor(all, k, parallel, &pool, sorted);
     EXPECT_EQ(batch, parallel) << "sorted=" << sorted;
   }
 
@@ -195,8 +196,9 @@ TEST(SpatialGridTest, BatchBitIdenticalAcrossThreadCounts) {
   domain.SnapAll(s);
   const std::size_t k = 31;
   ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+  const std::vector<std::uint32_t> all = testing_util::AllIds(s.size());
   std::vector<double> serial(s.size() * k);
-  grid.BatchKnnDistances(k, serial, nullptr);
+  grid.BatchKnnDistancesFor(all, k, serial, nullptr);
 
   // The batch must equal the per-query path and be independent of threads.
   SpatialGrid::Workspace ws;
@@ -210,7 +212,7 @@ TEST(SpatialGridTest, BatchBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     std::vector<double> parallel(s.size() * k);
-    grid.BatchKnnDistances(k, parallel, &pool);
+    grid.BatchKnnDistancesFor(all, k, parallel, &pool);
     EXPECT_EQ(serial, parallel) << "threads=" << threads;
   }
 }

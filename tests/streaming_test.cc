@@ -80,7 +80,7 @@ TEST_P(EveryFamilyStreamingTest, ChurnMatchesFreshRebuild) {
   ASSERT_OK_AND_ASSIGN(SpatialGrid fresh,
                        SpatialGrid::Build(view, instance.domain, k));
   std::vector<double> want(m * k);
-  fresh.BatchKnnDistances(k, want, nullptr, /*sorted=*/true);
+  fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
   std::vector<double> got(m * k);
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {

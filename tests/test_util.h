@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "dpcluster/common/status.h"
@@ -40,6 +41,13 @@ inline PointSet UniformCube(Rng& rng, std::size_t n, std::size_t dim) {
     s.Add(p);
   }
   return s;
+}
+
+/// The ids 0..n-1: the query list that batches a k-NN query over every row.
+inline std::vector<std::uint32_t> AllIds(std::size_t n) {
+  std::vector<std::uint32_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
+  return ids;
 }
 
 /// Sample mean of a scalar callback over `trials` evaluations.
