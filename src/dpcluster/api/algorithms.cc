@@ -262,7 +262,14 @@ class InteriorPointAlgorithm : public Algorithm {
   }
   Status ValidateRequest(const Request& request) const override {
     DPC_RETURN_IF_ERROR(RequireDomain(request));
-    return Require1D(request);
+    DPC_RETURN_IF_ERROR(Require1D(request));
+    if (request.data.size() < kInteriorPointMinPoints) {
+      return Status::InvalidArgument(
+          "Request: interior_point needs at least " +
+          std::to_string(kInteriorPointMinPoints) + " points; got n=" +
+          std::to_string(request.data.size()));
+    }
+    return Status::OK();
   }
   Result<Response> Run(Rng& rng, const Request& request,
                        BudgetSession& session) const override {
@@ -349,7 +356,8 @@ class ExpMechBaselineAlgorithm : public Algorithm {
   }
   Status ValidateRequest(const Request& request) const override {
     DPC_RETURN_IF_ERROR(RequireDomain(request));
-    return RequireT(request);
+    DPC_RETURN_IF_ERROR(RequireT(request));
+    return CheckGridCenters(*request.domain, request.tuning.max_grid_centers);
   }
   Result<Response> Run(Rng& rng, const Request& request,
                        BudgetSession& session) const override {

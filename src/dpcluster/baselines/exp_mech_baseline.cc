@@ -44,6 +44,21 @@ Status ExpMechBaselineOptions::Validate() const {
   return Status::OK();
 }
 
+Status CheckGridCenters(const GridDomain& domain,
+                        std::size_t max_grid_centers) {
+  double total = 1.0;
+  for (std::size_t i = 0; i < domain.dim(); ++i) {
+    total *= static_cast<double>(domain.levels());
+  }
+  if (total > static_cast<double>(max_grid_centers)) {
+    return Status::ResourceExhausted(
+        "ExpMechBaseline: |X|^d = " + std::to_string(total) +
+        " grid centers exceed the cap — this is the poly(|X|^d) cost Table 1 "
+        "charges this baseline");
+  }
+  return Status::OK();
+}
+
 Result<Ball> ExpMechBaseline(Rng& rng, const PointSet& s, std::size_t t,
                              const GridDomain& domain,
                              const ExpMechBaselineOptions& options) {
@@ -55,16 +70,7 @@ Result<Ball> ExpMechBaseline(Rng& rng, const PointSet& s, std::size_t t,
   if (s.dim() != domain.dim()) {
     return Status::InvalidArgument("ExpMechBaseline: domain dimension mismatch");
   }
-  double total = 1.0;
-  for (std::size_t i = 0; i < domain.dim(); ++i) {
-    total *= static_cast<double>(domain.levels());
-  }
-  if (total > static_cast<double>(options.max_grid_centers)) {
-    return Status::ResourceExhausted(
-        "ExpMechBaseline: |X|^d = " + std::to_string(total) +
-        " grid centers exceed the cap — this is the poly(|X|^d) cost Table 1 "
-        "charges this baseline");
-  }
+  DPC_RETURN_IF_ERROR(CheckGridCenters(domain, options.max_grid_centers));
 
   const PointSet centers = EnumerateGridCenters(domain);
   const double eps = options.params.epsilon;

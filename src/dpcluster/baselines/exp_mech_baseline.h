@@ -30,6 +30,11 @@ struct ExpMechBaselineOptions {
   Status Validate() const;
 };
 
+/// ResourceExhausted when the grid has more than `max_grid_centers` centers
+/// (|X|^d) — a refusal that depends only on the domain, so callers can make
+/// it before spending any budget.
+Status CheckGridCenters(const GridDomain& domain, std::size_t max_grid_centers);
+
 /// Runs the baseline; (eps, 0)-DP overall.
 Result<Ball> ExpMechBaseline(Rng& rng, const PointSet& s, std::size_t t,
                              const GridDomain& domain,

@@ -26,7 +26,7 @@ Result<InteriorPointResult> InteriorPoint(Rng& rng, std::span<const double> data
     return Status::InvalidArgument("InteriorPoint: domain must be 1-dimensional");
   }
   const std::size_t m = data.size();
-  if (m < 4) {
+  if (m < kInteriorPointMinPoints) {
     return Status::InvalidArgument("InteriorPoint: need at least 4 points");
   }
 

@@ -20,6 +20,9 @@
 
 namespace dpcluster {
 
+/// Fewest points InteriorPoint accepts.
+inline constexpr std::size_t kInteriorPointMinPoints = 4;
+
 struct InteriorPointOptions {
   /// Budget of EACH of the two components; the whole call is (2 eps, 2 delta)-DP
   /// exactly as Theorem 5.3 states.

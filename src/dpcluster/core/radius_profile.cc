@@ -162,27 +162,40 @@ struct WeightedEvent {
 // without ever materializing (index, center) records.
 class EventBuckets {
  public:
-  /// Groups n rows of k fine indices (row r = center r, every index <
-  /// fine_domain) with one counting sort; centers keep row order within a
-  /// bucket.
-  static EventBuckets FromFineRows(std::span<const std::uint32_t> fine,
-                                   std::size_t k, std::uint64_t fine_domain) {
+  /// One block of consecutive centers' variable-length event rows: center
+  /// first_row + r emits fine[offsets[r], offsets[r + 1]).
+  struct FineBlock {
+    std::size_t first_row = 0;
+    std::vector<std::size_t> offsets;
+    std::vector<std::uint32_t> fine;
+  };
+
+  /// Groups the blocks' fine indices (every index < fine_domain) with one
+  /// counting sort; centers keep row order within a bucket.
+  static EventBuckets FromFineBlocks(std::span<const FineBlock> blocks,
+                                     std::uint64_t fine_domain) {
     EventBuckets buckets;
     std::vector<std::size_t>& offsets = buckets.offsets_;
     offsets.assign(fine_domain + 1, 0);
-    for (const std::uint32_t g : fine) ++offsets[g + 1];
+    std::size_t total = 0;
+    for (const FineBlock& block : blocks) {
+      for (const std::uint32_t g : block.fine) ++offsets[g + 1];
+      total += block.fine.size();
+    }
     for (std::uint64_t g = 0; g < fine_domain; ++g) {
       offsets[g + 1] += offsets[g];
     }
-    DPC_CHECK_EQ(offsets[fine_domain], fine.size());
-    buckets.centers_.resize(fine.size());
+    DPC_CHECK_EQ(offsets[fine_domain], total);
+    buckets.centers_.resize(total);
     // Scatter with offsets[g] as bucket g's cursor; it ends at bucket g+1's
     // start, so one shift restores the starts.
-    const std::size_t n = k == 0 ? 0 : fine.size() / k;
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t j = 0; j < k; ++j) {
-        buckets.centers_[offsets[fine[r * k + j]]++] =
-            static_cast<std::uint32_t>(r);
+    for (const FineBlock& block : blocks) {
+      for (std::size_t r = 0; r + 1 < block.offsets.size(); ++r) {
+        const auto center = static_cast<std::uint32_t>(block.first_row + r);
+        for (std::size_t e = block.offsets[r]; e < block.offsets[r + 1];
+             ++e) {
+          buckets.centers_[offsets[block.fine[e]]++] = center;
+        }
       }
     }
     std::copy_backward(offsets.begin(), offsets.end() - 2, offsets.end() - 1);
@@ -382,57 +395,64 @@ std::vector<WeightedEvent> BuildWeightedExactEvents(
   return events;
 }
 
-// Distance values a profile build holds at once: the t-NN rows are produced
-// and turned into fine indices one block of rows at a time, so the doubles
-// never coexist with the whole 4-byte event stream.
+// Distance values per block of t-NN superset rows, counting k per row: the
+// rows are produced and turned into fine indices one block at a time, into
+// one reused buffer of at most kMaxSupersetSlack times this many doubles, so
+// the doubles never coexist with the whole 4-byte event stream.
 constexpr std::size_t kKnnBlockDoubles = std::size_t{1} << 18;
 // ... but at least this many rows per block, so a pooled kNN pass still
 // splits into enough 16-query chunks to keep 8 workers busy.
 constexpr std::size_t kMinKnnBlockRows = 128;
 
 // The t-NN pruned event stream of n centers, grouped by fine index: center
-// r emits exactly its k = t-1 nearest-neighbor distances (any farther pair
-// is a no-op in the capped sweep — see the header). `knn_rows(lo, hi, out)`
-// writes the distance rows of centers [lo, hi) into `out` (row stride k, any
-// order within a row). The grid computes squared distances with the same
-// accumulation order as Distance(), so sqrt() reproduces the exact path's
-// event indices bit-for-bit. Grouping order never changes the sweep's
-// output, so the two groupings below are interchangeable.
+// r emits a superset of its k = t-1 nearest-neighbor distances whose extras
+// are all >= its k-th (any such pair is a no-op in the capped sweep — see
+// the header). `knn_rows(lo, hi, out)` writes the variable-length distance
+// rows of centers [lo, hi) into `out` (any order within a row). The grid
+// computes squared distances with the same accumulation order as
+// Distance(), so sqrt() reproduces the exact path's event indices
+// bit-for-bit. Grouping order never changes the sweep's output, so the two
+// groupings below are interchangeable.
 template <typename KnnRows>
-EventBuckets KnnEventBuckets(std::size_t n, std::size_t k, double fine_step,
-                             std::uint64_t fine_domain, KnnRows&& knn_rows) {
+EventBuckets KnnSupersetEventBuckets(std::size_t n, std::size_t k,
+                                     double fine_step,
+                                     std::uint64_t fine_domain,
+                                     KnnRows&& knn_rows) {
   const std::uint64_t max_fine = fine_domain - 1;
-  const std::size_t num_events = n * k;
   // Huge |X| with few events: sorting (index, center) records beats a mostly
   // empty bucket table (and fine indices may not fit in 4 bytes).
-  const bool sparse = fine_domain > 8 * num_events + 1024 ||
+  const bool sparse = fine_domain > 8 * n * k + 1024 ||
                       fine_domain > (std::uint64_t{1} << 32);
-  std::vector<std::uint32_t> fine;
+  std::vector<EventBuckets::FineBlock> blocks;
   std::vector<Event> events;
-  if (sparse) {
-    events.reserve(num_events);
-  } else {
-    fine.resize(num_events);
-  }
+  if (sparse) events.reserve(n * k);  // Rows hold k values or a few more.
   if (k > 0) {
     const std::size_t block_rows =
         std::max(kMinKnnBlockRows, kKnnBlockDoubles / k);
-    std::vector<double> block;
+    SpatialGrid::KnnRows rows;
     for (std::size_t lo = 0; lo < n; lo += block_rows) {
       const std::size_t hi = std::min(n, lo + block_rows);
-      block.resize((hi - lo) * k);
-      knn_rows(lo, hi, std::span<double>(block));
-      for (std::size_t e = 0; e < block.size(); ++e) {
-        const std::uint64_t g = FineIndexOf(block[e], fine_step, max_fine);
-        if (sparse) {
-          events.push_back({g, static_cast<std::uint32_t>(lo + e / k)});
-        } else {
-          fine[lo * k + e] = static_cast<std::uint32_t>(g);
+      knn_rows(lo, hi, rows);
+      if (sparse) {
+        for (std::size_t r = 0; r + lo < hi; ++r) {
+          for (std::size_t e = rows.offsets[r]; e < rows.offsets[r + 1]; ++e) {
+            events.push_back({FineIndexOf(rows.values[e], fine_step, max_fine),
+                              static_cast<std::uint32_t>(lo + r)});
+          }
         }
+        continue;
+      }
+      EventBuckets::FineBlock& block = blocks.emplace_back();
+      block.first_row = lo;
+      block.offsets = rows.offsets;
+      block.fine.resize(rows.values.size());  // Exact size, never regrown.
+      for (std::size_t e = 0; e < rows.values.size(); ++e) {
+        block.fine[e] = static_cast<std::uint32_t>(
+            FineIndexOf(rows.values[e], fine_step, max_fine));
       }
     }
   }
-  if (!sparse) return EventBuckets::FromFineRows(fine, k, fine_domain);
+  if (!sparse) return EventBuckets::FromFineBlocks(blocks, fine_domain);
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.index < b.index; });
   return EventBuckets::FromSorted(events);
@@ -548,11 +568,11 @@ Result<RadiusProfile> RadiusProfile::Build(const IndexedDataset& index,
   // events are the ones a subset rebuild would emit.
   const std::size_t k = t - 1;
   const std::span<const std::uint32_t> active_ids = index.ActiveIds();
-  const EventBuckets events = KnnEventBuckets(
+  const EventBuckets events = KnnSupersetEventBuckets(
       n, k, fine_step, fine_domain,
-      [&](std::size_t lo, std::size_t hi, std::span<double> out) {
-        index.EnsureGrid(k).BatchKnnDistancesFor(
-            active_ids.subspan(lo, hi - lo), k, out, pool, /*sorted=*/false);
+      [&](std::size_t lo, std::size_t hi, SpatialGrid::KnnRows& out) {
+        index.EnsureGrid(k).BatchKnnSupersetFor(
+            active_ids.subspan(lo, hi - lo), k, out, pool);
       });
   profile.fine_l_ = SweepEvents(events, n, t, fine_domain);
   index.StoreProfile(t, profile.fine_l_.starts(), profile.fine_l_.values());

@@ -12,18 +12,22 @@
 // maintains the sum of the t largest capped counts. Two event generators
 // yield the same profile:
 //
-//  * kGrid   — only each point's t-1 nearest neighbors, found through a
-//    geo/SpatialGrid index in ~O(n t) work at low dimension, grouped by fine
-//    index with one counting sort over 4-byte center ids. The distance rows
-//    are computed one block of rows at a time and kept only as 4-byte fine
-//    indices, so a build holds ~8 n t bytes of events. This is lossless
-//    pruning, not an approximation: every per-center count is capped at t, so
-//    a center's increments beyond its t-1 nearest neighbors are no-ops in the
-//    exact sweep (the t-1 smallest distances are exactly the effective
-//    events), and the tracker's state after each fine index is a function of
-//    the count histogram alone. The resulting StepFunction is therefore
-//    bit-identical to the exact sweep's — same breakpoints, same values —
-//    which determinism_test and radius_profile_test pin across all scenario
+//  * kGrid   — per point, its t-1 nearest neighbors plus possibly a few
+//    farther ones (SpatialGrid::BatchKnnSupersetFor, at most 2(t-1) per
+//    row, never closer than the (t-1)-th), found through a geo/SpatialGrid
+//    index in ~O(n t) work at low dimension with no per-point selection,
+//    and grouped by fine index with one counting sort over 4-byte center
+//    ids. The distance rows are computed one block of rows at a time and
+//    kept only as exact-size blocks of 4-byte fine indices, so a build holds
+//    ~8 bytes per event. This is lossless pruning, not an approximation:
+//    every per-center count is capped at t, so a center's increments beyond
+//    its t-1 nearest neighbors are no-ops in the exact sweep — at any fine
+//    index below the (t-1)-th neighbor's, the extras have not arrived, and
+//    from that index on the count is saturated either way — and the
+//    tracker's state after each fine index is a function of the count
+//    histogram alone. The resulting StepFunction is therefore bit-identical
+//    to the exact sweep's — same breakpoints, same values — which
+//    determinism_test and radius_profile_test pin across all scenario
 //    families and thread counts.
 //  * kExact  — all n(n-1) ordered pairs, index-sorted, through the weighted
 //    (coreset) generator and sweep with unit weights: the O(n^2 (d + log n))

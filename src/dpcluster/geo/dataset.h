@@ -7,7 +7,9 @@
 //  * KCluster peels one cluster per round and removes the covered points
 //    incrementally (Remove / RemoveWithin) — k grid builds amortize to one.
 //  * GoodRadius / RadiusProfile::Build run their t-NN pruned profile through
-//    the prebuilt index (BatchKnn) instead of indexing the round's subset.
+//    the prebuilt grid (EnsureGrid + SpatialGrid::BatchKnnSupersetFor)
+//    instead of indexing the round's subset. The grid keeps the cell size of
+//    whichever caller built it first.
 //  * The footnote-2 SparseVector engine answers its ~log|X| capped radius
 //    counts from per-point t-NN rows (KnnCappedCounts, O(n t) memory)
 //    instead of an n x n distance matrix.

@@ -20,6 +20,15 @@ Status ValidateT(const PointSet& s, std::size_t t) {
   return Status::OK();
 }
 
+// Points per cell of TwoApproxSmallestBall's grid, as a fraction of t-1:
+// SpatialGrid sizes a cell to hold a quarter of its expected neighbor count,
+// so asking for (t-1)/64 neighbors puts ~(t-1)/256 points in a cell.
+constexpr std::size_t kCellsPerBestBall = 256;
+
+std::size_t CountGridNeighbors(std::size_t t) {
+  return std::max<std::size_t>(1, 4 * (t - 1) / kCellsPerBestBall);
+}
+
 }  // namespace
 
 Result<Ball> SmallestInterval1D(const PointSet& s, std::size_t t) {
@@ -47,8 +56,13 @@ Result<Ball> SmallestInterval1D(const PointSet& s, std::size_t t) {
 
 Result<Ball> TwoApproxSmallestBall(const PointSet& s, std::size_t t) {
   DPC_RETURN_IF_ERROR(ValidateT(s, t));
-  DPC_ASSIGN_OR_RETURN(const SpatialGrid grid,
-                       SpatialGrid::BuildOverBoundingBox(s, t - 1));
+  // Cells sized for the CountWithin calls at the running best radius, which
+  // are most of the work, rather than for the (t-1)-NN queries: a cell holds
+  // ~(t-1)/kCellsPerBestBall points, so the prune test scans a few cells
+  // around the best ball instead of a large share of the set.
+  DPC_ASSIGN_OR_RETURN(
+      const SpatialGrid grid,
+      SpatialGrid::BuildOverBoundingBox(s, CountGridNeighbors(t)));
   SpatialGrid::Workspace scratch;
   std::vector<double> knn;
   double best_r = std::numeric_limits<double>::infinity();

@@ -155,6 +155,15 @@ void SelectSmallest(std::vector<double>& vals, std::size_t k,
   DPC_CHECK_EQ(out, k);
 }
 
+// Number of values <= bound. Cloned for AVX2, where the compare-and-count
+// vectorizes; the count is the same integer either way.
+DPC_TARGET_CLONES_AVX2
+std::size_t CountAtMost(const double* vals, std::size_t count, double bound) {
+  std::size_t within = 0;
+  for (std::size_t i = 0; i < count; ++i) within += vals[i] <= bound ? 1 : 0;
+  return within;
+}
+
 }  // namespace
 
 bool GridCollapsesToSingleCell(std::size_t n, std::size_t d,
@@ -423,15 +432,8 @@ std::size_t SpatialGrid::DecodeCenter(const double* q,
   return max_rho;
 }
 
-void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
-                               Workspace& scratch, std::vector<double>& out,
-                               bool sorted) const {
-  DPC_CHECK_LT(query, n_);
-  DPC_CHECK(IsLive(query));
-  out.clear();
-  k = std::min(k, live_ - 1);
-  if (k == 0) return;
-
+SpatialGrid::KnnBound SpatialGrid::GatherKnnCandidates(
+    std::size_t query, std::size_t k, Workspace& scratch) const {
   const std::span<const double> q{Row(query), dim_};
   const auto m = static_cast<std::int64_t>(cells_per_axis_);
   const std::uint64_t center_cell = CellOf(Row(query));
@@ -482,17 +484,15 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
   // rounding of the cell assignment and of rho * cell_size itself, so the
   // early stop can never exclude a point that brute force would return
   // (equal-distance ties beyond the boundary leave the k smallest values
-  // unchanged either way).
+  // unchanged either way). Once k candidates lie within the guarantee, the
+  // k-th smallest does too — a count decides the stop, no selection needed.
   for (std::size_t rho = 0; rho < max_rho;) {
     if (cands.size() >= k) {
-      // Keep only the k best so far: rejected candidates can never re-enter
-      // (later rings only push the k-th down), so each ring's selection also
-      // shrinks every later ring's work.
-      SelectSmallest(cands, k, scratch);
-      const double kth = *std::max_element(cands.begin(), cands.end());
       const double guarantee =
           static_cast<double>(rho) * cell_size_ * (1.0 - 1e-9);
-      if (kth <= guarantee * guarantee) break;
+      const double bound = guarantee * guarantee;
+      const std::size_t within = CountAtMost(cands.data(), cands.size(), bound);
+      if (within >= k) return {bound, within};
     }
     // Ring enumeration visits ~(2 rho + 3)^d - (2 rho + 1)^d cells next; once
     // that passes the live occupied-cell count, finishing with one scan over
@@ -523,16 +523,31 @@ void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
     visit_ring(visit_ring, 0, false, 0, static_cast<std::int64_t>(rho));
   }
   DPC_CHECK_GE(cands.size(), k);
+  // Every live point seen.
+  return {std::numeric_limits<double>::infinity(), cands.size()};
+}
 
+void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
+                               Workspace& scratch, std::vector<double>& out,
+                               bool sorted) const {
+  DPC_CHECK_LT(query, n_);
+  DPC_CHECK(IsLive(query));
+  out.clear();
+  k = std::min(k, live_ - 1);
+  if (k == 0) return;
+
+  GatherKnnCandidates(query, k, scratch);
+  std::vector<double>& cands = scratch.candidates;
   SelectSmallest(cands, k, scratch);
   if (sorted) std::sort(cands.begin(), cands.end());
   out.resize(k);
   for (std::size_t i = 0; i < k; ++i) out[i] = std::sqrt(cands[i]);
 }
 
+template <typename FinishRow>
 void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
-                                std::size_t k, double* out, bool sorted,
-                                Workspace& scratch) const {
+                                Workspace& scratch,
+                                FinishRow&& finish_row) const {
   const std::uint64_t start = seg_start_[0];
   const std::uint64_t live = cell_end_[0] - start;
   std::vector<double>& block = scratch.dense_block;
@@ -555,15 +570,12 @@ void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
     const double* row = block.data() + qi * live;
     cands.assign(row, row + live);
     // Drop one exact +0.0 entry — the query's self pair — the same way
-    // KnnDistances does after its ring-0 scan.
+    // GatherKnnCandidates does after its ring-0 scan.
     const auto self = std::find(cands.begin(), cands.end(), 0.0);
     DPC_CHECK(self != cands.end());
     *self = cands.back();
     cands.pop_back();
-    SelectSmallest(cands, k, scratch);
-    if (sorted) std::sort(cands.begin(), cands.end());
-    double* dst = out + qi * k;
-    for (std::size_t i = 0; i < k; ++i) dst[i] = std::sqrt(cands[i]);
+    finish_row(qi);
   }
 }
 
@@ -581,8 +593,16 @@ void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
       [&](std::size_t lo, std::size_t hi, std::size_t) {
         Workspace scratch;
         if (dense) {
-          DenseKnnChunk(queries.data() + lo, hi - lo, k, out.data() + lo * k,
-                        sorted, scratch);
+          std::vector<double>& cands = scratch.candidates;
+          DenseKnnChunk(queries.data() + lo, hi - lo, scratch,
+                        [&](std::size_t qi) {
+                          SelectSmallest(cands, k, scratch);
+                          if (sorted) std::sort(cands.begin(), cands.end());
+                          double* dst = out.data() + (lo + qi) * k;
+                          for (std::size_t i = 0; i < k; ++i) {
+                            dst[i] = std::sqrt(cands[i]);
+                          }
+                        });
           return;
         }
         std::vector<double> row;
@@ -592,6 +612,154 @@ void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
         }
       },
       kAlwaysParallel);
+}
+
+void SpatialGrid::BatchKnnSupersetFor(std::span<const std::uint32_t> queries,
+                                      std::size_t k, KnnRows& out,
+                                      ThreadPool* pool) const {
+  DPC_CHECK_GE(live_, 1u);
+  DPC_CHECK_LE(k, live_ - 1);
+  out.offsets.assign(queries.size() + 1, 0);
+  if (k == 0 || queries.empty()) {
+    out.values.clear();
+    return;
+  }
+  constexpr std::size_t kQueryGrain = 16;
+  const bool dense = cells_per_axis_ == 1;
+  // Query r owns slots [r * stride, (r + 1) * stride): room for its longest
+  // row plus the one slot a branch-free compaction may write past it. A
+  // chunk packs its rows from its first slot on, records their lengths in
+  // offsets[r + 1], and never writes outside its own slots; the packed
+  // chunks are then moved together in chunk order, so the rows are
+  // bit-identical at any thread count. Reusing `out` across calls reuses its
+  // pages.
+  const std::size_t stride = kMaxSupersetSlack * k + 1;
+  out.values.resize(queries.size() * stride);
+  ParallelForChunks(
+      pool, 0, queries.size(), kQueryGrain,
+      [&](std::size_t lo, std::size_t hi, std::size_t) {
+        Workspace scratch;
+        double* at = out.values.data() + lo * stride;
+        const auto emit = [&](std::size_t r, KnnBound bound) {
+          const std::size_t len = WriteKnnSuperset(k, bound, scratch, at);
+          out.offsets[r + 1] = len;
+          at += len;
+        };
+        if (dense) {
+          DenseKnnChunk(queries.data() + lo, hi - lo, scratch,
+                        [&](std::size_t qi) {
+                          emit(lo + qi,
+                               {std::numeric_limits<double>::infinity(),
+                                scratch.candidates.size()});
+                        });
+          return;
+        }
+        for (std::size_t r = lo; r < hi; ++r) {
+          emit(r, GatherKnnCandidates(queries[r], k, scratch));
+        }
+      },
+      kAlwaysParallel);
+  // Move each chunk's packed rows down to the end of the previous chunk's.
+  const auto begin = out.values.begin();
+  auto packed_end = begin;
+  for (std::size_t lo = 0; lo < queries.size(); lo += kQueryGrain) {
+    const std::size_t hi = std::min(queries.size(), lo + kQueryGrain);
+    std::size_t len = 0;
+    for (std::size_t r = lo; r < hi; ++r) len += out.offsets[r + 1];
+    const auto from = begin + static_cast<std::ptrdiff_t>(lo * stride);
+    packed_end = std::copy(from, from + static_cast<std::ptrdiff_t>(len),
+                           packed_end);
+  }
+  for (std::size_t r = 0; r < queries.size(); ++r) {
+    out.offsets[r + 1] += out.offsets[r];
+  }
+  out.values.resize(out.offsets.back());
+}
+
+std::size_t SpatialGrid::WriteKnnSuperset(std::size_t k, KnnBound bound,
+                                          Workspace& scratch, double* out) {
+  const std::vector<double>& cands = scratch.candidates;
+  double limit = bound.squared;
+  std::size_t within = bound.within;
+  if (std::isinf(limit)) {  // Full coverage: every candidate is in range.
+    limit = *std::max_element(cands.begin(), cands.end());
+    within = cands.size();
+  }
+  DPC_CHECK_GE(within, k);
+  if (limit == 0.0) {
+    // Every candidate within the bound sits at distance exactly 0.
+    std::fill(out, out + k, 0.0);
+    return k;
+  }
+  // One linear histogram over [0, limit] with as many buckets as candidates
+  // inside it, plus a last bucket for everything at or beyond its end;
+  // bucket kb holds the k-th smallest. The bucket map is monotone in v, so
+  // the candidates in buckets <= kb are the k smallest plus extras that tie
+  // or exceed the k-th — whatever rounding does near `limit`. Both passes
+  // are branch-free: which candidates fall where is data, not control flow.
+  const std::size_t buckets = within;
+  const double scale = static_cast<double>(buckets) / limit;
+  const auto top = static_cast<double>(buckets);
+  // floor(v * scale), or the last bucket from `top` on. A subnormal limit
+  // (a cube a client sized near 1e-160) makes scale infinite: v * scale is
+  // then +inf, or NaN at v = 0, and min(top, .) sends both to the last
+  // bucket, which keeps the map monotone (and compiles to one minsd).
+  const auto bucket_of = [&](double v) {
+    return static_cast<std::size_t>(std::min(top, v * scale));
+  };
+  // Candidates arrive cell by cell, so neighbors in the array tend to share
+  // a bucket; kHistLanes interleaved copies of the histogram keep those
+  // increments from queuing behind one another on one counter.
+  constexpr std::size_t kHistLanes = 4;
+  std::vector<std::uint32_t>& hist = scratch.hist;
+  hist.assign(kHistLanes * (buckets + 1), 0);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    ++hist[kHistLanes * bucket_of(cands[i]) + i % kHistLanes];
+  }
+  const auto count_in = [&](std::size_t b) {
+    std::size_t count = 0;
+    for (std::size_t lane = 0; lane < kHistLanes; ++lane) {
+      count += hist[kHistLanes * b + lane];
+    }
+    return count;
+  };
+  std::size_t below = 0;
+  std::size_t kb = 0;
+  while (below + count_in(kb) < k) below += count_in(kb++);
+  const std::size_t through_kb = below + count_in(kb);
+
+  std::size_t len = 0;
+  if (through_kb <= kMaxSupersetSlack * k) {
+    // Every candidate is written, kept ones advance the cursor: the last
+    // write may land one slot past the row, which the caller provides.
+    for (const double v : cands) {
+      out[len] = v;
+      len += bucket_of(v) <= kb ? 1 : 0;
+    }
+  } else {
+    // A crowded tie bucket (lattice data): keep the row at most
+    // kMaxSupersetSlack * k long by selecting exactly inside it.
+    std::vector<double>& ties = scratch.ties;
+    ties.clear();
+    for (const double v : cands) {
+      const std::size_t b = bucket_of(v);
+      if (b < kb) {
+        out[len++] = v;
+      } else if (b == kb) {
+        ties.push_back(v);
+      }
+    }
+    const std::size_t need = k - below;  // >= 1 by choice of kb.
+    std::nth_element(ties.begin(),
+                     ties.begin() + static_cast<std::ptrdiff_t>(need - 1),
+                     ties.end());
+    len = std::copy(ties.begin(),
+                    ties.begin() + static_cast<std::ptrdiff_t>(need),
+                    out + len) -
+          out;
+  }
+  for (double& v : std::span<double>(out, len)) v = std::sqrt(v);
+  return len;
 }
 
 template <typename ScanFn>

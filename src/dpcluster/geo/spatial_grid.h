@@ -9,8 +9,8 @@
 // rings of cells around the query's cell: after scanning rings 0..rho, every
 // point within Euclidean distance rho * cell_size has been seen (a point in
 // an unscanned cell differs from the query by more than rho * cell_size on
-// some axis), so the search stops as soon as the current k-th smallest
-// candidate distance is <= rho * cell_size. When the next ring would touch
+// some axis), so the search stops as soon as k candidates lie within
+// rho * cell_size — a count, not a selection. When the next ring would touch
 // more cells than remain occupied — high d makes rings exponentially wide
 // while occupancy stays <= n — the query degrades gracefully to a scan of
 // the remaining occupied cells, which completes coverage in one step. Either
@@ -39,8 +39,9 @@
 // are independent of cell-enumeration order, of tie-breaking among
 // equidistant neighbors, and of the intra-cell permutation left behind by
 // swap-removal. BatchKnnDistancesFor writes each query's row into a
-// caller-owned slice through ParallelForChunks, so the batch is bit-identical
-// at any thread count.
+// caller-owned slice through ParallelForChunks, and BatchKnnSupersetFor
+// concatenates chunk-owned variable-length rows in chunk order, so both
+// batches are bit-identical at any thread count.
 
 #ifndef DPCLUSTER_GEO_SPATIAL_GRID_H_
 #define DPCLUSTER_GEO_SPATIAL_GRID_H_
@@ -115,14 +116,15 @@ class SpatialGrid {
   /// points (self excluded by index, so duplicate coordinates count as
   /// neighbors at distance 0; `query` must itself be live). Exact — equal to
   /// the brute-force multiset over the live points; ascending when `sorted`,
-  /// in selection order otherwise (cheaper — the radius profile only
-  /// consumes the multiset). `scratch` carries reusable buffers across calls
-  /// (see Workspace).
+  /// in selection order otherwise (cheaper for callers that need only the
+  /// largest or the multiset). `scratch` carries reusable buffers across
+  /// calls (see Workspace).
   struct Workspace {
     std::vector<double> candidates;     // squared distances
     std::vector<std::uint32_t> hist16;  // 2^16 selection buckets, kept zeroed
     std::vector<std::uint32_t> touched;  // buckets dirtied by this query
     std::vector<double> ties;            // the k-th value's tie bucket
+    std::vector<std::uint32_t> hist;     // superset rows' linear histogram
     std::vector<std::int64_t> center;    // decoded query cell coordinates
     std::vector<double> dense_block;     // blocked one-cell distance rows
   };
@@ -137,6 +139,32 @@ class SpatialGrid {
   void BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
                             std::size_t k, std::span<double> out,
                             ThreadPool* pool, bool sorted = true) const;
+
+  /// Variable-length distance rows: row r is
+  /// values[offsets[r], offsets[r + 1]).
+  struct KnnRows {
+    std::vector<double> values;
+    std::vector<std::size_t> offsets;  // rows + 1 entries, offsets[0] == 0
+  };
+
+  /// Batched k-NN *superset* for an explicit query list (every id live,
+  /// k <= live_size()-1): row r holds, in no particular order, the exact
+  /// multiset KnnDistances(queries[r], k) returns plus possibly some extra
+  /// distances, each >= the k-th smallest, and is at most
+  /// kMaxSupersetSlack * k long. A consumer of counts capped at k + 1 (the
+  /// radius profile) reads the same capped counts at every radius from
+  /// either, while this query skips the per-query selection: it gathers
+  /// rings until a *count* shows k candidates inside the ring guarantee,
+  /// then keeps every candidate in the buckets of one linear histogram up
+  /// to the one holding the k-th. Each chunk of queries owns its rows and
+  /// chunks are concatenated in order, so `out` is bit-identical at any
+  /// thread count.
+  void BatchKnnSupersetFor(std::span<const std::uint32_t> queries,
+                           std::size_t k, KnnRows& out,
+                           ThreadPool* pool) const;
+
+  /// Upper bound on a superset row's length, in multiples of k.
+  static constexpr std::size_t kMaxSupersetSlack = 2;
 
   /// Number of live points within Euclidean distance r of s[query] (the
   /// query itself included; it must be live). The comparison is
@@ -183,14 +211,35 @@ class SpatialGrid {
   /// Appends the squared distances from q to every live point of cell `cell`.
   void ScanCell(std::uint64_t cell, std::span<const double> q,
                 std::vector<double>& cands) const;
-  /// k-NN rows for a chunk of queries on the degenerate one-cell grid
+  /// Where a query's k nearest lie: every one of them has squared distance
+  /// <= `squared` (+infinity once every live point was scanned), and
+  /// `within` candidates do.
+  struct KnnBound {
+    double squared;
+    std::size_t within;
+  };
+  /// Scans rings around live point `query` into scratch.candidates (squared
+  /// distances, self dropped) until a count shows k of them inside the ring
+  /// guarantee, or every live point has been seen. k must be in
+  /// [1, live-1].
+  KnnBound GatherKnnCandidates(std::size_t query, std::size_t k,
+                               Workspace& scratch) const;
+  /// Writes one superset row (see BatchKnnSupersetFor) from
+  /// scratch.candidates, given the bound GatherKnnCandidates returned, to
+  /// out[0, len) and returns len <= kMaxSupersetSlack * k; out must have
+  /// room for one slot more than that.
+  static std::size_t WriteKnnSuperset(std::size_t k, KnnBound bound,
+                                      Workspace& scratch, double* out);
+  /// Candidate rows for a chunk of queries on the degenerate one-cell grid
   /// (cells_per_axis_ == 1): tiles the live prefix across the chunk so the
-  /// dataset streams once per chunk instead of once per query. Per-pair
-  /// values, candidate order, self removal, and selection mirror KnnDistances
-  /// exactly, so each output row is byte-identical to the per-query path.
+  /// dataset streams once per chunk instead of once per query, then calls
+  /// finish_row(qi) with query qi's candidates in scratch.candidates.
+  /// Per-pair values, candidate order and self removal mirror
+  /// GatherKnnCandidates on full coverage, so each row is byte-identical to
+  /// the per-query path.
+  template <typename FinishRow>
   void DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
-                     std::size_t k, double* out, bool sorted,
-                     Workspace& scratch) const;
+                     Workspace& scratch, FinishRow&& finish_row) const;
   /// Decodes the query's cell coordinates into scratch.center and returns the
   /// largest Chebyshev ring radius that still touches the grid.
   std::size_t DecodeCenter(const double* p, Workspace& scratch) const;

@@ -158,6 +158,37 @@ TEST(TwoApproxTest, MatchesBruteForceOracleAcrossScenarioFamilies) {
   }
 }
 
+// The grid is sized for the CountWithin calls at the running best radius
+// (~(t-1)/256 points per cell), which only gets fine at large n: at
+// n=4096, d=2 the t range below spans one to hundreds of cells per best
+// ball. The result must still be the brute-force scan's, byte for byte.
+TEST(TwoApproxTest, MatchesBruteForceOracleAtResidentScale) {
+  const ScenarioRegistry& registry = ScenarioRegistry::Global();
+  std::uint64_t seed = 60;
+  for (const std::string family : {"planted_cluster", "gaussian_mixture"}) {
+    ScenarioSpec spec;
+    spec.scenario = family;
+    spec.n = 4096;
+    spec.dim = 2;
+    Rng rng(++seed);
+    ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
+                         registry.Lookup(family));
+    ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                         generator->Generate(rng, spec));
+    const std::size_t n = instance.points.size();
+    ASSERT_EQ(n, 4096u);
+    for (const std::size_t t :
+         {std::size_t{2}, n / 8, n / 4 + 1, n * 3 / 10}) {
+      const std::string context = family + " t=" + std::to_string(t);
+      ASSERT_OK_AND_ASSIGN(Ball fast,
+                           TwoApproxSmallestBall(instance.points, t));
+      ExpectSameBallBytes(
+          reference::BruteForceTwoApproxSmallestBall(instance.points, t), fast,
+          context);
+    }
+  }
+}
+
 TEST(TwoApproxTest, TiesGoToTheLowestIndexAndAllDuplicatesHaveRadiusZero) {
   // Four corners of a square: every center captures 2 points at radius 1.
   const PointSet square =

@@ -10,6 +10,7 @@
 
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "reference/pairwise_reference.h"
 #include "test_util.h"
@@ -218,6 +219,55 @@ TEST(RadiusProfileTest, GridBitIdenticalToExactAcrossScenarioFamilies) {
           ExpectSameProfile(exact, grid, context);
           ExpectSameProfile(exact, grid_mt, context + " (threads=8)");
         }
+      }
+    }
+  }
+}
+
+// The k_cluster round shape: the dataset's shared grid is first sized by a
+// larger t (the one_cluster solve at the key's default t), a round removes a
+// ball with RemoveWithin, and the next round builds a cold profile at a
+// smaller t over the survivors. The superset rows from that coarse,
+// deletion-pruned grid must still give the kExact sweep's bytes, at any
+// thread count.
+TEST(RadiusProfileTest, GridBitIdenticalToExactOnKClusterRoundShape) {
+  ThreadPool pool(8);
+  std::uint64_t seed = 1700;
+  for (const std::string family : {"gaussian_mixture", "planted_cluster"}) {
+    ScenarioSpec spec;
+    spec.scenario = family;
+    spec.n = 1024;
+    spec.dim = 2;
+    Rng rng(++seed);
+    ASSERT_OK_AND_ASSIGN(const ScenarioFamily* generator,
+                         ScenarioRegistry::Global().Lookup(family));
+    ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                         generator->Generate(rng, spec));
+    const std::size_t n = instance.points.size();
+    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                         IndexedDataset::Create(instance.points,
+                                                instance.domain));
+    const std::size_t first_t = n * 3 / 10;
+    ASSERT_OK(RadiusProfile::Build(index, first_t, n).status());
+    ASSERT_TRUE(index.grid_built());
+    Ball ball;
+    ball.center.assign(instance.points[0].begin(), instance.points[0].end());
+    ball.radius = 0.2 * instance.domain.axis_length();
+    const std::size_t removed = index.RemoveWithin(ball);
+    ASSERT_GT(removed, 0u) << family;
+    ASSERT_LT(removed + 200, n) << family;
+    for (const std::size_t t : {std::size_t{2}, std::size_t{128},
+                                std::size_t{200}}) {
+      const std::string context = family + " t=" + std::to_string(t) +
+                                  " after removing " + std::to_string(removed);
+      ASSERT_OK_AND_ASSIGN(
+          RadiusProfile exact,
+          RadiusProfile::Build(index, t, n, nullptr, ProfileIndex::kExact));
+      for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        ASSERT_OK_AND_ASSIGN(RadiusProfile grid,
+                             RadiusProfile::Build(index, t, n, threads));
+        ExpectSameProfile(exact, grid,
+                          context + (threads ? " (threads=8)" : ""));
       }
     }
   }

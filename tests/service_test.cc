@@ -580,6 +580,52 @@ TEST(ServiceRefusalTest, OverProfileCapStreamSolveIsRefusedUncharged) {
   EXPECT_EQ(service.SpentBy("public", "cap/stream").epsilon, spent.epsilon);
 }
 
+TEST(ServiceRefusalTest, ShapeOnlyRefusalsAreUncharged) {
+  // interior_point on fewer than 4 points, and exp_mech_baseline over more
+  // grid centers than tuning.max_grid_centers (levels=1024, d=2 is 2^20 at
+  // the default 2^18 cap), fail on the request's shape alone. Both are
+  // refused before admission and charge nothing; both used to answer their
+  // error with the budget spent.
+  ClusterService service(UnmeteredOptions());
+
+  WireRequest few;
+  few.dataset = "shape/interior_point";
+  few.request.algorithm = "interior_point";
+  few.request.domain = GridDomain(1u << 10, 1);
+  few.request.data = testing_util::MakePointSet(1, {0.25, 0.5, 0.75});
+  few.request.t = 2;
+  few.request.budget = {2.0, 1e-6};
+  const ServiceReply few_reply =
+      service.Handle("POST", "/v1/solve", WireRequestToJson(few).Encode());
+  EXPECT_EQ(few_reply.http_status, 400) << few_reply.body;
+  const JsonValue few_body = MustParse(few_reply.body);
+  ASSERT_NE(few_body.Find("error"), nullptr) << few_reply.body;
+  EXPECT_EQ(few_body.Find("error")->Find("code")->AsString(),
+            "InvalidRequest");
+  EXPECT_EQ(service.SpentBy("public", few.dataset).epsilon, 0.0);
+  EXPECT_EQ(service.SpentBy("public", few.dataset).delta, 0.0);
+
+  const ClusterWorkload fine = SmallWorkload();
+  ASSERT_EQ(fine.domain.levels(), 1u << 10);
+  ASSERT_EQ(fine.domain.dim(), 2u);
+  WireRequest wide;
+  wide.dataset = "shape/exp_mech_baseline";
+  wide.request.algorithm = "exp_mech_baseline";
+  wide.request.domain = fine.domain;
+  wide.request.data = fine.points;
+  wide.request.t = fine.t;
+  wide.request.budget = {2.0, 1e-6};
+  const ServiceReply wide_reply =
+      service.Handle("POST", "/v1/solve", WireRequestToJson(wide).Encode());
+  EXPECT_EQ(wide_reply.http_status, 422) << wide_reply.body;
+  const JsonValue wide_body = MustParse(wide_reply.body);
+  ASSERT_NE(wide_body.Find("error"), nullptr) << wide_reply.body;
+  EXPECT_EQ(wide_body.Find("error")->Find("code")->AsString(),
+            "ResourceLimit");
+  EXPECT_EQ(service.SpentBy("public", wide.dataset).epsilon, 0.0);
+  EXPECT_EQ(service.SpentBy("public", wide.dataset).delta, 0.0);
+}
+
 // --- Live HTTP server -----------------------------------------------------
 
 TEST(HttpServerTest, ServesSolvesOverLoopbackDeterministically) {

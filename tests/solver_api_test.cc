@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "dpcluster/api/algorithm.h"
 #include "dpcluster/api/registry.h"
 #include "dpcluster/api/solver.h"
 #include "dpcluster/workload/synthetic.h"
@@ -248,14 +251,29 @@ TEST(SolverTest, OneClusterRefineTightensRadiusWithinBudget) {
   EXPECT_LT(response.ball.radius, 0.5);
 }
 
+// Passes validation, then fails inside Run as an algorithm that had already
+// queried the data would.
+class FailsMidRunAlgorithm final : public Algorithm {
+ public:
+  std::string_view name() const override { return "fails_mid_run"; }
+  ProblemKind kind() const override { return ProblemKind::kBaseline; }
+  std::string_view description() const override {
+    return "test-only: fails after validation";
+  }
+  Status ValidateRequest(const Request&) const override { return Status::OK(); }
+  Result<Response> Run(Rng&, const Request&, BudgetSession&) const override {
+    return Status::ResourceExhausted("fails_mid_run: out of resources");
+  }
+};
+
 TEST(SolverTest, MidRunFailureIsConservativelyAccounted) {
-  // exp_mech_baseline refuses this domain mid-run (grid too large), after
-  // the request already passed validation. The internal layer reports no
-  // partial ledger, so the solver books the whole request budget.
+  // The request passed validation and failed inside Run. The internal layer
+  // reports no partial ledger, so the solver books the whole request budget.
+  AlgorithmRegistry registry;
+  ASSERT_OK(registry.Register(std::make_unique<FailsMidRunAlgorithm>()));
   const ClusterWorkload w = SmallWorkload(42, 2);
-  Request request = SmallRequest(w, "exp_mech_baseline", 2.0);
-  request.tuning.max_grid_centers = 4;
-  Solver solver;
+  Request request = SmallRequest(w, "fails_mid_run", 2.0);
+  Solver solver(SolverOptions{.registry = &registry});
   const auto response = solver.Run(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kResourceExhausted);
@@ -263,6 +281,32 @@ TEST(SolverTest, MidRunFailureIsConservativelyAccounted) {
   ASSERT_EQ(solver.accountant().charges().size(), 1u);
   EXPECT_NE(solver.accountant().charges()[0].label.find("failed:"),
             std::string::npos);
+}
+
+TEST(SolverTest, ShapeOnlyRefusalsChargeNothing) {
+  // exp_mech_baseline over more grid centers than max_grid_centers, and
+  // interior_point on fewer than 4 points, are refused by validation before
+  // any budget is spent.
+  const ClusterWorkload w = SmallWorkload(42, 2);
+  Request wide = SmallRequest(w, "exp_mech_baseline", 2.0);
+  wide.tuning.max_grid_centers = 4;
+  Solver solver;
+  const auto refused = solver.Run(wide);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+
+  Request few;
+  few.algorithm = "interior_point";
+  few.domain = GridDomain(1u << 10, 1);
+  few.data = testing_util::MakePointSet(1, {0.25, 0.5, 0.75});
+  few.t = 2;
+  few.budget = {2.0, 1e-6};
+  const auto too_few = solver.Run(few);
+  ASSERT_FALSE(too_few.ok());
+  EXPECT_EQ(too_few.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(solver.TotalSpend().epsilon, 0.0);
+  EXPECT_TRUE(solver.accountant().charges().empty());
 }
 
 TEST(SolverTest, SampleAggregateEndToEnd) {
