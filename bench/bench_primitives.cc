@@ -30,7 +30,6 @@
 #include "dpcluster/dp/noisy_average.h"
 #include "dpcluster/dp/stable_histogram.h"
 #include "dpcluster/dp/step_function.h"
-#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/grid_domain.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/la/qr.h"
@@ -151,25 +150,6 @@ double RunHeadline(bench::JsonReporter& reporter, bool smoke) {
     reporter.Add("CountWithin[std-upper-bound-baseline]", n, d, 1,
                  std_ms * per_op);
     reporter.Add("CountWithin[branchless]", n, d, 1, branchless_ms * per_op);
-  }
-
-  bench::Banner("CappedTopAverage (scratch buffer reuse)");
-  {
-    const std::size_t n = 2048, d = 4;
-    const PointSet s = ClusteredCube(rng, n, d);
-    auto index = IndexedDataset::Create(s, GridDomain(1u << 12, d));
-    if (!index.ok()) return jl_speedup;
-    const auto counts = KnnCappedCounts::Build(*index, n / 2, n);
-    if (!counts.ok()) return jl_speedup;
-    const double ms = BestOfMs(reps, [&] {
-      for (double r : {0.05, 0.2, 0.5, 0.9}) {
-        benchmark::DoNotOptimize(counts->CappedTopAverage(r, n / 2));
-      }
-    });
-    bench::Note("4 L(r) queries at n=" + std::to_string(n) + ": " +
-                std::to_string(ms) + " ms");
-    reporter.Add("KnnCappedCounts::CappedTopAverage", n, d, 1,
-                 ms * 1e6 / 4.0);
   }
 
   return jl_speedup;

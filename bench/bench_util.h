@@ -46,9 +46,8 @@ class JsonReporter {
   /// Writes all records deduplicated on the (op, n, d, threads) key — last
   /// write wins — and sorted by that key, so re-measured configurations never
   /// pile up as duplicate rows and baseline diffs stay clean. Records with a
-  /// measured allocation carry an extra "bytes" column (e.g. the SparseVector
-  /// engine's count structure, pinning the n x n matrix removal). Returns
-  /// false (and prints to stderr) on IO failure.
+  /// measured allocation carry an extra "bytes" column (e.g. the coreset
+  /// build's peak RSS). Returns false (and prints to stderr) on IO failure.
   bool Write() const {
     std::map<std::tuple<std::string, std::size_t, std::size_t, std::size_t>,
              std::pair<double, std::size_t>>

@@ -89,15 +89,14 @@ std::size_t RescaledT(std::size_t t, std::size_t m, std::size_t n) {
 // IndexedDataset PR): max_profile_points guards the quadratic structures,
 // but when the ~O(n t) grid profile serves the subsampled problem cheaply
 // the stage can afford subsample_grid_cap_factor times more rows — less
-// subsampling error at about the same cost. Only the RecConcave engine's
-// grid generator qualifies, and only from 512 rows and while t - 1 stays
-// within the t-NN stream's cheap range: n/4 (n/2 once the cell grid
-// collapses to one cell). Larger t keeps the strict cap, which bounds the
+// subsampling error at about the same cost. Only the grid generator
+// qualifies (both engines read its profile), and only from 512 rows and while
+// t - 1 stays within the t-NN stream's cheap range: n/4 (n/2 once the cell
+// grid collapses to one cell). Larger t keeps the strict cap, which bounds the
 // ~n t events of the enlarged sample.
 std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
                                   const GoodRadiusOptions& options) {
   const std::size_t m = options.max_profile_points;
-  if (options.engine != GoodRadiusOptions::Engine::kRecConcave) return m;
   if (!(options.subsample_grid_cap_factor > 1.0)) return m;
   const double raised =
       static_cast<double>(m) * options.subsample_grid_cap_factor;
@@ -111,23 +110,14 @@ std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
   return t2 - 1 > t_cap ? m : m2;
 }
 
-Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng, const PointSet* s,
-                                             const IndexedDataset* index,
+Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng,
+                                             const RadiusProfile& profile,
                                              std::size_t t,
                                              const GridDomain& domain,
                                              const GoodRadiusOptions& options,
-                                             std::size_t profile_cap,
-                                             double gamma, ThreadPool* pool) {
+                                             double gamma) {
   const double eps = options.params.epsilon;
   const double beta = options.beta;
-  Result<RadiusProfile> built =
-      index != nullptr
-          ? RadiusProfile::Build(*index, t, profile_cap, pool,
-                                 options.profile_index)
-          : RadiusProfile::Build(*s, t, domain, profile_cap, pool,
-                                 options.profile_index);
-  DPC_RETURN_IF_ERROR(built.status());
-  const RadiusProfile& profile = *built;
 
   GoodRadiusResult result;
   result.gamma = gamma;
@@ -157,44 +147,13 @@ Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng, const PointSet* s,
   return result;
 }
 
-Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
-                                               const IndexedDataset* index,
+Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng,
+                                               const RadiusProfile& profile,
                                                std::size_t t,
                                                const GridDomain& domain,
-                                               const GoodRadiusOptions& options,
-                                               std::size_t profile_cap,
-                                               ThreadPool* pool) {
+                                               const GoodRadiusOptions& options) {
   const double eps = options.params.epsilon;
   const double beta = options.beta;
-  // The ~log|X| capped counts of the binary search come from per-point t-NN
-  // rows (O(n t) memory), never an n x n distance matrix.
-  Result<KnnCappedCounts> built = Status::Internal("unset");
-  const KnnCappedCounts* counts_ptr = nullptr;
-  if (index != nullptr && options.shared_counts != nullptr) {
-    // Streaming fast path: the caller maintains the rows across edits
-    // (KnnCappedCounts::ApplyBatch), so this query pays nothing to build
-    // them. The rows are bit-identical to a fresh Build by ApplyBatch's
-    // contract, so the released output is unchanged.
-    if (options.shared_counts->size() != index->active_size() ||
-        options.shared_counts->cap() != t) {
-      return Status::InvalidArgument(
-          "GoodRadius: shared_counts does not match the index's active set "
-          "(size or cap)");
-    }
-    counts_ptr = options.shared_counts;
-  } else if (index != nullptr) {
-    built = KnnCappedCounts::Build(*index, t, profile_cap, pool);
-    DPC_RETURN_IF_ERROR(built.status());
-    counts_ptr = &*built;
-  } else {
-    DPC_ASSIGN_OR_RETURN(IndexedDataset local,
-                         IndexedDataset::Create(*s, domain));
-    built = KnnCappedCounts::Build(local, t, profile_cap, pool);
-    DPC_RETURN_IF_ERROR(built.status());
-    counts_ptr = &*built;
-  }
-  const KnnCappedCounts& counts = *counts_ptr;
-
   GoodRadiusResult result;
 
   const std::uint64_t grid = domain.RadiusGridSize();
@@ -213,7 +172,7 @@ Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
   std::uint64_t hi = grid - 1;
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    const double l = counts.CappedTopAverage(domain.RadiusFromIndex(mid), t);
+    const double l = profile.LAtSolutionIndex(mid);
     const double noisy = l + SampleLaplace(rng, scale);
     if (noisy >= target) {
       hi = mid;
@@ -263,7 +222,6 @@ Result<GoodRadiusResult> GoodRadiusImpl(Rng& rng, const PointSet* s,
                          MakeWeightedIndex(std::move(summary), domain));
     GoodRadiusOptions inner = options;
     inner.coreset.enabled = false;
-    inner.shared_counts = nullptr;  // Rows describe the uncompressed index.
     return GoodRadius(rng, weighted_index, t, inner);
   }
 
@@ -293,20 +251,27 @@ Result<GoodRadiusResult> GoodRadiusImpl(Rng& rng, const PointSet* s,
       GoodRadiusOptions inner = options;
       inner.subsample_large_inputs = false;
       inner.max_profile_points = std::max(inner.max_profile_points, m);
-      inner.shared_counts = nullptr;  // Rows describe the full dataset.
       return GoodRadius(rng, sample, RescaledT(t, m, n), domain, inner);
     }
   }
 
-  const double gamma = GoodRadiusGamma(domain, options);
+  // Both engines query the same exact L(r, S): Algorithm 1 sweeps all of it,
+  // footnote 2's binary search reads ~log|X| of its values.
   ThreadPool pool(options.num_threads);
+  Result<RadiusProfile> built =
+      index != nullptr
+          ? RadiusProfile::Build(*index, t, profile_cap, &pool,
+                                 options.profile_index)
+          : RadiusProfile::Build(*s, t, domain, profile_cap, &pool,
+                                 options.profile_index);
+  DPC_RETURN_IF_ERROR(built.status());
+  const RadiusProfile& profile = *built;
   switch (options.engine) {
     case GoodRadiusOptions::Engine::kRecConcave:
-      return RunRecConcaveEngine(rng, s, index, t, domain, options,
-                                 profile_cap, gamma, &pool);
+      return RunRecConcaveEngine(rng, profile, t, domain, options,
+                                 GoodRadiusGamma(domain, options));
     case GoodRadiusOptions::Engine::kSparseVector:
-      return RunSparseVectorEngine(rng, s, index, t, domain, options,
-                                   profile_cap, &pool);
+      return RunSparseVectorEngine(rng, profile, t, domain, options);
   }
   return Status::Internal("GoodRadius: unknown engine");
 }

@@ -14,6 +14,11 @@
 //    binary search for the smallest grid radius with L(r) >~ t. Simpler, but
 //    its loss carries the log(sqrt(d)|X|) factor the paper's construction
 //    avoids; kept as a measured ablation (bench_goodradius).
+//
+// Both engines read the same exact L(r, S) (core/RadiusProfile): RecConcave
+// sweeps the whole step function, the binary search reads ~log|X| of its
+// values. On the IndexedDataset entry point either engine shares the
+// dataset's profile memo.
 
 #ifndef DPCLUSTER_CORE_GOOD_RADIUS_H_
 #define DPCLUSTER_CORE_GOOD_RADIUS_H_
@@ -32,7 +37,6 @@
 namespace dpcluster {
 
 class IndexedDataset;
-class KnnCappedCounts;
 
 struct GoodRadiusOptions {
   PrivacyParams params{1.0, 1e-9};
@@ -43,31 +47,18 @@ struct GoodRadiusOptions {
   Engine engine = Engine::kRecConcave;
   /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3).
   std::size_t max_profile_points = 4096;
-  /// Event generator for the kRecConcave engine's L(r,S) profile: grid
-  /// (t-NN pruned through geo/SpatialGrid, ~O(n t) at low dimension; the
-  /// default) or exact (the all-pairs O(n^2 (d + log n)) sweep, the oracle
-  /// the tests compare grid against). Released outputs are bit-identical
-  /// either way — the pruning is lossless (see core/radius_profile.h). Not
-  /// on the wire: library callers keep the default. The kSparseVector
-  /// engine answers its radius counts from per-point t-NN rows
-  /// (geo/KnnCappedCounts, O(n t) memory) and ignores this knob.
+  /// Event generator for the L(r,S) profile both engines read: grid (t-NN
+  /// pruned through geo/SpatialGrid, ~O(n t) at low dimension; the default)
+  /// or exact (the all-pairs O(n^2 (d + log n)) sweep, the oracle the tests
+  /// compare grid against). Released outputs are bit-identical either way —
+  /// the pruning is lossless (see core/radius_profile.h). Not on the wire:
+  /// library callers keep the default.
   ProfileIndex profile_index = ProfileIndex::kGrid;
-  /// Borrowed caller-maintained t-NN rows for the kSparseVector engine on
-  /// the IndexedDataset entry point: when set, the engine answers its radius
-  /// counts from these rows instead of building its own O(n t) structure.
-  /// The streaming path keeps them current across Insert/Remove batches via
-  /// KnnCappedCounts::ApplyBatch, so a query after an edit pays only the
-  /// rows the edit touched — this is the amortization the incremental index
-  /// exists for. Must describe the index's active set with cap() == t
-  /// (validated); rows are bit-identical to a fresh Build by ApplyBatch's
-  /// contract, so released outputs are unchanged. Ignored by the PointSet
-  /// entry point and the kRecConcave engine. Not owned.
-  const KnnCappedCounts* shared_counts = nullptr;
   /// Ignored; kept for the one caller IndexGeometry's comment names
   /// (core/radius_profile.h).
   IndexGeometry index_geometry = IndexGeometry::kExact;
-  /// Worker threads for the deterministic numeric passes (the O(n^2 d)
-  /// profile and t-NN builds). 0 = one per hardware thread, 1 = serial.
+  /// Worker threads for the deterministic numeric passes (the profile
+  /// build). 0 = one per hardware thread, 1 = serial.
   /// Released outputs are bit-identical at any setting: threads never touch
   /// the Rng, and the work decomposition is independent of the thread count.
   std::size_t num_threads = 1;
@@ -78,14 +69,13 @@ struct GoodRadiusOptions {
   /// profile cap stays an explicit, opted-into tradeoff.
   bool subsample_large_inputs = false;
   /// Multiplier on max_profile_points for the subsample path when the ~O(n t)
-  /// grid profile serves the subsampled problem cheaply (RecConcave engine
-  /// with the grid generator, from 512 rows and only while the rescaled
-  /// t - 1 stays <= 1/4 of the enlarged size, or 1/2 when its cell grid
-  /// collapses to one cell): the cap that
-  /// guards the quadratic sweep is far too conservative for the t-NN pruned
-  /// build, so the subsample keeps ~factor more rows (less sampling error) at
-  /// ~the same cost. 1 reproduces the pre-grid behavior; must be >= 1.
-  /// Ignored when the exact sweep or the SparseVector engine would run.
+  /// grid profile serves the subsampled problem cheaply (the grid generator,
+  /// either engine, from 512 rows and only while the rescaled t - 1 stays
+  /// <= 1/4 of the enlarged size, or 1/2 when its cell grid collapses to one
+  /// cell): the cap that guards the quadratic sweep is far too conservative
+  /// for the t-NN pruned build, so the subsample keeps ~factor more rows
+  /// (less sampling error) at ~the same cost. 1 reproduces the pre-grid behavior; must be >= 1.
+  /// Ignored when the exact sweep would run.
   double subsample_grid_cap_factor = 10.0;
   /// Coreset stage for the PointSet entry point: when enabled and n >=
   /// coreset.min_points, the input is first collapsed to a weighted k-center
@@ -134,9 +124,8 @@ Result<GoodRadiusResult> GoodRadius(Rng& rng, const PointSet& s, std::size_t t,
 /// Runs GoodRadius over the active points of a prebuilt geo/IndexedDataset
 /// (domain taken from the index). Released outputs are bit-identical to
 /// GoodRadius(rng, index.ActiveView(), t, index.domain(), options) — the
-/// profile / radius-count structures are served by the shared index instead
-/// of being rebuilt, which is how KCluster amortizes its per-round geometry.
-/// Does not mutate the index.
+/// profile is served by the shared index instead of being rebuilt, which is
+/// how KCluster amortizes its per-round geometry. Does not mutate the index.
 Result<GoodRadiusResult> GoodRadius(Rng& rng, const IndexedDataset& index,
                                     std::size_t t,
                                     const GoodRadiusOptions& options);

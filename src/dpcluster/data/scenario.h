@@ -122,7 +122,7 @@ struct ScenarioInstance {
   /// (grid_snapped's duplicate-heavy regime collapses n rows to the few
   /// occupied cells) merged into one weighted row each, in first-occurrence
   /// order, as a weighted IndexedDataset over `domain`. Weighted consumers
-  /// (RadiusProfile, KnnCappedCounts, CountWithin, GoodRadius) release bytes
+  /// (RadiusProfile, CountWithin, GoodRadius) release bytes
   /// bit-identical to running on the expanded rows — pinned by the weighted
   /// property tests. Instances with no duplicates return an all-weight-one
   /// index.

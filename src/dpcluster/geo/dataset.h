@@ -6,13 +6,11 @@
 //
 //  * KCluster peels one cluster per round and removes the covered points
 //    incrementally (Remove / RemoveWithin) — k grid builds amortize to one.
-//  * GoodRadius / RadiusProfile::Build run their t-NN pruned profile through
-//    the prebuilt grid (EnsureGrid + SpatialGrid::BatchKnnSupersetFor)
-//    instead of indexing the round's subset. The grid keeps the cell size of
+//  * GoodRadius / RadiusProfile::Build run their t-NN pruned profile (the
+//    L(r, S) both GoodRadius engines read) through the prebuilt grid
+//    (EnsureGrid + SpatialGrid::BatchKnnSupersetFor) instead of indexing the
+//    round's subset. The grid keeps the cell size of
 //    whichever caller built it first.
-//  * The footnote-2 SparseVector engine answers its ~log|X| capped radius
-//    counts from per-point t-NN rows (KnnCappedCounts, O(n t) memory)
-//    instead of an n x n distance matrix.
 //  * Solver::RunAll batches attach one shared index to many requests over
 //    the same dataset (api/request.h).
 //  * RadiusProfile::Build memoizes the profile of the full row set per t
@@ -34,7 +32,6 @@
 #ifndef DPCLUSTER_GEO_DATASET_H_
 #define DPCLUSTER_GEO_DATASET_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -60,9 +57,9 @@ class ThreadPool;
 /// *expanded* dataset in which row i appears weight(i) times. Every query
 /// answers in expanded terms — BatchKnn rows are the k smallest distances in
 /// the expanded multiset (a row's weight-1 duplicate copies sit at distance
-/// exactly 0), BatchCountWithin sums mass, KnnCappedCounts caps expanded
-/// counts — and is pinned bit-identical to running the unweighted query on
-/// the duplicate-expanded PointSet (weighted_geometry_test). This is what
+/// exactly 0), BatchCountWithin sums mass — and is pinned bit-identical to
+/// running the unweighted query on the duplicate-expanded PointSet
+/// (weighted_geometry_test). This is what
 /// lets the coreset layer (coreset/coreset.h) stand a ~2^20-point dataset
 /// behind a few-thousand-row summary without changing any consumer.
 class IndexedDataset {
@@ -269,132 +266,6 @@ class IndexedDataset {
 /// of PointSet.
 std::uint64_t GeometryFingerprint(const PointSet& points,
                                   const GridDomain& domain);
-
-/// nextafter(f, +inf) for non-negative finite floats, without the libm call:
-/// incrementing the bit pattern of a non-negative float yields the next
-/// representable value (0.0f maps to the smallest subnormal, as nextafter
-/// does). This is the inclusive one-ulp rounding every stored distance float
-/// gets before a `<= bound` count comparison, so a query radius resolves
-/// against the rounded row the same way everywhere.
-inline float BumpDistanceUp(float f) {
-  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) + 1u);
-}
-
-/// Branchless upper_bound over an ascending row: the number of elements
-/// <= bound. Each halving step is a conditional move instead of a compare
-/// branch, so the n log n count queries of CappedTopAverage never stall on
-/// mispredictions.
-inline std::size_t BranchlessUpperBound(std::span<const float> sorted,
-                                        float bound) {
-  if (sorted.empty()) return 0;
-  const float* base = sorted.data();
-  std::size_t len = sorted.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base += (base[half - 1] <= bound) ? half : 0;
-    len -= half;
-  }
-  return static_cast<std::size_t>(base - sorted.data()) +
-         (base[0] <= bound ? 1 : 0);
-}
-
-/// Sorted per-active-point rows of the (cap-1) nearest-neighbor distances:
-/// the O(n t) structure behind the SparseVector GoodRadius path's radius
-/// counts. Because every per-center ball count is capped at `cap`, the
-/// cap-1 smallest distances determine min(B_r, cap) exactly: if all of them
-/// are <= r the count saturates at cap, otherwise the count is
-/// 1 + #{row entries <= r}. Distances are narrowed to float with the
-/// inclusive one-ulp rounding of BumpDistanceUp; dataset_test pins the
-/// counts against a brute-force sorted-row oracle built the same way.
-class KnnCappedCounts {
- public:
-  /// Builds the rows from `index`'s active points; 1 <= cap <= active_size().
-  /// Fails with ResourceExhausted when active_size() > max_points (see
-  /// GoodRadiusOptions::max_profile_points).
-  ///
-  /// Weighted datasets build *compressed* rows — per active row, the
-  /// ascending distinct (bumped-float) distances paired with cumulative mass
-  /// capped at cap-1 — so memory stays O(active_size^2) even when the
-  /// expanded cap is ~10^6. Counts and CappedTopAverage are bit-identical to
-  /// building the unweighted structure over the duplicate-expanded dataset
-  /// (the cap then satisfies 1 <= cap <= active_mass()).
-  static Result<KnnCappedCounts> Build(const IndexedDataset& index,
-                                       std::size_t cap, std::size_t max_points,
-                                       ThreadPool* pool = nullptr);
-
-  /// Active points covered.
-  std::size_t size() const { return n_; }
-  /// The count cap the rows were built for.
-  std::size_t cap() const { return cap_; }
-  /// Bytes held by the distance rows (the structure's dominant allocation).
-  std::size_t MemoryBytes() const {
-    return rows_.size() * sizeof(float) + wvals_.size() * sizeof(float) +
-           wmass_.size() * sizeof(std::uint64_t) +
-           wrow_start_.size() * sizeof(std::size_t);
-  }
-
-  /// Streaming maintenance: realigns the rows with `index`'s active set
-  /// after a batch of Inserts/Removes, recomputing only the rows the
-  /// mutation actually touched. Call AFTER mutating the index; `added` are
-  /// the newly active ids (no prior row), `removed` the deactivated ids
-  /// (their rows are dropped). The reverse-neighbor question — "whose t-NN
-  /// row did this point sit in?" — is answered by the grid itself: a
-  /// CollectWithinPoint sweep from the mutated point's coordinates within
-  /// `threshold_ub_` (a monotone upper bound on every row's t-th distance)
-  /// yields the candidate rows, and each is confirmed against its own row
-  /// threshold. Surviving rows a removed point influenced are recomputed
-  /// from the grid; rows an added point beats get an in-place sorted insert
-  /// (drop-last); everything else is untouched. The result is bit-identical
-  /// to a fresh Build over the new active set at any thread count
-  /// (dataset_test pins this). Weighted (compressed) structures do not
-  /// support incremental maintenance — rebuild those. Fails if
-  /// added/removed do not reconcile the rows with index.ActiveIds(), or if
-  /// cap() now exceeds the active size.
-  Status ApplyBatch(const IndexedDataset& index,
-                    std::span<const std::uint32_t> added,
-                    std::span<const std::uint32_t> removed,
-                    ThreadPool* pool = nullptr);
-
-  /// Pre-existing rows fully recomputed by the last ApplyBatch — the
-  /// invalidation-selectivity numerator (new rows for added ids excluded).
-  std::size_t last_invalidated() const { return last_invalidated_; }
-
-  /// min(B_r(x_rank), cap) over the active points, x_rank the rank-th active
-  /// point in ascending original order.
-  std::size_t CountWithinCapped(std::size_t rank, double r) const;
-
-  /// L(r) with counts capped at `top`: the average of the `top` largest
-  /// values of min(B_r(x_i), top). Requires 1 <= top <= cap. Reuses an
-  /// internal scratch buffer, so callers query serially.
-  double CappedTopAverage(double r, std::size_t top) const;
-
- private:
-  KnnCappedCounts() = default;
-
-  static Result<KnnCappedCounts> BuildWeighted(const IndexedDataset& index,
-                                               std::size_t cap,
-                                               std::size_t max_points,
-                                               ThreadPool* pool);
-
-  std::size_t n_ = 0;
-  std::size_t cap_ = 1;
-  std::size_t k_ = 0;                // row width = cap - 1 (unweighted)
-  std::vector<float> rows_;          // n_ x k_, each ascending (unweighted)
-  std::vector<std::uint32_t> ids_;   // the active ids the rows describe
-  float threshold_ub_ = 0.0f;  // >= every row's last entry; never shrinks
-  std::size_t last_invalidated_ = 0;
-  mutable std::vector<std::size_t> count_scratch_;  // n_ slots
-
-  // Weighted (compressed) representation: per row, strictly ascending
-  // distinct bumped-float distances with cumulative neighbor mass capped at
-  // cap-1. Row r spans [wrow_start_[r], wrow_start_[r+1]).
-  bool weighted_ = false;
-  std::vector<float> wvals_;
-  std::vector<std::uint64_t> wmass_;
-  std::vector<std::size_t> wrow_start_;               // n_+1 offsets
-  std::vector<std::uint64_t> center_mass_;            // per-row multiplicity
-  mutable std::vector<std::pair<std::size_t, std::uint64_t>> wcount_scratch_;
-};
 
 }  // namespace dpcluster
 

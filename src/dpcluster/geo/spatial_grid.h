@@ -190,8 +190,8 @@ class SpatialGrid {
 
   /// CollectWithin for an arbitrary coordinate row `p` (p.size() == dim()):
   /// appends every live id within Euclidean distance r of p, same predicate
-  /// as CollectWithin. `p` need not be an indexed point — this is how
-  /// KnnCappedCounts finds the rows a *removed* point used to influence.
+  /// as CollectWithin (which runs this query from an indexed point's row).
+  /// `p` need not be an indexed point.
   void CollectWithinPoint(std::span<const double> p, double r,
                           Workspace& scratch,
                           std::vector<std::uint32_t>& out) const;

@@ -14,7 +14,6 @@
 #include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
-#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -181,79 +180,6 @@ TEST(IndexedDatasetTest, RemoveWithinMatchesBallContains) {
   EXPECT_EQ(index.RemoveWithin(ball), 0u);
 }
 
-// KnnCappedCounts must agree with the brute-force pairwise oracle: identical
-// CappedTopAverage at every queried radius (both narrow their distances to
-// float with the same inclusive rounding).
-TEST(KnnCappedCountsTest, CappedTopAverageMatchesPairwiseMatrix) {
-  std::uint64_t seed = 40;
-  for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
-           {60, 1}, {120, 2}, {90, 5}}) {
-    Rng rng(++seed);
-    const GridDomain domain(1u << 8, dim);
-    PointSet s = testing_util::UniformCube(rng, n, dim);
-    domain.SnapAll(s);
-    const reference::PairwiseRows matrix(s);
-    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
-                         IndexedDataset::Create(s, domain));
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2}, n / 8, n / 2}) {
-      ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                           KnnCappedCounts::Build(index, t, n));
-      for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 97) {
-        const double r = domain.RadiusFromIndex(g);
-        EXPECT_EQ(counts.CappedTopAverage(r, t), matrix.CappedTopAverage(r, t))
-            << "n=" << n << " d=" << dim << " t=" << t << " g=" << g;
-      }
-    }
-  }
-}
-
-TEST(KnnCappedCountsTest, CountsSaturateAndIncludeDuplicates) {
-  // Five duplicates and one far point, as in the pairwise tests.
-  const GridDomain domain(16, 1);
-  const PointSet s = MakePointSet(1, {0.5, 0.5, 0.5, 0.5, 0.5, 1.0});
-  ASSERT_OK_AND_ASSIGN(IndexedDataset index, IndexedDataset::Create(s, domain));
-  ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                       KnnCappedCounts::Build(index, 4, 10));
-  // At r=0 the duplicates see 5 points, capped at 4; the far point sees 1.
-  EXPECT_EQ(counts.CountWithinCapped(0, 0.0), 4u);
-  EXPECT_EQ(counts.CountWithinCapped(5, 0.0), 1u);
-  EXPECT_DOUBLE_EQ(counts.CappedTopAverage(0.0, 4), 4.0);
-  // Negative radius counts nothing.
-  EXPECT_EQ(counts.CountWithinCapped(0, -1.0), 0u);
-  // A radius covering everything saturates every count.
-  EXPECT_DOUBLE_EQ(counts.CappedTopAverage(1.0, 4), 4.0);
-}
-
-TEST(KnnCappedCountsTest, RespectsMaxPointsCap) {
-  Rng rng(8);
-  IndexedDataset index = MakeIndexed(rng, 20, 2);
-  EXPECT_EQ(KnnCappedCounts::Build(index, 4, 10).status().code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_FALSE(KnnCappedCounts::Build(index, 0, 100).ok());
-  EXPECT_FALSE(KnnCappedCounts::Build(index, 21, 100).ok());
-  EXPECT_OK(KnnCappedCounts::Build(index, 20, 100).status());
-}
-
-// After deletions, the capped counts must equal the pairwise oracle built
-// over the surviving points — the contract KCluster's SparseVector
-// rounds rely on.
-TEST(KnnCappedCountsTest, AgreesWithMatrixAfterRemoval) {
-  Rng rng(9);
-  IndexedDataset index = MakeIndexed(rng, 140, 2);
-  index.Remove(EveryThird(140));
-  const PointSet view = index.ActiveView();
-  const std::size_t m = index.active_size();
-  const reference::PairwiseRows matrix(view);
-  const std::size_t t = m / 6;
-  ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                       KnnCappedCounts::Build(index, t, m));
-  for (std::uint64_t g = 0; g < index.domain().RadiusGridSize(); g += 61) {
-    const double r = index.domain().RadiusFromIndex(g);
-    EXPECT_EQ(counts.CappedTopAverage(r, t), matrix.CappedTopAverage(r, t))
-        << "g=" << g;
-  }
-}
-
 // Structural insertion: after interleaved Insert / Remove / Snapshot /
 // Restore, every query must still equal a fresh grid built over ActiveView —
 // same bytes, any thread count (the other half of the deletion contract).
@@ -370,82 +296,6 @@ TEST(IndexedDatasetTest, CompactRenumbersActiveRows) {
   EXPECT_EQ(got, want);
   // Snapshots from before the renumbering no longer apply.
   EXPECT_FALSE(index.Restore(stale).ok());
-}
-
-// Streaming maintenance of the t-NN rows: after a batch of edits,
-// ApplyBatch must leave the structure answering exactly like a fresh Build
-// over the new active set, at any thread count, while recomputing only a
-// subset of the surviving rows.
-TEST(KnnCappedCountsTest, ApplyBatchMatchesFreshBuild) {
-  std::uint64_t seed = 300;
-  for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
-           {120, 2}, {90, 3}}) {
-    Rng rng(++seed);
-    const GridDomain domain(1u << 8, dim);
-    PointSet all = testing_util::UniformCube(rng, n, dim);
-    domain.SnapAll(all);
-    const std::size_t n0 = (3 * n) / 4;
-    PointSet head(dim);
-    for (std::size_t i = 0; i < n0; ++i) head.Add(all[i]);
-    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
-                         IndexedDataset::Create(std::move(head), domain));
-    const std::size_t t = n0 / 8;
-    ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                         KnnCappedCounts::Build(index, t, n));
-
-    // Three rounds of mixed edits, rows patched after each round.
-    std::size_t next = n0;
-    std::uint32_t victim = 1;
-    for (int round = 0; round < 3; ++round) {
-      std::vector<std::uint32_t> added;
-      std::vector<std::uint32_t> removed;
-      for (std::size_t a = 0; a < n / 10 && next < n; ++a) {
-        ASSERT_OK_AND_ASSIGN(const std::size_t id, index.Insert(all[next]));
-        added.push_back(static_cast<std::uint32_t>(id));
-        ++next;
-      }
-      for (std::size_t d2 = 0; d2 < n / 16; ++d2, victim += 7) {
-        while (!index.IsActive(victim % n0)) ++victim;
-        removed.push_back(victim % n0);
-        index.Remove(static_cast<std::size_t>(victim % n0));
-      }
-      ThreadPool pool(round + 1);
-      ASSERT_OK(counts.ApplyBatch(index, added, removed, &pool));
-      EXPECT_LE(counts.last_invalidated(), index.active_size());
-
-      ASSERT_OK_AND_ASSIGN(KnnCappedCounts fresh,
-                           KnnCappedCounts::Build(index, t, n));
-      ASSERT_EQ(counts.size(), fresh.size());
-      for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 53) {
-        const double r = domain.RadiusFromIndex(g);
-        for (std::size_t rank = 0; rank < counts.size(); rank += 3) {
-          ASSERT_EQ(counts.CountWithinCapped(rank, r),
-                    fresh.CountWithinCapped(rank, r))
-              << "round=" << round << " g=" << g << " rank=" << rank;
-        }
-        ASSERT_EQ(counts.CappedTopAverage(r, t), fresh.CappedTopAverage(r, t))
-            << "round=" << round << " g=" << g;
-      }
-    }
-  }
-}
-
-TEST(KnnCappedCountsTest, ApplyBatchRejectsInconsistentEdits) {
-  Rng rng(31);
-  IndexedDataset index = MakeIndexed(rng, 60, 2);
-  ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                       KnnCappedCounts::Build(index, 6, 60));
-  // Nothing changed but edits claimed: rejected.
-  const std::vector<std::uint32_t> phantom{3};
-  EXPECT_FALSE(counts.ApplyBatch(index, {}, phantom).ok());
-  EXPECT_FALSE(counts.ApplyBatch(index, phantom, {}).ok());
-  // A no-op batch is fine.
-  EXPECT_OK(counts.ApplyBatch(index, {}, {}));
-  // Removing below cap: rejected (rebuild with a smaller cap instead).
-  std::vector<std::uint32_t> most;
-  for (std::uint32_t i = 0; i < 56; ++i) most.push_back(i);
-  index.Remove(most);
-  EXPECT_FALSE(counts.ApplyBatch(index, {}, most).ok());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/minimal_ball.h"
+#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
@@ -164,6 +165,27 @@ TEST(GoodRadiusTest, ValidatesSubsampleGridCapFactor) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+// The SparseVector engine reads the exact closed-ball L(r, S): a pair whose
+// distance exceeds a solution-grid radius by less than one float ulp is
+// outside that ball. Here |p - q| = 0.22839355758... lies just above
+// r_1871 = 0.2283935546875, so L(r_1871) = 1 and the smallest radius whose
+// ball holds both points (L = t = 2) is r_1872. With eps = 1e9 the noise is
+// negligible and the binary search lands on exactly that index.
+TEST(GoodRadiusTest, SparseVectorCountsOnlyPairsInsideTheBall) {
+  const GridDomain domain(4096, 2);
+  const double step = domain.step();
+  const PointSet s = testing_util::MakePointSet(
+      2, {3489 * step, 3405 * step, 2567 * step, 3248 * step});
+  ASSERT_GT(Distance(s[0], s[1]), domain.RadiusFromIndex(1871));
+  ASSERT_LE(Distance(s[0], s[1]), domain.RadiusFromIndex(1872));
+  GoodRadiusOptions options = TestOptions(1e9);
+  options.engine = GoodRadiusOptions::Engine::kSparseVector;
+  Rng rng(5);
+  ASSERT_OK_AND_ASSIGN(GoodRadiusResult result,
+                       GoodRadius(rng, s, 2, domain, options));
+  EXPECT_EQ(result.grid_index, 1872u);
+}
+
 // The index overload must release exactly the bytes of the PointSet entry
 // point — on the full data and on a post-deletion active view — for both
 // engines and both event generators.
@@ -214,8 +236,8 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
   }
 }
 
-// With the grid profile active, the raised subsample cap can swallow the
-// whole input: the run is then bit-identical to an uncapped (no-subsample)
+// With the grid profile active (either engine reads it), the raised
+// subsample cap can swallow the whole input: the run is then bit-identical to an uncapped (no-subsample)
 // run — only the cap moved, no rows were dropped.
 TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
   Rng data_rng(12);
@@ -227,30 +249,39 @@ TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
   spec.cluster_radius = 0.02;
   const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
 
-  GoodRadiusOptions raised = TestOptions(4.0);
-  raised.max_profile_points = 128;  // Below n: subsampling would trigger.
-  raised.subsample_large_inputs = true;
-  raised.subsample_grid_cap_factor = 10.0;  // 1280 >= n: keeps every row.
+  for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
+                            GoodRadiusOptions::Engine::kSparseVector}) {
+    GoodRadiusOptions raised = TestOptions(4.0);
+    raised.engine = engine;
+    raised.max_profile_points = 128;  // Below n: subsampling would trigger.
+    raised.subsample_large_inputs = true;
+    raised.subsample_grid_cap_factor = 10.0;  // 1280 >= n: keeps every row.
 
-  GoodRadiusOptions uncapped = TestOptions(4.0);
-  uncapped.max_profile_points = 4096;
+    GoodRadiusOptions uncapped = TestOptions(4.0);
+    uncapped.engine = engine;
+    uncapped.max_profile_points = 4096;
 
-  Rng rng_raised(99);
-  Rng rng_uncapped(99);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult got,
-                       GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
-  ASSERT_OK_AND_ASSIGN(
-      GoodRadiusResult want,
-      GoodRadius(rng_uncapped, w.points, w.t, w.domain, uncapped));
-  EXPECT_EQ(got.radius, want.radius);
-  EXPECT_EQ(got.grid_index, want.grid_index);
+    Rng rng_raised(99);
+    Rng rng_uncapped(99);
+    ASSERT_OK_AND_ASSIGN(
+        GoodRadiusResult got,
+        GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
+    ASSERT_OK_AND_ASSIGN(
+        GoodRadiusResult want,
+        GoodRadius(rng_uncapped, w.points, w.t, w.domain, uncapped));
+    const int e = static_cast<int>(engine);
+    EXPECT_EQ(got.radius, want.radius) << "engine " << e;
+    EXPECT_EQ(got.grid_index, want.grid_index) << "engine " << e;
+    EXPECT_EQ(rng_raised(), rng_uncapped()) << "engine " << e;
 
-  // Factor 1 restores the pre-raise behavior: a genuine 128-row subsample
-  // (different RNG consumption, and it must still succeed).
-  GoodRadiusOptions legacy = raised;
-  legacy.subsample_grid_cap_factor = 1.0;
-  Rng rng_legacy(99);
-  EXPECT_OK(GoodRadius(rng_legacy, w.points, w.t, w.domain, legacy).status());
+    // Factor 1 restores the pre-raise behavior: a genuine 128-row subsample
+    // (different RNG consumption, and it must still succeed).
+    GoodRadiusOptions legacy = raised;
+    legacy.subsample_grid_cap_factor = 1.0;
+    Rng rng_legacy(99);
+    EXPECT_OK(
+        GoodRadius(rng_legacy, w.points, w.t, w.domain, legacy).status());
+  }
 }
 
 // Under the default profile the cap is raised only while the rescaled
@@ -267,22 +298,29 @@ TEST(GoodRadiusTest, SubsampleCapStaysStrictAboveAQuarterOfTheRows) {
   spec.cluster_radius = 0.02;
   const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
 
-  GoodRadiusOptions raised = TestOptions(4.0);
-  raised.max_profile_points = 128;
-  raised.subsample_large_inputs = true;
-  raised.subsample_grid_cap_factor = 10.0;
-  GoodRadiusOptions strict = raised;
-  strict.subsample_grid_cap_factor = 1.0;
+  for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
+                            GoodRadiusOptions::Engine::kSparseVector}) {
+    GoodRadiusOptions raised = TestOptions(4.0);
+    raised.engine = engine;
+    raised.max_profile_points = 128;
+    raised.subsample_large_inputs = true;
+    raised.subsample_grid_cap_factor = 10.0;
+    GoodRadiusOptions strict = raised;
+    strict.subsample_grid_cap_factor = 1.0;
 
-  Rng rng_raised(99);
-  Rng rng_strict(99);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult got,
-                       GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult want,
-                       GoodRadius(rng_strict, w.points, w.t, w.domain, strict));
-  EXPECT_EQ(got.radius, want.radius);
-  EXPECT_EQ(got.grid_index, want.grid_index);
-  EXPECT_EQ(rng_raised(), rng_strict());  // Same draws consumed.
+    Rng rng_raised(99);
+    Rng rng_strict(99);
+    ASSERT_OK_AND_ASSIGN(
+        GoodRadiusResult got,
+        GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
+    ASSERT_OK_AND_ASSIGN(
+        GoodRadiusResult want,
+        GoodRadius(rng_strict, w.points, w.t, w.domain, strict));
+    const int e = static_cast<int>(engine);
+    EXPECT_EQ(got.radius, want.radius) << "engine " << e;
+    EXPECT_EQ(got.grid_index, want.grid_index) << "engine " << e;
+    EXPECT_EQ(rng_raised(), rng_strict()) << "engine " << e;  // Same draws.
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the capped averaged count L(r, S) over the brute-force pairwise
 // oracle — including the paper's central sensitivity-2 property (Lemma 4.5's
-// core) — and for the branchless row search the t-NN counts use.
+// core) — and for the branchless search over its sorted float rows.
 
 #include <gtest/gtest.h>
 

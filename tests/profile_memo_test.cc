@@ -1,8 +1,9 @@
 // Tests for the radius-profile memo on IndexedDataset: a memoized profile
 // must be the very StepFunction a cold build produces (same breakpoints,
 // same values) at any thread count, the memo must serve only the full row
-// set, Insert and Compact must invalidate it, and neither the kExact oracle
-// nor the max_points refusal may be bypassed by it.
+// set, Insert and Compact must invalidate it, neither the kExact oracle nor
+// the max_points refusal may be bypassed by it, and both GoodRadius engines
+// share it.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
@@ -145,6 +147,39 @@ TEST(ProfileMemoTest, FullSetBuildAfterKClusterHitsAndMatchesCold) {
   ExpectCounts(index, 1, 0, "after KCluster");
   ExpectSameProfile(ColdProfile(instance.points, instance.domain, t, nullptr),
                     after, "after KCluster");
+}
+
+// Both GoodRadius engines read the same memoized L(r, S): a SparseVector
+// solve after a RecConcave solve at the same t is a memo hit, and it
+// releases the bytes a SparseVector solve over a cold index releases.
+TEST(ProfileMemoTest, SparseVectorSolveHitsTheRecConcaveMemo) {
+  const ScenarioInstance instance = Instance("planted_cluster", 512, 29);
+  const std::size_t t = instance.t;
+  ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                       IndexedDataset::Create(instance.points, instance.domain));
+  GoodRadiusOptions options;
+  options.params = {4.0, 1e-9};
+  Rng rc_rng(3);
+  ASSERT_OK(GoodRadius(rc_rng, index, t, options).status());
+  ExpectCounts(index, 0, 1, "RecConcave solve");
+
+  options.engine = GoodRadiusOptions::Engine::kSparseVector;
+  Rng warm_rng(8);
+  ASSERT_OK_AND_ASSIGN(GoodRadiusResult warm,
+                       GoodRadius(warm_rng, index, t, options));
+  ExpectCounts(index, 1, 0, "SparseVector solve");
+
+  ASSERT_OK_AND_ASSIGN(IndexedDataset fresh,
+                       IndexedDataset::Create(instance.points, instance.domain));
+  Rng cold_rng(8);
+  ASSERT_OK_AND_ASSIGN(GoodRadiusResult cold,
+                       GoodRadius(cold_rng, fresh, t, options));
+  ExpectCounts(fresh, 0, 1, "cold SparseVector solve");
+  EXPECT_EQ(warm.grid_index, cold.grid_index);
+  EXPECT_EQ(warm.radius, cold.radius);
+  EXPECT_EQ(warm.gamma, cold.gamma);
+  EXPECT_EQ(warm.zero_radius_shortcut, cold.zero_radius_shortcut);
+  EXPECT_EQ(warm_rng(), cold_rng());  // Same draws consumed.
 }
 
 TEST(ProfileMemoTest, InsertAndCompactInvalidate) {

@@ -2,9 +2,8 @@
 // incremental index. For every registered scenario family, an IndexedDataset
 // that absorbed a stream of Inserts and Removes must answer every query
 // bit-identically to a from-scratch rebuild over its active rows — at 1, 2,
-// and 8 threads — and the incrementally patched KnnCappedCounts rows must
-// drive GoodRadius to the released bytes a rebuild-per-batch pipeline
-// produces.
+// and 8 threads — and GoodRadius over the churned index must release the
+// bytes a rebuild-per-batch pipeline produces, with either engine.
 
 #include <gtest/gtest.h>
 
@@ -172,10 +171,11 @@ TEST(StreamingScenarioTest, ScheduleReplayReproducesTheInstance) {
   EXPECT_EQ(got, want);
 }
 
-// End-to-end amortization contract: GoodRadius served by incrementally
-// patched shared rows releases the same bytes as the rebuild-per-batch
-// pipeline it replaces (same Rng seed, same noise draws).
-TEST(StreamingGoodRadiusTest, SharedCountsMatchRebuildPipeline) {
+// End-to-end streaming contract: GoodRadius over the churned live index
+// releases the same bytes as the rebuild-per-batch pipeline (a fresh index
+// over the surviving rows, same Rng seed), for both engines at any thread
+// count.
+TEST(StreamingGoodRadiusTest, ChurnedIndexMatchesRebuildPipeline) {
   ScenarioSpec spec;
   spec.scenario = "planted_cluster";
   spec.n = 300;
@@ -183,58 +183,48 @@ TEST(StreamingGoodRadiusTest, SharedCountsMatchRebuildPipeline) {
   Rng gen(17);
   ASSERT_OK_AND_ASSIGN(ScenarioInstance instance, GenerateScenario(gen, spec));
 
-  std::vector<std::uint32_t> added;
-  std::vector<std::uint32_t> removed;
   const std::size_t n0 = (2 * spec.n) / 3;
   const std::size_t t = 40;
 
-  // Incremental pipeline: build rows once on the head, patch through churn.
+  // Incremental pipeline: index the head, then expire and append through it.
   PointSet head(instance.points.dim());
   for (std::size_t i = 0; i < n0; ++i) head.Add(instance.points[i]);
   ASSERT_OK_AND_ASSIGN(IndexedDataset live,
                        IndexedDataset::Create(std::move(head),
                                               instance.domain));
-  ASSERT_OK_AND_ASSIGN(KnnCappedCounts rows,
-                       KnnCappedCounts::Build(live, t, spec.n));
-  for (std::size_t i = 0; i < n0; i += 5) {
-    live.Remove(i);
-    removed.push_back(static_cast<std::uint32_t>(i));
-  }
+  live.EnsureGrid(t - 1);  // Churn the cached grid, not a rebuild.
+  for (std::size_t i = 0; i < n0; i += 5) live.Remove(i);
   for (std::size_t i = n0; i < spec.n; ++i) {
-    ASSERT_OK_AND_ASSIGN(const std::size_t id,
-                         live.Insert(instance.points[i]));
-    added.push_back(static_cast<std::uint32_t>(id));
+    ASSERT_OK(live.Insert(instance.points[i]).status());
   }
-  ThreadPool pool(4);
-  ASSERT_OK(rows.ApplyBatch(live, added, removed, &pool));
-  // The stream touched a strict subset of the surviving rows.
-  EXPECT_LT(rows.last_invalidated(), live.active_size());
-
-  GoodRadiusOptions incremental;
-  incremental.engine = GoodRadiusOptions::Engine::kSparseVector;
-  incremental.max_profile_points = spec.n;
-  incremental.shared_counts = &rows;
-  Rng rng_a(7);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_shared,
-                       GoodRadius(rng_a, live, t, incremental));
 
   // Rebuild pipeline: a fresh index over the same surviving rows.
   ASSERT_OK_AND_ASSIGN(IndexedDataset rebuilt,
                        IndexedDataset::Create(live.ActiveView(),
                                               instance.domain));
-  GoodRadiusOptions scratch = incremental;
-  scratch.shared_counts = nullptr;
-  Rng rng_b(7);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_rebuild,
-                       GoodRadius(rng_b, rebuilt, t, scratch));
-
-  EXPECT_EQ(via_shared.radius, via_rebuild.radius);
-  EXPECT_EQ(via_shared.grid_index, via_rebuild.grid_index);
-  EXPECT_EQ(via_shared.gamma, via_rebuild.gamma);
-
-  // A mismatched shared structure is rejected, not silently served.
-  live.Remove(live.ActiveIds().front());
-  EXPECT_FALSE(GoodRadius(rng_a, live, t, incremental).ok());
+  for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
+                            GoodRadiusOptions::Engine::kSparseVector}) {
+    for (const std::size_t threads : {1, 2, 8}) {
+      GoodRadiusOptions options;
+      options.engine = engine;
+      options.max_profile_points = spec.n;
+      options.num_threads = threads;
+      Rng rng_a(7);
+      ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_live,
+                           GoodRadius(rng_a, live, t, options));
+      Rng rng_b(7);
+      ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_rebuild,
+                           GoodRadius(rng_b, rebuilt, t, options));
+      const int e = static_cast<int>(engine);
+      EXPECT_EQ(via_live.radius, via_rebuild.radius)
+          << "engine " << e << " threads " << threads;
+      EXPECT_EQ(via_live.grid_index, via_rebuild.grid_index)
+          << "engine " << e << " threads " << threads;
+      EXPECT_EQ(via_live.gamma, via_rebuild.gamma);
+      EXPECT_EQ(via_live.zero_radius_shortcut,
+                via_rebuild.zero_radius_shortcut);
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/data/scenario.h"
@@ -123,39 +124,35 @@ TEST_P(WeightedGeometryTest, BatchQueriesMatchExpanded) {
   }
 }
 
-// KnnCappedCounts: weighted compressed rows answer CountWithinCapped and
-// CappedTopAverage bit-identically to the expanded unweighted build.
-TEST_P(WeightedGeometryTest, KnnCappedCountsMatchExpanded) {
+// The footnote-2 SparseVector engine over a weighted index releases what the
+// same call (same seed) releases on the duplicate-expanded PointSet: it reads
+// the weighted profile pinned above, so every noisy comparison sees the same
+// L value.
+TEST_P(WeightedGeometryTest, SparseVectorGoodRadiusMatchesExpanded) {
   const WeightedCase c = MakeCase(GetParam());
-  const std::size_t n = c.instance.points.size();
   ASSERT_OK_AND_ASSIGN(
       IndexedDataset weighted,
       IndexedDataset::Create(c.instance.points, c.instance.domain, c.weights));
-  ASSERT_OK_AND_ASSIGN(IndexedDataset expanded,
-                       IndexedDataset::Create(c.expanded, c.instance.domain));
-
-  const std::size_t cap = static_cast<std::size_t>(c.mass) / 4;
-  const double radii[] = {0.0, 0.01, 0.1, 0.5, 2.0};
-  for (const std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    ASSERT_OK_AND_ASSIGN(
-        KnnCappedCounts wcounts,
-        KnnCappedCounts::Build(weighted, cap, n, &pool));
-    ASSERT_OK_AND_ASSIGN(
-        KnnCappedCounts ecounts,
-        KnnCappedCounts::Build(expanded, cap, c.expanded.size(), &pool));
-    for (const double r : radii) {
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(wcounts.CountWithinCapped(i, r),
-                  ecounts.CountWithinCapped(c.first_copy[i], r))
-            << "row " << i << " r " << r << " threads " << threads;
-      }
-      for (const std::size_t top : {std::size_t{1}, cap / 2, cap}) {
-        if (top == 0) continue;
-        EXPECT_EQ(wcounts.CappedTopAverage(r, top),
-                  ecounts.CappedTopAverage(r, top))
-            << "r " << r << " top " << top << " threads " << threads;
-      }
+  for (const std::size_t t : {static_cast<std::size_t>(c.mass) / 8,
+                              static_cast<std::size_t>(c.mass) / 2}) {
+    for (const std::size_t threads : kThreadCounts) {
+      GoodRadiusOptions options;
+      options.engine = GoodRadiusOptions::Engine::kSparseVector;
+      options.params = {8.0, 1e-9};
+      options.num_threads = threads;
+      Rng wrng(700 + t);
+      ASSERT_OK_AND_ASSIGN(GoodRadiusResult wres,
+                           GoodRadius(wrng, weighted, t, options));
+      Rng erng(700 + t);
+      ASSERT_OK_AND_ASSIGN(
+          GoodRadiusResult eres,
+          GoodRadius(erng, c.expanded, t, c.instance.domain, options));
+      EXPECT_EQ(wres.grid_index, eres.grid_index)
+          << "t " << t << " threads " << threads;
+      EXPECT_EQ(wres.radius, eres.radius);
+      EXPECT_EQ(wres.gamma, eres.gamma);
+      EXPECT_EQ(wres.zero_radius_shortcut, eres.zero_radius_shortcut);
+      EXPECT_EQ(wrng(), erng());  // Same number of draws consumed.
     }
   }
 }

@@ -38,8 +38,8 @@
 //   --ledger        print the per-phase privacy ledger
 //   --stream-ticks N  replay mode: generate the "streaming" scenario family
 //                   over N arrival/expiry ticks and drive it through the
-//                   incremental index path (Insert/Remove + t-NN row
-//                   patching + one GoodRadius per tick), then check the
+//                   incremental index path (Insert/Remove + one
+//                   SparseVector GoodRadius per tick), then check the
 //                   final active set is byte-identical to indexing the
 //                   instance directly. --seed/--levels/--axis/--epsilon/
 //                   --delta/--beta/--t apply; exit 1 on a replay mismatch.
@@ -48,7 +48,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -99,8 +98,8 @@ void Usage(std::FILE* out) {
                "       [--coreset] [--coreset-target N] [--coreset-min-points N]\n"
                "       [--stream-ticks N] [--help]\n"
                "--stream-ticks N replays the \"streaming\" scenario family\n"
-               "through the incremental index (Insert/Remove + t-NN row\n"
-               "patches + one GoodRadius per tick) and checks the final\n"
+               "through the incremental index (Insert/Remove + one\n"
+               "SparseVector GoodRadius per tick) and checks the final\n"
                "active set against indexing the instance directly;\n"
                "see docs/TUNING.md for what each performance knob does;\n"
                "docs/OPERATIONS.md covers the resident daemon (dpcluster_serve)\n");
@@ -195,9 +194,9 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
 
 /// The --stream-ticks replay: drives the "streaming" scenario's recorded
 /// arrival/expiry schedule through the incremental index path the service's
-/// stream endpoints use — Insert/Remove on a live IndexedDataset, t-NN rows
-/// patched per tick via KnnCappedCounts::ApplyBatch, one GoodRadius query
-/// per tick served from the patched rows — then verifies the scenario
+/// stream endpoints use — Insert/Remove on a live IndexedDataset, then one
+/// GoodRadius query per tick over it (the footnote-2 SparseVector engine;
+/// the service runs RecConcave) — then verifies the scenario
 /// contract (data/scenario.h): the final active set is byte-identical to
 /// indexing the instance directly.
 int RunStreamReplay(const CliOptions& opt) {
@@ -228,11 +227,10 @@ int RunStreamReplay(const CliOptions& opt) {
     return 1;
   }
   IndexedDataset live = std::move(*live_or);
-  std::optional<KnnCappedCounts> rows;
 
   std::size_t next_arrival = 0;  // Arrivals are recorded in tick order.
   for (std::size_t tick = 0; tick < stream.ticks; ++tick) {
-    std::vector<std::uint32_t> added;
+    std::size_t added = 0;
     while (next_arrival < total && stream.arrival_tick[next_arrival] == tick) {
       const auto id = live.Insert(stream.arrivals[next_arrival]);
       if (!id.ok() || *id != next_arrival) {
@@ -240,7 +238,7 @@ int RunStreamReplay(const CliOptions& opt) {
                      next_arrival, id.status().ToString().c_str());
         return 1;
       }
-      added.push_back(static_cast<std::uint32_t>(next_arrival));
+      ++added;
       ++next_arrival;
     }
     std::vector<std::uint32_t> removed;
@@ -251,36 +249,15 @@ int RunStreamReplay(const CliOptions& opt) {
     }
     live.Remove(removed);
 
-    std::size_t patched = 0;
-    if (!rows.has_value()) {
-      auto built = KnnCappedCounts::Build(live, t, total);
-      if (!built.ok()) {
-        std::fprintf(stderr, "error: t-NN rows at tick %zu: %s\n", tick,
-                     built.status().ToString().c_str());
-        return 1;
-      }
-      rows = std::move(*built);
-    } else {
-      if (Status patch = rows->ApplyBatch(live, added, removed);
-          !patch.ok()) {
-        std::fprintf(stderr, "error: ApplyBatch at tick %zu: %s\n", tick,
-                     patch.ToString().c_str());
-        return 1;
-      }
-      patched = rows->last_invalidated();
-    }
-
     GoodRadiusOptions radius_opts;
     radius_opts.engine = GoodRadiusOptions::Engine::kSparseVector;
     radius_opts.params = {opt.epsilon, opt.delta};
     radius_opts.beta = opt.beta;
     radius_opts.max_profile_points = total;
-    radius_opts.shared_counts = &*rows;
     Rng query_rng(opt.seed + 101 * (tick + 1));
     const auto radius = GoodRadius(query_rng, live, t, radius_opts);
-    std::printf("tick %2zu: +%zu -%zu live=%zu patched_rows=%zu radius=",
-                tick, added.size(), removed.size(), live.active_size(),
-                patched);
+    std::printf("tick %2zu: +%zu -%zu live=%zu radius=", tick, added,
+                removed.size(), live.active_size());
     if (radius.ok()) {
       std::printf("%.6f\n", radius->radius);
     } else {
