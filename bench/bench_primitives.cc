@@ -2,11 +2,10 @@
 // built from (S2, S6-S13 in DESIGN.md).
 //
 // Two layers:
-//  * A headline section that times the blocked kernels against frozen copies
-//    of the pre-PR serial implementations (per-point JL projection,
-//    std::upper_bound counting) and writes every measurement to
-//    BENCH_primitives.json so the perf trajectory is machine-readable across
-//    PRs. `--smoke` shrinks the repetitions and turns the JL speedup ratio
+//  * A headline section that times the blocked kernel against a frozen copy
+//    of the pre-PR serial implementation (per-point JL projection) and
+//    writes every measurement to BENCH_primitives.json so the perf
+//    trajectory is machine-readable across PRs. `--smoke` shrinks the repetitions and turns the JL speedup ratio
 //    into a hard floor (exit 1), which is what CI runs so kernel regressions
 //    fail loudly.
 //  * The google-benchmark suite over the remaining primitives (skipped under
@@ -15,7 +14,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -36,7 +34,6 @@
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/random/distributions.h"
-#include "reference/pairwise_reference.h"
 
 namespace dpcluster {
 namespace {
@@ -49,14 +46,6 @@ namespace {
 // Seed-era GoodCenter step 1: one matrix-vector Apply per point.
 void ReferenceJlLoop(const JlTransform& jl, const PointSet& s, Matrix& out) {
   for (std::size_t i = 0; i < s.size(); ++i) jl.Apply(s[i], out.Row(i));
-}
-
-// Seed-era CountWithin: std::upper_bound over the sorted row.
-std::size_t ReferenceCountWithin(std::span<const float> row, double r) {
-  const float bound = std::nextafter(static_cast<float>(r),
-                                     std::numeric_limits<float>::infinity());
-  return static_cast<std::size_t>(
-      std::upper_bound(row.begin(), row.end(), bound) - row.begin());
 }
 
 // ------------------------------------------------------------------------
@@ -119,37 +108,6 @@ double RunHeadline(bench::JsonReporter& reporter, bool smoke) {
     reporter.Add("JlTransform::Apply[loop-baseline]", n, d, 1, loop_ms * per_op);
     reporter.Add("JlTransform::ApplyAll", n, d, 1, batched_ms * per_op);
     reporter.Add("JlTransform::ApplyAll", n, d, hw, batched_mt_ms * per_op);
-  }
-
-  bench::Banner("CountWithin: std::upper_bound vs branchless upper_bound");
-  {
-    const std::size_t n = 2048, d = 4;
-    const PointSet s = ClusteredCube(rng, n, d);
-    const reference::PairwiseRows rows(s);
-    std::vector<double> radii(4096);
-    for (double& r : radii) r = rng.NextDouble() * 1.2;
-    std::size_t sink = 0;
-    const double std_ms = BestOfMs(reps, [&] {
-      for (std::size_t q = 0; q < radii.size(); ++q) {
-        sink += ReferenceCountWithin(rows.SortedRow(q % n), radii[q]);
-      }
-    });
-    const double branchless_ms = BestOfMs(reps, [&] {
-      for (std::size_t q = 0; q < radii.size(); ++q) {
-        const float bound =
-            std::nextafter(static_cast<float>(radii[q]),
-                           std::numeric_limits<float>::infinity());
-        sink += BranchlessUpperBound(rows.SortedRow(q % n), bound);
-      }
-    });
-    benchmark::DoNotOptimize(sink);
-    bench::Note("4096 queries over rows of " + std::to_string(n) + ": std " +
-                std::to_string(std_ms) + " ms, branchless " +
-                std::to_string(branchless_ms) + " ms");
-    const double per_op = 1e6 / static_cast<double>(radii.size());
-    reporter.Add("CountWithin[std-upper-bound-baseline]", n, d, 1,
-                 std_ms * per_op);
-    reporter.Add("CountWithin[branchless]", n, d, 1, branchless_ms * per_op);
   }
 
   return jl_speedup;

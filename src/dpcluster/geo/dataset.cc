@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <utility>
 
 #include "dpcluster/common/check.h"
-#include "dpcluster/la/vector_ops.h"
-#include "dpcluster/parallel/parallel_for.h"
 
 namespace dpcluster {
 
@@ -273,107 +270,6 @@ void IndexedDataset::StoreProfile(std::size_t t,
 
 IndexedDataset::ProfileMemoCounts IndexedDataset::TakeProfileMemoCounts() {
   return std::exchange(profile_memo_counts_, ProfileMemoCounts{});
-}
-
-void IndexedDataset::BatchKnn(std::size_t k, std::span<double> out,
-                              ThreadPool* pool, bool sorted) const {
-  if (weighted()) {
-    BatchKnnWeighted(k, out, pool);
-    return;
-  }
-  DPC_CHECK_GE(active_count_, 1u);
-  DPC_CHECK_LE(k, active_count_ - 1);
-  const SpatialGrid& grid = EnsureGrid(k);
-  grid.BatchKnnDistancesFor(ActiveIds(), k, out, pool, sorted);
-}
-
-void IndexedDataset::BatchCountWithin(double r, std::span<std::size_t> out,
-                                      ThreadPool* pool) const {
-  if (weighted()) {
-    BatchCountWithinWeighted(r, out, pool);
-    return;
-  }
-  DPC_CHECK_EQ(out.size(), active_count_);
-  if (active_count_ == 0) return;
-  const SpatialGrid& grid = EnsureGrid(/*expected_neighbors=*/16);
-  grid.BatchCountWithin(ActiveIds(), r, out, pool);
-}
-
-void IndexedDataset::BatchKnnWeighted(std::size_t k, std::span<double> out,
-                                      ThreadPool* pool) const {
-  DPC_CHECK_GE(active_mass_, 1u);
-  DPC_CHECK_LE(k, active_mass_ - 1);
-  DPC_CHECK_EQ(out.size(), active_count_ * k);
-  const std::span<const std::uint32_t> ids = ActiveIds();
-  const std::size_t d = points_.dim();
-  const double* data = points_.Data().data();
-  // One query per expanded multiset: the query row's own weight-1 duplicate
-  // copies sit at squared distance exactly +0.0 (x - x accumulates +0.0 per
-  // coordinate), matching what a grid over the expanded rows returns.
-  constexpr std::size_t kQueryGrain = 16;
-  ParallelForChunks(
-      pool, 0, ids.size(), kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        std::vector<std::pair<double, std::uint64_t>> cands;
-        cands.reserve(ids.size());
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint32_t q = ids[r];
-          const double* qrow = data + static_cast<std::size_t>(q) * d;
-          cands.clear();
-          if (weights_[q] > 1) cands.emplace_back(0.0, weights_[q] - 1);
-          for (const std::uint32_t j : ids) {
-            if (j == q) continue;
-            cands.emplace_back(
-                SquaredDistanceRows(qrow,
-                                    data + static_cast<std::size_t>(j) * d, d),
-                weights_[j]);
-          }
-          std::sort(cands.begin(), cands.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first < b.first;
-                    });
-          double* row = out.data() + r * k;
-          std::size_t written = 0;
-          for (const auto& [sq, w] : cands) {
-            if (written == k) break;
-            const double dist = std::sqrt(sq);
-            const std::uint64_t take =
-                std::min<std::uint64_t>(w, k - written);
-            for (std::uint64_t c = 0; c < take; ++c) row[written++] = dist;
-          }
-          DPC_CHECK_EQ(written, k);
-        }
-      },
-      kAlwaysParallel);
-}
-
-void IndexedDataset::BatchCountWithinWeighted(double r,
-                                              std::span<std::size_t> out,
-                                              ThreadPool* pool) const {
-  DPC_CHECK_EQ(out.size(), active_count_);
-  if (active_count_ == 0) return;
-  const std::span<const std::uint32_t> ids = ActiveIds();
-  const std::size_t d = points_.dim();
-  const double* data = points_.Data().data();
-  constexpr std::size_t kQueryGrain = 16;
-  ParallelForChunks(
-      pool, 0, ids.size(), kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t rank = lo; rank < hi; ++rank) {
-          const std::uint32_t q = ids[rank];
-          const double* qrow = data + static_cast<std::size_t>(q) * d;
-          std::uint64_t mass = 0;
-          if (r >= 0.0) {
-            for (const std::uint32_t j : ids) {
-              const double sq = SquaredDistanceRows(
-                  qrow, data + static_cast<std::size_t>(j) * d, d);
-              if (std::sqrt(sq) <= r) mass += weights_[j];
-            }
-          }
-          out[rank] = static_cast<std::size_t>(mass);
-        }
-      },
-      kAlwaysParallel);
 }
 
 std::uint64_t GeometryFingerprint(const PointSet& points,

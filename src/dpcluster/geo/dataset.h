@@ -17,17 +17,18 @@
 //    (LookupProfile / StoreProfile), so repeat solves over a resident index
 //    skip the t-NN pass and the sweep altogether.
 //
-// Exactness contract: every query answers over exactly the active points and
-// is bit-identical to rebuilding a fresh index over ActiveView() — deletion
-// is structural (live-prefix partitioning inside the grid's CSR cells), never
+// Exactness contract: every query through the cached grid (EnsureGrid), and
+// every radius profile built from it, answers over exactly the active points
+// and is bit-identical to rebuilding a fresh index over ActiveView() —
+// dataset_test pins this at 1 and 8 threads. Deletion is structural (live-prefix partitioning inside the grid's CSR cells), never
 // approximate, and the distance kernels match la/vector_ops' Distance
 // accumulation order. Snapshot/Restore make the mutation reversible in
 // O(n + cells) so one index serves many runs.
 //
 // Threading: mutators and queries must be called from one thread at a time
 // (the library convention — algorithms query serially and hand a ThreadPool
-// to the batched calls for internal parallelism). Batched queries are
-// bit-identical at any thread count.
+// to the grid's batched calls for internal parallelism, which are
+// bit-identical at any thread count).
 
 #ifndef DPCLUSTER_GEO_DATASET_H_
 #define DPCLUSTER_GEO_DATASET_H_
@@ -47,19 +48,17 @@
 
 namespace dpcluster {
 
-class ThreadPool;
-
 /// PointSet + GridDomain + cached deletion-capable SpatialGrid, behind an
 /// active-set view. Move-only: the grid borrows the stored points.
 ///
 /// Weighted datasets: the three-argument Create attaches an integer
 /// multiplicity to every row, making the dataset semantically equal to the
-/// *expanded* dataset in which row i appears weight(i) times. Every query
-/// answers in expanded terms — BatchKnn rows are the k smallest distances in
-/// the expanded multiset (a row's weight-1 duplicate copies sit at distance
-/// exactly 0), BatchCountWithin sums mass — and is pinned bit-identical to
-/// running the unweighted query on the duplicate-expanded PointSet
-/// (weighted_geometry_test). This is what
+/// *expanded* dataset in which row i appears weight(i) times. The consumers
+/// that read the weights answer in expanded terms — RadiusProfile::Build's
+/// weighted sweep, the ball mass RefineRadius counts (MassWithin), and
+/// GoodRadius over them — and each is pinned bit-identical to the unweighted
+/// computation on the duplicate-expanded PointSet (weighted_geometry_test).
+/// The cached grid itself indexes one id per row, unweighted. This is what
 /// lets the coreset layer (coreset/coreset.h) stand a ~2^20-point dataset
 /// behind a few-thousand-row summary without changing any consumer.
 class IndexedDataset {
@@ -160,30 +159,6 @@ class IndexedDataset {
   /// Reactivates every row.
   void RestoreAll();
 
-  /// Row r of `out` (row stride `k`) receives the k smallest distances from
-  /// active point ActiveIds()[r] to the other active points (self excluded;
-  /// ascending when `sorted`, selection order otherwise). Requires
-  /// k <= active_size() - 1 and out.size() == active_size() * k. Exact and
-  /// bit-identical to a fresh SpatialGrid over ActiveView() at any thread
-  /// count. Builds the cached grid on first use.
-  ///
-  /// Weighted datasets answer in expanded terms: row r holds the k smallest
-  /// distances in the expanded multiset (the query row's weight-1 duplicate
-  /// copies contribute distance exactly 0.0, row j contributes weight(j)
-  /// copies of its distance), requires k <= active_mass() - 1, and is always
-  /// ascending (`sorted` is ignored). Bit-identical to the unweighted query
-  /// on the duplicate-expanded PointSet at any thread count.
-  void BatchKnn(std::size_t k, std::span<double> out, ThreadPool* pool,
-                bool sorted = true) const;
-
-  /// out[r] = number of active points within distance r of ActiveIds()[r]
-  /// (itself included); out.size() == active_size(). Exact
-  /// (sqrt-of-squared <= r, Distance accumulation order). Weighted datasets
-  /// count mass: out[r] sums the multiplicities of the rows within r —
-  /// exactly the expanded-dataset count.
-  void BatchCountWithin(double r, std::span<std::size_t> out,
-                        ThreadPool* pool) const;
-
   /// The cached grid, built on first use with cells sized for
   /// `expected_neighbors`-NN queries (any k stays correct; only cell
   /// granularity is tuned). Subsequent calls reuse the existing build.
@@ -229,15 +204,6 @@ class IndexedDataset {
  private:
   IndexedDataset(PointSet points, GridDomain domain,
                  std::vector<std::uint64_t> weights = {});
-
-  /// Weighted BatchKnn/BatchCountWithin backends: blocked dense scans through
-  /// SquaredDistanceRows (weighted datasets are coreset-sized summaries, so
-  /// the O(active^2 d) pass is the fast path, and it keeps per-pair values
-  /// bit-identical to the grid's kernel on the expanded data).
-  void BatchKnnWeighted(std::size_t k, std::span<double> out,
-                        ThreadPool* pool) const;
-  void BatchCountWithinWeighted(double r, std::span<std::size_t> out,
-                                ThreadPool* pool) const;
 
   PointSet points_;
   GridDomain domain_;

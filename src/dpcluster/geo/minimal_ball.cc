@@ -64,7 +64,6 @@ Result<Ball> TwoApproxSmallestBall(const PointSet& s, std::size_t t) {
       const SpatialGrid grid,
       SpatialGrid::BuildOverBoundingBox(s, CountGridNeighbors(t)));
   SpatialGrid::Workspace scratch;
-  std::vector<double> knn;
   double best_r = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
@@ -72,11 +71,8 @@ Result<Ball> TwoApproxSmallestBall(const PointSet& s, std::size_t t) {
     // grid's counts and distances are RadiusCapturing's, bit for bit); a
     // strictly larger radius can never win, so skip the k-NN query.
     if (i > 0 && grid.CountWithin(i, best_r, scratch) < t) continue;
-    double r = 0.0;  // t = 1: the center alone.
-    if (t > 1) {
-      grid.KnnDistances(i, t - 1, scratch, knn, /*sorted=*/false);
-      r = *std::max_element(knn.begin(), knn.end());
-    }
+    // t = 1: the center alone.
+    const double r = t > 1 ? grid.KthNearestDistance(i, t - 1, scratch) : 0.0;
     if (r < best_r) {  // Strict: the first index wins ties.
       best_r = r;
       best_i = i;

@@ -1,7 +1,6 @@
 #include "dpcluster/geo/spatial_grid.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -104,56 +103,6 @@ void SquaredDistancesTo(const double* q, const double* base,
   }
 }
 #endif
-
-// Keeps the k smallest of `vals` (non-negative doubles) as its first k
-// elements (unordered, exact value multiset) and truncates the rest. One
-// histogram pass over the top 16 bits of the order-preserving bit image
-// (sign + exponent + 4 mantissa bits: ~16 buckets per binade, so the k-th
-// value's tie bucket holds only the candidates within ~6% of it), one
-// in-place compaction pass, and an exact nth_element on that small tie
-// bucket. The 2^16-entry histogram lives in the workspace and only the
-// touched buckets are re-zeroed, so the select is ~2 branch-light linear
-// passes — about 6x cheaper than std::nth_element on 4k-candidate sets,
-// where introselect's data-dependent pivot branches dominated the batch.
-void SelectSmallest(std::vector<double>& vals, std::size_t k,
-                    SpatialGrid::Workspace& ws) {
-  if (k >= vals.size()) return;
-  if (ws.hist16.empty()) ws.hist16.assign(std::size_t{1} << 16, 0);
-  for (const double v : vals) {
-    const auto key =
-        static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(v) >> 48);
-    if (ws.hist16[key]++ == 0) ws.touched.push_back(key);
-  }
-  std::sort(ws.touched.begin(), ws.touched.end());
-  // Bucket kb holds the k-th smallest; every lower bucket is accepted whole.
-  std::size_t below = 0;
-  std::size_t bi = 0;
-  while (below + ws.hist16[ws.touched[bi]] < k) {
-    below += ws.hist16[ws.touched[bi++]];
-  }
-  const std::uint32_t kb = ws.touched[bi];
-  for (const std::uint32_t key : ws.touched) ws.hist16[key] = 0;
-  ws.touched.clear();
-
-  ws.ties.clear();
-  std::size_t out = 0;
-  for (const double v : vals) {  // In-place compaction (out <= read index).
-    const auto key =
-        static_cast<std::uint32_t>(std::bit_cast<std::uint64_t>(v) >> 48);
-    if (key < kb) {
-      vals[out++] = v;
-    } else if (key == kb) {
-      ws.ties.push_back(v);
-    }
-  }
-  const std::size_t need = k - below;  // >= 1 by choice of kb.
-  std::nth_element(ws.ties.begin(),
-                   ws.ties.begin() + static_cast<std::ptrdiff_t>(need - 1),
-                   ws.ties.end());
-  for (std::size_t i = 0; i < need; ++i) vals[out++] = ws.ties[i];
-  vals.resize(k);
-  DPC_CHECK_EQ(out, k);
-}
 
 // Number of values <= bound. Cloned for AVX2, where the compare-and-count
 // vectorizes; the count is the same integer either way.
@@ -527,27 +476,26 @@ SpatialGrid::KnnBound SpatialGrid::GatherKnnCandidates(
   return {std::numeric_limits<double>::infinity(), cands.size()};
 }
 
-void SpatialGrid::KnnDistances(std::size_t query, std::size_t k,
-                               Workspace& scratch, std::vector<double>& out,
-                               bool sorted) const {
+double SpatialGrid::KthNearestDistance(std::size_t query, std::size_t k,
+                                       Workspace& scratch) const {
   DPC_CHECK_LT(query, n_);
   DPC_CHECK(IsLive(query));
-  out.clear();
-  k = std::min(k, live_ - 1);
-  if (k == 0) return;
-
+  DPC_CHECK_GE(k, 1u);
+  DPC_CHECK_LT(k, live_);
+  // Every candidate within the returned bound is present, and k of them lie
+  // inside it, so the k smallest live distances are all among the
+  // candidates: their k-th smallest is the brute-force k-th.
   GatherKnnCandidates(query, k, scratch);
   std::vector<double>& cands = scratch.candidates;
-  SelectSmallest(cands, k, scratch);
-  if (sorted) std::sort(cands.begin(), cands.end());
-  out.resize(k);
-  for (std::size_t i = 0; i < k; ++i) out[i] = std::sqrt(cands[i]);
+  const auto kth = cands.begin() + static_cast<std::ptrdiff_t>(k - 1);
+  std::nth_element(cands.begin(), kth, cands.end());
+  return std::sqrt(*kth);
 }
 
-template <typename FinishRow>
-void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
-                                Workspace& scratch,
-                                FinishRow&& finish_row) const {
+void SpatialGrid::DenseKnnSupersetChunk(const std::uint32_t* queries,
+                                        std::size_t nq, std::size_t k,
+                                        Workspace& scratch, double* out,
+                                        std::size_t* lens) const {
   const std::uint64_t start = seg_start_[0];
   const std::uint64_t live = cell_end_[0] - start;
   std::vector<double>& block = scratch.dense_block;
@@ -575,43 +523,11 @@ void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
     DPC_CHECK(self != cands.end());
     *self = cands.back();
     cands.pop_back();
-    finish_row(qi);
+    lens[qi] = WriteKnnSuperset(
+        k, {std::numeric_limits<double>::infinity(), cands.size()}, scratch,
+        out);
+    out += lens[qi];
   }
-}
-
-void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
-                                       std::size_t k, std::span<double> out,
-                                       ThreadPool* pool, bool sorted) const {
-  DPC_CHECK_GE(live_, 1u);
-  DPC_CHECK_LE(k, live_ - 1);
-  DPC_CHECK_EQ(out.size(), queries.size() * k);
-  if (k == 0 || queries.empty()) return;
-  constexpr std::size_t kQueryGrain = 16;
-  const bool dense = cells_per_axis_ == 1;
-  ParallelForChunks(
-      pool, 0, queries.size(), kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Workspace scratch;
-        if (dense) {
-          std::vector<double>& cands = scratch.candidates;
-          DenseKnnChunk(queries.data() + lo, hi - lo, scratch,
-                        [&](std::size_t qi) {
-                          SelectSmallest(cands, k, scratch);
-                          if (sorted) std::sort(cands.begin(), cands.end());
-                          double* dst = out.data() + (lo + qi) * k;
-                          for (std::size_t i = 0; i < k; ++i) {
-                            dst[i] = std::sqrt(cands[i]);
-                          }
-                        });
-          return;
-        }
-        std::vector<double> row;
-        for (std::size_t r = lo; r < hi; ++r) {
-          KnnDistances(queries[r], k, scratch, row, sorted);
-          std::copy(row.begin(), row.end(), out.begin() + r * k);
-        }
-      },
-      kAlwaysParallel);
 }
 
 void SpatialGrid::BatchKnnSupersetFor(std::span<const std::uint32_t> queries,
@@ -640,22 +556,16 @@ void SpatialGrid::BatchKnnSupersetFor(std::span<const std::uint32_t> queries,
       [&](std::size_t lo, std::size_t hi, std::size_t) {
         Workspace scratch;
         double* at = out.values.data() + lo * stride;
-        const auto emit = [&](std::size_t r, KnnBound bound) {
-          const std::size_t len = WriteKnnSuperset(k, bound, scratch, at);
-          out.offsets[r + 1] = len;
-          at += len;
-        };
         if (dense) {
-          DenseKnnChunk(queries.data() + lo, hi - lo, scratch,
-                        [&](std::size_t qi) {
-                          emit(lo + qi,
-                               {std::numeric_limits<double>::infinity(),
-                                scratch.candidates.size()});
-                        });
+          DenseKnnSupersetChunk(queries.data() + lo, hi - lo, k, scratch, at,
+                                out.offsets.data() + lo + 1);
           return;
         }
         for (std::size_t r = lo; r < hi; ++r) {
-          emit(r, GatherKnnCandidates(queries[r], k, scratch));
+          const std::size_t len = WriteKnnSuperset(
+              k, GatherKnnCandidates(queries[r], k, scratch), scratch, at);
+          out.offsets[r + 1] = len;
+          at += len;
         }
       },
       kAlwaysParallel);
@@ -769,7 +679,8 @@ void SpatialGrid::ForEachCellWithin(const double* p, double r,
   const std::size_t max_rho = DecodeCenter(p, scratch);
   const std::vector<std::int64_t>& center = scratch.center;
 
-  // Rings 0..rho cover every point within rho * cell_size (see KnnDistances);
+  // Rings 0..rho cover every point within rho * cell_size (see
+  // GatherKnnCandidates);
   // the 1e-9 margin mirrors the k-NN early stop's haircut so cell-assignment
   // rounding can never exclude a point at distance exactly r. CellOf clamps
   // out-of-cube coordinates onto the boundary cell, which only widens the box.
@@ -837,17 +748,10 @@ void SpatialGrid::CollectWithin(std::size_t query, double r,
                                 std::vector<std::uint32_t>& out) const {
   DPC_CHECK_LT(query, n_);
   DPC_CHECK(IsLive(query));
-  CollectWithinPoint({Row(query), dim_}, r, scratch, out);
-}
-
-void SpatialGrid::CollectWithinPoint(std::span<const double> p, double r,
-                                     Workspace& scratch,
-                                     std::vector<std::uint32_t>& out) const {
-  DPC_CHECK_EQ(p.size(), dim_);
   if (r < 0.0) return;
 
   const double* base = data_.data();
-  const double* qp = p.data();
+  const double* qp = Row(query);
   ForEachCellWithin(qp, r, scratch, [&](std::uint64_t cell) {
     const std::uint64_t hi = cell_end_[cell];
     for (std::uint64_t at = seg_start_[cell]; at < hi; ++at) {
@@ -856,22 +760,6 @@ void SpatialGrid::CollectWithinPoint(std::span<const double> p, double r,
       if (std::sqrt(sq) <= r) out.push_back(id);
     }
   });
-}
-
-void SpatialGrid::BatchCountWithin(std::span<const std::uint32_t> queries,
-                                   double r, std::span<std::size_t> out,
-                                   ThreadPool* pool) const {
-  DPC_CHECK_EQ(out.size(), queries.size());
-  constexpr std::size_t kQueryGrain = 16;
-  ParallelForChunks(
-      pool, 0, queries.size(), kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Workspace scratch;
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = CountWithin(queries[i], r, scratch);
-        }
-      },
-      kAlwaysParallel);
 }
 
 }  // namespace dpcluster

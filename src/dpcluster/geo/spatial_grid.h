@@ -14,8 +14,10 @@
 // more cells than remain occupied — high d makes rings exponentially wide
 // while occupancy stays <= n — the query degrades gracefully to a scan of
 // the remaining occupied cells, which completes coverage in one step. Either
-// way the returned distances are *exact*: the same multiset brute force
-// produces, computed by the same SquaredDistance kernel.
+// way the gathered candidates hold the *exact* k smallest distances brute
+// force produces, computed by the same SquaredDistance kernel:
+// KthNearestDistance selects the k-th of them, and BatchKnnSupersetFor keeps
+// them plus a few extras no closer than the k-th.
 //
 // Structural deletion: each cell's CSR segment is split into a live prefix
 // [seg_start, cell_end) and a dead suffix. Remove() swap-moves a point into
@@ -35,13 +37,11 @@
 // or intra-cell order, so every answer stays bit-identical to a fresh
 // rebuild over the same live set.
 //
-// Determinism: queries return the sorted k smallest distance values, which
-// are independent of cell-enumeration order, of tie-breaking among
-// equidistant neighbors, and of the intra-cell permutation left behind by
-// swap-removal. BatchKnnDistancesFor writes each query's row into a
-// caller-owned slice through ParallelForChunks, and BatchKnnSupersetFor
-// concatenates chunk-owned variable-length rows in chunk order, so both
-// batches are bit-identical at any thread count.
+// Determinism: KthNearestDistance and CountWithin return values that are
+// independent of cell-enumeration order, of tie-breaking among equidistant
+// neighbors, and of the intra-cell permutation left behind by swap-removal.
+// BatchKnnSupersetFor concatenates chunk-owned variable-length rows in chunk
+// order, so the batch is bit-identical at any thread count.
 
 #ifndef DPCLUSTER_GEO_SPATIAL_GRID_H_
 #define DPCLUSTER_GEO_SPATIAL_GRID_H_
@@ -112,33 +112,24 @@ class SpatialGrid {
   /// O(1)). The new row must lie inside the cube the grid was built over.
   void Append(std::span<const double> all_data);
 
-  /// The min(k, live-1) smallest distances from s[query] to the other live
-  /// points (self excluded by index, so duplicate coordinates count as
-  /// neighbors at distance 0; `query` must itself be live). Exact — equal to
-  /// the brute-force multiset over the live points; ascending when `sorted`,
-  /// in selection order otherwise (cheaper for callers that need only the
-  /// largest or the multiset). `scratch` carries reusable buffers across
-  /// calls (see Workspace).
+  /// Reusable query buffers: one per thread, carried across calls so a
+  /// query loop allocates nothing once they have grown.
   struct Workspace {
     std::vector<double> candidates;     // squared distances
-    std::vector<std::uint32_t> hist16;  // 2^16 selection buckets, kept zeroed
-    std::vector<std::uint32_t> touched;  // buckets dirtied by this query
-    std::vector<double> ties;            // the k-th value's tie bucket
-    std::vector<std::uint32_t> hist;     // superset rows' linear histogram
-    std::vector<std::int64_t> center;    // decoded query cell coordinates
-    std::vector<double> dense_block;     // blocked one-cell distance rows
+    std::vector<double> ties;           // a superset row's tie bucket
+    std::vector<std::uint32_t> hist;    // superset rows' linear histogram
+    std::vector<std::int64_t> center;   // decoded query cell coordinates
+    std::vector<double> dense_block;    // blocked one-cell distance rows
   };
-  void KnnDistances(std::size_t query, std::size_t k, Workspace& scratch,
-                    std::vector<double>& out, bool sorted = true) const;
 
-  /// Batched k-NN for an explicit query list (every id must be live): row r
-  /// of `out` (row stride `k`) receives KnnDistances(queries[r], k, sorted);
-  /// callers pass k <= live_size()-1 and out.size() == queries.size() * k.
-  /// Rows are chunk-owned, so the result is bit-identical at any thread
-  /// count.
-  void BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
-                            std::size_t k, std::span<double> out,
-                            ThreadPool* pool, bool sorted = true) const;
+  /// The k-th smallest distance from s[query] to the other live points
+  /// (self excluded by index, so duplicate coordinates count as neighbors at
+  /// distance 0). `query` must be live and 1 <= k <= live_size() - 1. Exact:
+  /// the k-th value of the brute-force ascending list over the live points,
+  /// bit for bit, found by one nth_element over the ring gather's
+  /// candidates.
+  double KthNearestDistance(std::size_t query, std::size_t k,
+                            Workspace& scratch) const;
 
   /// Variable-length distance rows: row r is
   /// values[offsets[r], offsets[r + 1]).
@@ -148,15 +139,15 @@ class SpatialGrid {
   };
 
   /// Batched k-NN *superset* for an explicit query list (every id live,
-  /// k <= live_size()-1): row r holds, in no particular order, the exact
-  /// multiset KnnDistances(queries[r], k) returns plus possibly some extra
-  /// distances, each >= the k-th smallest, and is at most
+  /// k <= live_size()-1): row r holds, in no particular order, the exact k
+  /// smallest distances from s[queries[r]] to the other live points plus
+  /// possibly some extra distances, each >= the k-th smallest, and is at most
   /// kMaxSupersetSlack * k long. A consumer of counts capped at k + 1 (the
-  /// radius profile) reads the same capped counts at every radius from
-  /// either, while this query skips the per-query selection: it gathers
-  /// rings until a *count* shows k candidates inside the ring guarantee,
-  /// then keeps every candidate in the buckets of one linear histogram up
-  /// to the one holding the k-th. Each chunk of queries owns its rows and
+  /// radius profile) reads the same capped counts at every radius from the
+  /// row as from the exact k, while this query skips the per-query
+  /// selection: it gathers rings until a *count* shows k candidates inside
+  /// the ring guarantee, then keeps every candidate in the buckets of one
+  /// linear histogram up to the one holding the k-th. Each chunk of queries owns its rows and
   /// chunks are concatenated in order, so `out` is bit-identical at any
   /// thread count.
   void BatchKnnSupersetFor(std::span<const std::uint32_t> queries,
@@ -173,11 +164,6 @@ class SpatialGrid {
   std::size_t CountWithin(std::size_t query, double r,
                           Workspace& scratch) const;
 
-  /// Batched CountWithin over an explicit query list; out.size() must equal
-  /// queries.size(). Bit-identical at any thread count.
-  void BatchCountWithin(std::span<const std::uint32_t> queries, double r,
-                        std::span<std::size_t> out, ThreadPool* pool) const;
-
   /// Appends to `out` the ids of every live point within Euclidean distance r
   /// of s[query] (the query itself included; same sqrt(squared) <= r
   /// predicate as CountWithin), using the same Chebyshev-box pruning. Ids
@@ -187,14 +173,6 @@ class SpatialGrid {
   /// cleared.
   void CollectWithin(std::size_t query, double r, Workspace& scratch,
                      std::vector<std::uint32_t>& out) const;
-
-  /// CollectWithin for an arbitrary coordinate row `p` (p.size() == dim()):
-  /// appends every live id within Euclidean distance r of p, same predicate
-  /// as CollectWithin (which runs this query from an indexed point's row).
-  /// `p` need not be an indexed point.
-  void CollectWithinPoint(std::span<const double> p, double r,
-                          Workspace& scratch,
-                          std::vector<std::uint32_t>& out) const;
 
  private:
   SpatialGrid() = default;
@@ -230,16 +208,16 @@ class SpatialGrid {
   /// room for one slot more than that.
   static std::size_t WriteKnnSuperset(std::size_t k, KnnBound bound,
                                       Workspace& scratch, double* out);
-  /// Candidate rows for a chunk of queries on the degenerate one-cell grid
+  /// Superset rows for a chunk of queries on the degenerate one-cell grid
   /// (cells_per_axis_ == 1): tiles the live prefix across the chunk so the
-  /// dataset streams once per chunk instead of once per query, then calls
-  /// finish_row(qi) with query qi's candidates in scratch.candidates.
-  /// Per-pair values, candidate order and self removal mirror
-  /// GatherKnnCandidates on full coverage, so each row is byte-identical to
-  /// the per-query path.
-  template <typename FinishRow>
-  void DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
-                     Workspace& scratch, FinishRow&& finish_row) const;
+  /// dataset streams once per chunk instead of once per query, then writes
+  /// query qi's row with WriteKnnSuperset, packed from `out` on, and its
+  /// length to lens[qi]. Per-pair values, candidate order and self removal
+  /// mirror GatherKnnCandidates on full coverage, so each row is
+  /// byte-identical to the per-query path.
+  void DenseKnnSupersetChunk(const std::uint32_t* queries, std::size_t nq,
+                             std::size_t k, Workspace& scratch, double* out,
+                             std::size_t* lens) const;
   /// Decodes the query's cell coordinates into scratch.center and returns the
   /// largest Chebyshev ring radius that still touches the grid.
   std::size_t DecodeCenter(const double* p, Workspace& scratch) const;

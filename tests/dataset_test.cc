@@ -1,25 +1,29 @@
 // Tests for the IndexedDataset layer (geo/dataset.h): active-set accounting,
 // structural deletion on the cached SpatialGrid, Snapshot/Restore, and the
-// exactness contract — every query over the active points must be
-// bit-identical to rebuilding a fresh index over ActiveView().
+// exactness contract — after any mutation, the cached grid's k-NN rows and
+// counts equal brute force over ActiveView(), and the radius profile built
+// through the index is bit-identical to one built over a fresh index of
+// ActiveView(), at 1 and 8 threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dpcluster/core/radius_profile.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
+#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
 
 using testing_util::MakePointSet;
+using testing_util::SortedKnnRows;
 
 IndexedDataset MakeIndexed(Rng& rng, std::size_t n, std::size_t dim,
                            std::uint64_t levels = 1u << 8) {
@@ -38,6 +42,58 @@ std::vector<std::uint32_t> EveryThird(std::size_t n) {
     ids.push_back(static_cast<std::uint32_t>(i));
   }
   return ids;
+}
+
+// The exactness contract over the current active set, at 1 and 8 threads:
+// for each k, the index's exact k-NN rows equal brute force over
+// ActiveView(), KthNearestDistance agrees with the k-th column, and the
+// radius profile at t = k + 1 equals the one a fresh index over ActiveView()
+// builds.
+void ExpectMatchesFreshRebuild(const IndexedDataset& index,
+                               std::span<const std::size_t> ks,
+                               const std::string& context) {
+  const PointSet view = index.ActiveView();
+  const reference::PairwiseRows pairs(view);
+  ASSERT_OK_AND_ASSIGN(IndexedDataset fresh,
+                       IndexedDataset::Create(view, index.domain()));
+  const std::span<const std::uint32_t> ids = index.ActiveIds();
+  SpatialGrid::Workspace ws;
+  for (const std::size_t k : ks) {
+    const std::string at = context + " k=" + std::to_string(k);
+    const std::vector<double> want = pairs.NearestRows(k);
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+      ASSERT_EQ(index.EnsureGrid(k).KthNearestDistance(ids[r], k, ws),
+                want[r * k + k - 1])
+          << at << " row=" << r;
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      ThreadPool pool(threads);
+      EXPECT_EQ(SortedKnnRows(index, k, &pool), want)
+          << at << " threads=" << threads;
+      ASSERT_OK_AND_ASSIGN(
+          RadiusProfile via_index,
+          RadiusProfile::Build(index, k + 1, index.size(), &pool));
+      ASSERT_OK_AND_ASSIGN(
+          RadiusProfile via_fresh,
+          RadiusProfile::Build(fresh, k + 1, index.size(), &pool));
+      testing_util::ExpectSameProfile(
+          via_index, via_fresh, at + " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+// SpatialGrid::CountWithin per active id equals brute force over
+// ActiveView().
+void ExpectCountsMatchBruteForce(const IndexedDataset& index, double r) {
+  const PointSet view = index.ActiveView();
+  const reference::PairwiseRows pairs(view);
+  const SpatialGrid& grid = index.EnsureGrid(16);
+  const std::span<const std::uint32_t> ids = index.ActiveIds();
+  SpatialGrid::Workspace ws;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(grid.CountWithin(ids[i], r, ws), pairs.CountWithin(i, r))
+        << "r=" << r << " i=" << i;
+  }
 }
 
 TEST(IndexedDatasetTest, CreateValidatesDimensions) {
@@ -83,8 +139,7 @@ TEST(IndexedDatasetTest, SnapshotRestoreRoundTrips) {
   Rng rng(2);
   IndexedDataset index = MakeIndexed(rng, 64, 2);
   // Build the grid before mutating so Restore must repair it too.
-  std::vector<double> knn(64 * 3);
-  index.BatchKnn(3, knn, nullptr);
+  const std::vector<double> knn = SortedKnnRows(index, 3, nullptr);
 
   const IndexedDataset::Snapshot full = index.TakeSnapshot();
   index.Remove(EveryThird(64));
@@ -94,9 +149,8 @@ TEST(IndexedDatasetTest, SnapshotRestoreRoundTrips) {
 
   index.RestoreAll();
   EXPECT_EQ(index.active_size(), 64u);
-  std::vector<double> knn_restored(64 * 3);
-  index.BatchKnn(3, knn_restored, nullptr);
-  EXPECT_EQ(knn, knn_restored);  // Bit-identical to the pre-removal batch.
+  // Bit-identical to the pre-removal rows.
+  EXPECT_EQ(SortedKnnRows(index, 3, nullptr), knn);
 
   ASSERT_OK(index.Restore(partial));
   EXPECT_EQ(index.active_size(), after_removal);
@@ -109,55 +163,31 @@ TEST(IndexedDatasetTest, SnapshotRestoreRoundTrips) {
   EXPECT_FALSE(index.Restore(other.TakeSnapshot()).ok());
 }
 
-// The core exactness contract: after any deletion pattern, BatchKnn over the
-// active points equals a fresh SpatialGrid built from ActiveView — same
-// bytes — across dimensions (high d exercises the occupied-scan fallback)
-// and thread counts.
+// The core exactness contract after any deletion pattern, across dimensions
+// (high d exercises the occupied-scan fallback and the dense batch).
 TEST(IndexedDatasetTest, KnnAfterRemovalMatchesFreshRebuild) {
   std::uint64_t seed = 100;
   for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
            {80, 1}, {150, 2}, {200, 3}, {120, 32}}) {
     Rng rng(++seed);
     IndexedDataset index = MakeIndexed(rng, n, dim);
-    // Warm the grid with full data, then delete a third.
-    std::vector<double> warm(n * 2);
-    index.BatchKnn(2, warm, nullptr);
+    // Build the grid over the full data, then delete a third.
+    index.EnsureGrid(2);
     index.Remove(EveryThird(n));
-
-    const PointSet view = index.ActiveView();
     const std::size_t m = index.active_size();
-    for (const std::size_t k : {std::size_t{1}, std::size_t{5}, m - 1}) {
-      ASSERT_OK_AND_ASSIGN(SpatialGrid fresh,
-                           SpatialGrid::Build(view, index.domain(), k));
-      std::vector<double> got(m * k);
-      std::vector<double> want(m * k);
-      fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        ThreadPool pool(threads);
-        index.BatchKnn(k, got, &pool, /*sorted=*/true);
-        EXPECT_EQ(got, want) << "n=" << n << " d=" << dim << " k=" << k
-                             << " threads=" << threads;
-      }
-    }
+    const std::size_t ks[] = {1, 5, m - 1};
+    ExpectMatchesFreshRebuild(index, ks,
+                              "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(dim));
   }
 }
 
-TEST(IndexedDatasetTest, BatchCountWithinMatchesBruteForce) {
+TEST(IndexedDatasetTest, CountWithinMatchesBruteForce) {
   Rng rng(5);
   IndexedDataset index = MakeIndexed(rng, 180, 2);
   index.Remove(EveryThird(180));
-  const PointSet view = index.ActiveView();
-  const std::size_t m = index.active_size();
   for (const double r : {0.0, 0.05, 0.2, 0.7, 2.0}) {
-    std::vector<std::size_t> got(m);
-    index.BatchCountWithin(r, got, nullptr);
-    for (std::size_t i = 0; i < m; ++i) {
-      std::size_t want = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (Distance(view[i], view[j]) <= r) ++want;
-      }
-      EXPECT_EQ(got[i], want) << "r=" << r << " i=" << i;
-    }
+    ExpectCountsMatchBruteForce(index, r);
   }
 }
 
@@ -181,8 +211,9 @@ TEST(IndexedDatasetTest, RemoveWithinMatchesBallContains) {
 }
 
 // Structural insertion: after interleaved Insert / Remove / Snapshot /
-// Restore, every query must still equal a fresh grid built over ActiveView —
-// same bytes, any thread count (the other half of the deletion contract).
+// Restore, the index must still answer like brute force over ActiveView and
+// build the profile a fresh index builds — same bytes, any thread count (the
+// other half of the deletion contract).
 TEST(IndexedDatasetTest, InsertMatchesFreshRebuild) {
   std::uint64_t seed = 200;
   for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
@@ -198,9 +229,7 @@ TEST(IndexedDatasetTest, InsertMatchesFreshRebuild) {
     for (std::size_t i = 0; i < n0; ++i) head.Add(all[i]);
     ASSERT_OK_AND_ASSIGN(IndexedDataset index,
                          IndexedDataset::Create(std::move(head), domain));
-    std::vector<double> warm(n0 * 2);
-    index.BatchKnn(2, warm, nullptr);
-    ASSERT_TRUE(index.grid_built());
+    index.EnsureGrid(2);
 
     const IndexedDataset::Snapshot snap = index.TakeSnapshot();
     index.Remove(EveryThird(n0));
@@ -215,31 +244,12 @@ TEST(IndexedDatasetTest, InsertMatchesFreshRebuild) {
     // The grid survived the whole interleaving without a rebuild.
     EXPECT_TRUE(index.grid_built());
 
-    const PointSet view = index.ActiveView();
     const std::size_t m = index.active_size();
-    for (const std::size_t k : {std::size_t{1}, std::size_t{4}, m - 1}) {
-      ASSERT_OK_AND_ASSIGN(SpatialGrid fresh,
-                           SpatialGrid::Build(view, domain, k));
-      std::vector<double> want(m * k);
-      fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
-      std::vector<double> got(m * k);
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        ThreadPool pool(threads);
-        index.BatchKnn(k, got, &pool, /*sorted=*/true);
-        EXPECT_EQ(got, want) << "n=" << n << " d=" << dim << " k=" << k
-                             << " threads=" << threads;
-      }
-    }
-    // Counting queries agree with brute force over the view too.
-    std::vector<std::size_t> counts(m);
-    index.BatchCountWithin(0.2, counts, nullptr);
-    for (std::size_t i = 0; i < m; ++i) {
-      std::size_t want = 0;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (Distance(view[i], view[j]) <= 0.2) ++want;
-      }
-      EXPECT_EQ(counts[i], want) << "i=" << i;
-    }
+    const std::size_t ks[] = {1, 4, m - 1};
+    ExpectMatchesFreshRebuild(index, ks,
+                              "n=" + std::to_string(n) +
+                                  " d=" + std::to_string(dim));
+    ExpectCountsMatchBruteForce(index, 0.2);
   }
 }
 
@@ -268,8 +278,7 @@ TEST(IndexedDatasetTest, InsertValidatesItsArguments) {
 TEST(IndexedDatasetTest, CompactRenumbersActiveRows) {
   Rng rng(21);
   IndexedDataset index = MakeIndexed(rng, 80, 2);
-  std::vector<double> warm(80 * 2);
-  index.BatchKnn(2, warm, nullptr);
+  index.EnsureGrid(2);
   index.Remove(EveryThird(80));
   const PointSet before = index.ActiveView();
   const IndexedDataset::Snapshot stale = index.TakeSnapshot();
@@ -286,14 +295,8 @@ TEST(IndexedDatasetTest, CompactRenumbersActiveRows) {
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << i;
   }
   // Queries over the compacted storage equal the pre-compaction view.
-  const std::size_t m = index.active_size();
-  std::vector<double> got(m * 3);
-  std::vector<double> want(m * 3);
-  index.BatchKnn(3, got, nullptr);
-  ASSERT_OK_AND_ASSIGN(SpatialGrid fresh, SpatialGrid::Build(before,
-                                                             index.domain(), 3));
-  fresh.BatchKnnDistancesFor(testing_util::AllIds(m), 3, want, nullptr, /*sorted=*/true);
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(SortedKnnRows(index, 3, nullptr),
+            reference::PairwiseRows(before).NearestRows(3));
   // Snapshots from before the renumbering no longer apply.
   EXPECT_FALSE(index.Restore(stale).ok());
 }

@@ -1,6 +1,6 @@
-// Tests for the capped averaged count L(r, S) over the brute-force pairwise
-// oracle — including the paper's central sensitivity-2 property (Lemma 4.5's
-// core) — and for the branchless search over its sorted float rows.
+// Tests for the brute-force pairwise oracle: its exact ball counts, its k
+// nearest distances, and the capped averaged count L(r, S) — including the
+// paper's central sensitivity-2 property (Lemma 4.5's core).
 
 #include <gtest/gtest.h>
 
@@ -32,30 +32,6 @@ double BruteForceL(const PointSet& s, double r, std::size_t t) {
   return sum / static_cast<double>(t);
 }
 
-TEST(BranchlessUpperBoundTest, MatchesStdUpperBound) {
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = rng.NextUint64(40);
-    std::vector<float> row(n);
-    for (float& v : row) v = static_cast<float>(rng.NextDouble());
-    std::sort(row.begin(), row.end());
-    for (int q = 0; q < 20; ++q) {
-      const float bound = static_cast<float>(rng.NextDouble() * 1.2 - 0.1);
-      const auto expected = static_cast<std::size_t>(
-          std::upper_bound(row.begin(), row.end(), bound) - row.begin());
-      EXPECT_EQ(BranchlessUpperBound(row, bound), expected)
-          << "n=" << n << " bound=" << bound;
-    }
-    // Exact-element bounds exercise the <= edge.
-    for (const float v : row) {
-      const auto expected = static_cast<std::size_t>(
-          std::upper_bound(row.begin(), row.end(), v) - row.begin());
-      EXPECT_EQ(BranchlessUpperBound(row, v), expected);
-    }
-  }
-  EXPECT_EQ(BranchlessUpperBound({}, 1.0f), 0u);
-}
-
 TEST(PairwiseReferenceTest, CountWithinMatchesBruteForce) {
   Rng rng(2);
   const PointSet s = testing_util::UniformCube(rng, 50, 3);
@@ -73,6 +49,11 @@ TEST(PairwiseReferenceTest, CountIncludesSelfAndDuplicates) {
   const PairwiseRows pd(s);
   EXPECT_EQ(pd.CountWithin(0, 0.0), 3u);
   EXPECT_EQ(pd.CountWithin(3, 0.0), 1u);
+  // Nearest drops the center itself but keeps its duplicates at 0.
+  EXPECT_EQ(pd.Nearest(0, 3)[0], 0.0);
+  EXPECT_EQ(pd.Nearest(0, 3)[1], 0.0);
+  EXPECT_EQ(pd.Nearest(0, 3)[2], Distance(s[0], s[3]));
+  EXPECT_EQ(pd.Nearest(3, 1)[0], Distance(s[3], s[0]));
 }
 
 TEST(PairwiseReferenceTest, CappedTopAverageMatchesDefinition) {

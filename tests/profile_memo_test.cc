@@ -23,18 +23,7 @@ namespace dpcluster {
 namespace {
 
 using Counts = IndexedDataset::ProfileMemoCounts;
-
-void ExpectSameProfile(const RadiusProfile& a, const RadiusProfile& b,
-                       const std::string& context) {
-  ASSERT_EQ(a.fine_l().domain_size(), b.fine_l().domain_size()) << context;
-  ASSERT_EQ(a.fine_l().num_pieces(), b.fine_l().num_pieces()) << context;
-  for (std::size_t p = 0; p < a.fine_l().num_pieces(); ++p) {
-    ASSERT_EQ(a.fine_l().starts()[p], b.fine_l().starts()[p])
-        << context << " piece=" << p;
-    ASSERT_EQ(a.fine_l().values()[p], b.fine_l().values()[p])
-        << context << " piece=" << p;
-  }
-}
+using testing_util::ExpectSameProfile;
 
 void ExpectCounts(IndexedDataset& index, std::uint64_t hits,
                   std::uint64_t misses, const std::string& context) {

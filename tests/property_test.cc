@@ -276,8 +276,8 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
     ASSERT_OK_AND_ASSIGN(
         IndexedDataset shared,
         IndexedDataset::Create(instance.points, instance.domain));
-    std::vector<double> warm(shared.size() * 2);
-    shared.BatchKnn(2, warm, nullptr);
+    const std::vector<double> warm =
+        testing_util::SortedKnnRows(shared, 2, nullptr);
     options.num_threads = 1;
     Rng shared_rng(4096);
     ASSERT_OK_AND_ASSIGN(KClusterResult shared_run,
@@ -286,9 +286,8 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
     ExpectSameKClusterResult(shared_run, want, family + " shared-index");
     EXPECT_EQ(shared.active_size(), shared.size()) << family;
     // And the restored index still answers like a fresh one.
-    std::vector<double> warm_after(shared.size() * 2);
-    shared.BatchKnn(2, warm_after, nullptr);
-    EXPECT_EQ(warm, warm_after) << family;
+    EXPECT_EQ(testing_util::SortedKnnRows(shared, 2, nullptr), warm)
+        << family;
   }
 }
 

@@ -11,6 +11,7 @@
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
+#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "reference/pairwise_reference.h"
 #include "test_util.h"
@@ -18,6 +19,7 @@
 namespace dpcluster {
 namespace {
 
+using testing_util::ExpectSameProfile;
 using testing_util::MakePointSet;
 
 TEST(RadiusProfileTest, ValidatesArguments) {
@@ -33,26 +35,46 @@ TEST(RadiusProfileTest, ValidatesArguments) {
   EXPECT_FALSE(RadiusProfile::Build(wrong_dim, 1, domain, 100).ok());
 }
 
+// The profile against the exact all-pairs oracle at every `stride`-th
+// solution-grid radius and at its half (the quality's first term).
+void ExpectMatchesOracle(const PointSet& s, std::size_t t,
+                         const GridDomain& domain, std::uint64_t stride) {
+  ASSERT_OK_AND_ASSIGN(RadiusProfile profile,
+                       RadiusProfile::Build(s, t, domain, s.size()));
+  const reference::PairwiseRows pd(s);
+  for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += stride) {
+    const double r = domain.RadiusFromIndex(g);
+    EXPECT_NEAR(profile.LAtSolutionIndex(g), pd.CappedTopAverage(r, t), 1e-9)
+        << "g=" << g << " t=" << t;
+    EXPECT_NEAR(profile.LAtHalfSolutionIndex(g),
+                pd.CappedTopAverage(r / 2.0, t), 1e-9)
+        << "half g=" << g << " t=" << t;
+  }
+}
+
 TEST(RadiusProfileTest, MatchesDirectEvaluation) {
   Rng rng(1);
   const GridDomain domain(64, 2);
   for (int trial = 0; trial < 8; ++trial) {
     PointSet s = testing_util::UniformCube(rng, 30, 2);
     domain.SnapAll(s);
-    const std::size_t t = 1 + rng.NextUint64(29);
-    ASSERT_OK_AND_ASSIGN(RadiusProfile profile,
-                         RadiusProfile::Build(s, t, domain, 100));
-    const reference::PairwiseRows pd(s);
-    // Check agreement at every solution-grid radius.
-    for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 7) {
-      const double r = domain.RadiusFromIndex(g);
-      EXPECT_NEAR(profile.LAtSolutionIndex(g), pd.CappedTopAverage(r, t), 1e-9)
-          << "g=" << g << " t=" << t;
-      // And at half radii (used by the quality's first term).
-      EXPECT_NEAR(profile.LAtHalfSolutionIndex(g),
-                  pd.CappedTopAverage(r / 2.0, t), 1e-9);
-    }
+    ExpectMatchesOracle(s, 1 + rng.NextUint64(29), domain, 7);
   }
+
+  // A float tie: the pair lies just outside the solution-grid ball of index
+  // 1871, but its distance and that radius round to the same float, so
+  // L(r_1871, S) = 1 at t = 2 while a pair distance narrowed to float would
+  // land inside and read 2.
+  const GridDomain fine(4096, 2);
+  const double step = fine.step();
+  const PointSet tie = MakePointSet(
+      2, {3489 * step, 3405 * step, 2567 * step, 3248 * step});
+  const double r1871 = fine.RadiusFromIndex(1871);
+  ASSERT_GT(Distance(tie[0], tie[1]), r1871);
+  ASSERT_EQ(static_cast<float>(Distance(tie[0], tie[1])),
+            static_cast<float>(r1871));
+  EXPECT_EQ(reference::PairwiseRows(tie).CappedTopAverage(r1871, 2), 1.0);
+  ExpectMatchesOracle(tie, 2, fine, 1);
 }
 
 TEST(RadiusProfileTest, ZeroRadiusCountsDuplicates) {
@@ -110,18 +132,6 @@ TEST(RadiusProfileTest, SensitivityAtMostTwoUnderReplacement) {
                 2.0 + 1e-9)
           << "g=" << g;
     }
-  }
-}
-
-void ExpectSameProfile(const RadiusProfile& a, const RadiusProfile& b,
-                       const std::string& context) {
-  ASSERT_EQ(a.fine_l().domain_size(), b.fine_l().domain_size()) << context;
-  ASSERT_EQ(a.fine_l().num_pieces(), b.fine_l().num_pieces()) << context;
-  for (std::size_t p = 0; p < a.fine_l().num_pieces(); ++p) {
-    ASSERT_EQ(a.fine_l().starts()[p], b.fine_l().starts()[p])
-        << context << " piece=" << p;
-    ASSERT_EQ(a.fine_l().values()[p], b.fine_l().values()[p])
-        << context << " piece=" << p;
   }
 }
 

@@ -1,22 +1,19 @@
-// Reference oracle for the ball counts B_r(x_i, S) and the capped average
+// Reference oracle over every pair distance of a small dataset, one ascending
+// row of exact doubles per center. It answers the ball counts B_r(x_i, S),
+// the capped average
 //   L(r, S) = (1/t) max_{distinct i_1..i_t} sum_j min(B_r(x_{i_j}), t)
-// of Algorithm 1: every pair distance, one sorted row per center. O(n^2 d)
-// time and n^2 floats, for small test inputs only. Stored distances are
-// narrowed to float with a one-ulp inclusive rounding (BumpDistanceUp), so a
-// pair farther than r by less than ~one float ulp counts as inside; the
-// exact L(r, S) is core/RadiusProfile's, and the inputs compared against it
-// here stay clear of such ties.
+// of Algorithm 1, and the k nearest distances the geometry layer's queries
+// must reproduce bit for bit. A pair counts as inside a ball iff
+// Distance(x_i, x_j) <= r — the predicate every ball count in the library
+// uses — so a pair that misses r by one ulp stays outside. O(n^2 d) time and
+// n^2 doubles, for small test inputs only.
 
 #ifndef DPCLUSTER_TESTS_REFERENCE_PAIRWISE_REFERENCE_H_
 #define DPCLUSTER_TESTS_REFERENCE_PAIRWISE_REFERENCE_H_
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -24,33 +21,6 @@
 #include "dpcluster/la/vector_ops.h"
 
 namespace dpcluster {
-
-/// nextafter(f, +inf) for non-negative finite floats, without the libm call:
-/// incrementing the bit pattern of a non-negative float yields the next
-/// representable value (0.0f maps to the smallest subnormal, as nextafter
-/// does). The inclusive one-ulp rounding PairwiseRows gives every stored
-/// distance before a `<= bound` count comparison.
-inline float BumpDistanceUp(float f) {
-  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) + 1u);
-}
-
-/// Branchless upper_bound over an ascending row: the number of elements
-/// <= bound. Each halving step is a conditional move instead of a compare
-/// branch (bench_primitives times it against std::upper_bound).
-inline std::size_t BranchlessUpperBound(std::span<const float> sorted,
-                                        float bound) {
-  if (sorted.empty()) return 0;
-  const float* base = sorted.data();
-  std::size_t len = sorted.size();
-  while (len > 1) {
-    const std::size_t half = len / 2;
-    base += (base[half - 1] <= bound) ? half : 0;
-    len -= half;
-  }
-  return static_cast<std::size_t>(base - sorted.data()) +
-         (base[0] <= bound ? 1 : 0);
-}
-
 namespace reference {
 
 /// Sorted per-center distance rows of a dataset, built by brute force.
@@ -58,12 +28,8 @@ class PairwiseRows {
  public:
   explicit PairwiseRows(const PointSet& s) : n_(s.size()), rows_(n_ * n_) {
     for (std::size_t i = 0; i < n_; ++i) {
-      float* row = &rows_[i * n_];
-      for (std::size_t j = 0; j < n_; ++j) {
-        row[j] = i == j ? 0.0f
-                        : BumpDistanceUp(
-                              static_cast<float>(Distance(s[i], s[j])));
-      }
+      double* row = &rows_[i * n_];
+      for (std::size_t j = 0; j < n_; ++j) row[j] = Distance(s[i], s[j]);
       std::sort(row, row + n_);
     }
   }
@@ -71,18 +37,34 @@ class PairwiseRows {
   std::size_t size() const { return n_; }
 
   /// Distances from point i to all n points (itself included), ascending.
-  std::span<const float> SortedRow(std::size_t i) const {
+  std::span<const double> SortedRow(std::size_t i) const {
     return {&rows_[i * n_], n_};
+  }
+
+  /// The k smallest distances from point i to the other points, ascending
+  /// (1 <= k <= n - 1). Self is excluded by index, so a duplicate of x_i
+  /// counts at distance 0: dropping the row's first 0.0 drops x_i itself,
+  /// whichever equal copy it is.
+  std::span<const double> Nearest(std::size_t i, std::size_t k) const {
+    return SortedRow(i).subspan(1, k);
+  }
+
+  /// Nearest(i, k) for every i, concatenated (row stride k).
+  std::vector<double> NearestRows(std::size_t k) const {
+    std::vector<double> out;
+    out.reserve(n_ * k);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const std::span<const double> row = Nearest(i, k);
+      out.insert(out.end(), row.begin(), row.end());
+    }
+    return out;
   }
 
   /// B_r(x_i, S): points within distance r of x_i, itself included.
   std::size_t CountWithin(std::size_t i, double r) const {
-    if (r < 0.0) return 0;
-    const float bound = std::nextafter(static_cast<float>(r),
-                                       std::numeric_limits<float>::infinity());
-    const std::span<const float> row = SortedRow(i);
+    const std::span<const double> row = SortedRow(i);
     return static_cast<std::size_t>(
-        std::upper_bound(row.begin(), row.end(), bound) - row.begin());
+        std::upper_bound(row.begin(), row.end(), r) - row.begin());
   }
 
   /// L(r, S) with counts capped at `cap` (1 <= cap <= n): the average of the
@@ -102,7 +84,7 @@ class PairwiseRows {
 
  private:
   std::size_t n_;
-  std::vector<float> rows_;  // n_ x n_, each row ascending.
+  std::vector<double> rows_;  // n_ x n_, each row ascending.
 };
 
 }  // namespace reference

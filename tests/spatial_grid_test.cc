@@ -1,8 +1,10 @@
-// Tests for geo/SpatialGrid: the expanding ring search must return exactly
-// the brute-force k-NN distance multiset — same doubles, bit for bit — for
-// every data shape (uniform, duplicate-heavy, degenerate, boundary) and at
-// any thread count; the superset rows the radius profile consumes must hold
-// that multiset plus only extras at or beyond its largest value.
+// Tests for geo/SpatialGrid: the ring gather must find exactly the
+// brute-force k nearest distances — same doubles, bit for bit — for every
+// data shape (uniform, duplicate-heavy, degenerate, boundary) and after
+// removals. KthNearestDistance must return the k-th of them, and the
+// superset rows the radius profile consumes must hold all of them plus only
+// extras at or beyond the k-th, at any thread count. Radius counts and
+// collections must match a brute-force sweep over the live points.
 
 #include <gtest/gtest.h>
 
@@ -23,203 +25,6 @@ namespace {
 
 using testing_util::MakePointSet;
 
-// Ascending brute-force distances from s[query] to every other point.
-std::vector<double> BruteForceKnn(const PointSet& s, std::size_t query,
-                                  std::size_t k) {
-  std::vector<double> dists;
-  for (std::size_t j = 0; j < s.size(); ++j) {
-    if (j == query) continue;
-    dists.push_back(Distance(s[query], s[j]));
-  }
-  std::sort(dists.begin(), dists.end());
-  dists.resize(std::min(k, dists.size()));
-  return dists;
-}
-
-void ExpectMatchesBruteForce(const PointSet& s, const GridDomain& domain,
-                             std::size_t k) {
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
-  SpatialGrid::Workspace ws;
-  std::vector<double> got;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    grid.KnnDistances(i, k, ws, got);
-    const std::vector<double> want = BruteForceKnn(s, i, k);
-    ASSERT_EQ(got.size(), want.size()) << "query=" << i << " k=" << k;
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      ASSERT_EQ(got[j], want[j])
-          << "query=" << i << " k=" << k << " rank=" << j;
-    }
-  }
-}
-
-TEST(SpatialGridTest, RingSearchMatchesBruteForceAcrossShapes) {
-  Rng rng(101);
-  for (const std::size_t d : {1u, 2u, 3u, 8u}) {
-    const GridDomain domain(1u << 10, d);
-    for (const std::size_t n : {2u, 33u, 257u}) {
-      PointSet s = testing_util::UniformCube(rng, n, d);
-      domain.SnapAll(s);
-      for (const std::size_t k : {std::size_t{1}, std::size_t{5}, n - 1}) {
-        ExpectMatchesBruteForce(s, domain, k);
-      }
-    }
-  }
-}
-
-TEST(SpatialGridTest, DuplicateHeavyPointsCountAsNeighbors) {
-  // Coordinates drawn from three levels only: most points are exact
-  // duplicates, so many zero distances must survive self-exclusion.
-  Rng rng(102);
-  const std::size_t d = 2;
-  const GridDomain domain(2, d);  // levels=2: snapping to {0, 1}.
-  PointSet s = testing_util::UniformCube(rng, 120, d);
-  domain.SnapAll(s);
-  for (const std::size_t k : {1u, 10u, 119u}) {
-    ExpectMatchesBruteForce(s, domain, k);
-  }
-}
-
-TEST(SpatialGridTest, AllPointsIdentical) {
-  const GridDomain domain(16, 2);
-  PointSet s(2);
-  const std::vector<double> p = {0.5, 0.5};
-  for (int i = 0; i < 50; ++i) s.Add(p);
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, 49));
-  SpatialGrid::Workspace ws;
-  std::vector<double> out;
-  grid.KnnDistances(7, 49, ws, out);
-  ASSERT_EQ(out.size(), 49u);
-  for (const double v : out) EXPECT_EQ(v, 0.0);
-}
-
-TEST(SpatialGridTest, BoundaryPointsStayInTheLastCell) {
-  // Exact cube corners (coordinate 1.0 lands on the last cell's far edge).
-  const GridDomain domain(1u << 10, 2);
-  const PointSet s = MakePointSet(
-      2, {0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.5, 1.0, 1.0});
-  for (const std::size_t k : {1u, 3u, 5u}) {
-    ExpectMatchesBruteForce(s, domain, k);
-  }
-}
-
-TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
-  Rng rng(103);
-  const std::size_t d = 32;
-  const std::size_t k = 20;
-  const GridDomain domain(1u << 10, d);
-  PointSet s = testing_util::UniformCube(rng, 150, d);
-  domain.SnapAll(s);
-  // The grid at high d collapses to one cell and every query scans the full
-  // live prefix.
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
-  EXPECT_EQ(grid.cells_per_axis(), 1u);
-  ExpectMatchesBruteForce(s, domain, k);
-
-  // The one-cell batch runs the blocked dense pass: rows must equal the
-  // per-query path bit for bit, sorted and unsorted (as multisets), at any
-  // thread count, and for explicit query lists after a removal.
-  SpatialGrid::Workspace ws;
-  std::vector<double> row;
-  const std::vector<std::uint32_t> all = testing_util::AllIds(s.size());
-  for (const bool sorted : {true, false}) {
-    std::vector<double> batch(s.size() * k);
-    grid.BatchKnnDistancesFor(all, k, batch, nullptr, sorted);
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      grid.KnnDistances(i, k, ws, row, sorted);
-      for (std::size_t j = 0; j < k; ++j) {
-        ASSERT_EQ(batch[i * k + j], row[j])
-            << "sorted=" << sorted << " i=" << i << " j=" << j;
-      }
-    }
-    ThreadPool pool(4);
-    std::vector<double> parallel(s.size() * k);
-    grid.BatchKnnDistancesFor(all, k, parallel, &pool, sorted);
-    EXPECT_EQ(batch, parallel) << "sorted=" << sorted;
-  }
-
-  grid.Remove(17);
-  std::vector<std::uint32_t> queries;
-  for (std::uint32_t i = 0; i < s.size(); ++i) {
-    if (i != 17) queries.push_back(i);
-  }
-  std::vector<double> batch_for(queries.size() * k);
-  grid.BatchKnnDistancesFor(queries, k, batch_for, nullptr);
-  for (std::size_t r = 0; r < queries.size(); ++r) {
-    grid.KnnDistances(queries[r], k, ws, row);
-    for (std::size_t j = 0; j < k; ++j) {
-      ASSERT_EQ(batch_for[r * k + j], row[j]) << "r=" << r << " j=" << j;
-    }
-  }
-}
-
-// The collapse predicate that widens the subsample cap's t range
-// (good_radius.cc, EffectiveSubsampleCap).
-TEST(SpatialGridTest, GridCollapsesToSingleCellAtHighDimension) {
-  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
-  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
-  EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));
-}
-
-TEST(SpatialGridTest, KLargerThanNMinusOneIsClamped) {
-  const GridDomain domain(16, 1);
-  const PointSet s = MakePointSet(1, {0.25, 0.75});
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, 10));
-  SpatialGrid::Workspace ws;
-  std::vector<double> out;
-  grid.KnnDistances(0, 10, ws, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], Distance(s[0], s[1]));
-  grid.KnnDistances(0, 0, ws, out);
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(SpatialGridTest, UnsortedModeReturnsTheSameMultiset) {
-  Rng rng(104);
-  const GridDomain domain(1u << 10, 3);
-  PointSet s = testing_util::UniformCube(rng, 200, 3);
-  domain.SnapAll(s);
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, 17));
-  SpatialGrid::Workspace ws;
-  std::vector<double> unsorted;
-  for (std::size_t i = 0; i < s.size(); i += 13) {
-    grid.KnnDistances(i, 17, ws, unsorted, /*sorted=*/false);
-    std::sort(unsorted.begin(), unsorted.end());
-    const std::vector<double> want = BruteForceKnn(s, i, 17);
-    ASSERT_EQ(unsorted.size(), want.size());
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      ASSERT_EQ(unsorted[j], want[j]) << "query=" << i << " rank=" << j;
-    }
-  }
-}
-
-TEST(SpatialGridTest, BatchBitIdenticalAcrossThreadCounts) {
-  Rng rng(105);
-  const GridDomain domain(1u << 12, 2);
-  PointSet s = testing_util::UniformCube(rng, 500, 2);
-  domain.SnapAll(s);
-  const std::size_t k = 31;
-  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
-  const std::vector<std::uint32_t> all = testing_util::AllIds(s.size());
-  std::vector<double> serial(s.size() * k);
-  grid.BatchKnnDistancesFor(all, k, serial, nullptr);
-
-  // The batch must equal the per-query path and be independent of threads.
-  SpatialGrid::Workspace ws;
-  std::vector<double> row;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    grid.KnnDistances(i, k, ws, row);
-    for (std::size_t j = 0; j < k; ++j) {
-      ASSERT_EQ(serial[i * k + j], row[j]) << "i=" << i << " j=" << j;
-    }
-  }
-  for (const std::size_t threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<double> parallel(s.size() * k);
-    grid.BatchKnnDistancesFor(all, k, parallel, &pool);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
-  }
-}
-
 // Ascending brute-force distances from s[query] to every other live point.
 std::vector<double> BruteForceLiveDistances(const PointSet& s,
                                             const SpatialGrid& grid,
@@ -231,6 +36,26 @@ std::vector<double> BruteForceLiveDistances(const PointSet& s,
   }
   std::sort(dists.begin(), dists.end());
   return dists;
+}
+
+std::vector<std::uint32_t> LiveIds(const SpatialGrid& grid) {
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t i = 0; i < grid.size(); ++i) {
+    if (grid.IsLive(i)) ids.push_back(i);
+  }
+  return ids;
+}
+
+// KthNearestDistance(i, k) for every live i must be the k-th brute-force
+// distance, bit for bit.
+void ExpectKthNearest(const PointSet& s, const SpatialGrid& grid,
+                      std::size_t k, const std::string& context) {
+  SpatialGrid::Workspace ws;
+  for (const std::uint32_t i : LiveIds(grid)) {
+    const std::vector<double> want = BruteForceLiveDistances(s, grid, i);
+    ASSERT_EQ(grid.KthNearestDistance(i, k, ws), want[k - 1])
+        << context << " query=" << i;
+  }
 }
 
 // BatchKnnSupersetFor over `queries` must give, per row: the exact k
@@ -275,12 +100,126 @@ void ExpectSupersetRows(const PointSet& s, const SpatialGrid& grid,
   }
 }
 
-std::vector<std::uint32_t> LiveIds(const SpatialGrid& grid) {
-  std::vector<std::uint32_t> ids;
-  for (std::uint32_t i = 0; i < grid.size(); ++i) {
-    if (grid.IsLive(i)) ids.push_back(i);
+// Both k-NN queries over every point of a fresh grid sized for k.
+void ExpectMatchesBruteForce(const PointSet& s, const GridDomain& domain,
+                             std::size_t k) {
+  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+  const std::string context = "n=" + std::to_string(s.size()) + " d=" +
+                              std::to_string(s.dim()) + " k=" +
+                              std::to_string(k);
+  ExpectKthNearest(s, grid, k, context);
+  ExpectSupersetRows(s, grid, testing_util::AllIds(s.size()), k, context);
+}
+
+TEST(SpatialGridTest, RingSearchMatchesBruteForceAcrossShapes) {
+  Rng rng(101);
+  for (const std::size_t d : {1u, 2u, 3u, 8u}) {
+    const GridDomain domain(1u << 10, d);
+    for (const std::size_t n : {2u, 33u, 257u}) {
+      PointSet s = testing_util::UniformCube(rng, n, d);
+      domain.SnapAll(s);
+      for (const std::size_t k : {std::size_t{1}, std::size_t{5}, n - 1}) {
+        if (k > n - 1) continue;
+        ExpectMatchesBruteForce(s, domain, k);
+      }
+    }
   }
-  return ids;
+}
+
+TEST(SpatialGridTest, DuplicateHeavyPointsCountAsNeighbors) {
+  // Coordinates drawn from three levels only: most points are exact
+  // duplicates, so many zero distances must survive self-exclusion.
+  Rng rng(102);
+  const std::size_t d = 2;
+  const GridDomain domain(2, d);  // levels=2: snapping to {0, 1}.
+  PointSet s = testing_util::UniformCube(rng, 120, d);
+  domain.SnapAll(s);
+  for (const std::size_t k : {1u, 10u, 119u}) {
+    ExpectMatchesBruteForce(s, domain, k);
+  }
+}
+
+TEST(SpatialGridTest, AllPointsIdentical) {
+  const GridDomain domain(16, 2);
+  PointSet s(2);
+  const std::vector<double> p = {0.5, 0.5};
+  for (int i = 0; i < 50; ++i) s.Add(p);
+  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, 49));
+  SpatialGrid::Workspace ws;
+  EXPECT_EQ(grid.KthNearestDistance(7, 1, ws), 0.0);
+  EXPECT_EQ(grid.KthNearestDistance(7, 49, ws), 0.0);
+}
+
+TEST(SpatialGridTest, BoundaryPointsStayInTheLastCell) {
+  // Exact cube corners (coordinate 1.0 lands on the last cell's far edge).
+  const GridDomain domain(1u << 10, 2);
+  const PointSet s = MakePointSet(
+      2, {0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.5, 1.0, 1.0});
+  for (const std::size_t k : {1u, 3u, 5u}) {
+    ExpectMatchesBruteForce(s, domain, k);
+  }
+}
+
+TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
+  Rng rng(103);
+  const std::size_t d = 32;
+  const std::size_t k = 20;
+  const GridDomain domain(1u << 10, d);
+  PointSet s = testing_util::UniformCube(rng, 150, d);
+  domain.SnapAll(s);
+  // The grid at high d collapses to one cell: every query scans the full
+  // live prefix, and the superset batch runs the blocked dense pass.
+  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+  EXPECT_EQ(grid.cells_per_axis(), 1u);
+  ExpectMatchesBruteForce(s, domain, k);
+
+  grid.Remove(17);
+  ExpectKthNearest(s, grid, k, "after removal");
+  ExpectSupersetRows(s, grid, LiveIds(grid), k, "after removal");
+}
+
+// The collapse predicate that widens the subsample cap's t range
+// (good_radius.cc, EffectiveSubsampleCap).
+TEST(SpatialGridTest, GridCollapsesToSingleCellAtHighDimension) {
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
+  EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));
+}
+
+// Removed rows are never neighbors, counted or collected: after deleting a
+// scattered third, every query over a live id answers like brute force over
+// the live points.
+TEST(SpatialGridTest, QueriesSkipRemovedRows) {
+  Rng rng(104);
+  for (const std::size_t d : {2u, 32u}) {
+    const GridDomain domain(1u << 10, d);
+    PointSet s = testing_util::UniformCube(rng, 240, d);
+    domain.SnapAll(s);
+    ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, 16));
+    for (std::size_t i = 0; i < s.size(); i += 3) grid.Remove(i);
+    const std::vector<std::uint32_t> live = LiveIds(grid);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                live.size() - 1}) {
+      ExpectKthNearest(s, grid, k, "d=" + std::to_string(d));
+    }
+    SpatialGrid::Workspace ws;
+    std::vector<std::uint32_t> collected;
+    for (const double r : {0.0, 0.05, 0.2, 0.7, 2.0, 6.0}) {
+      for (const std::uint32_t i : live) {
+        std::vector<std::uint32_t> want;
+        for (const std::uint32_t j : live) {
+          if (Distance(s[i], s[j]) <= r) want.push_back(j);
+        }
+        EXPECT_EQ(grid.CountWithin(i, r, ws), want.size())
+            << "d=" << d << " r=" << r << " query=" << i;
+        collected.clear();
+        grid.CollectWithin(i, r, ws, collected);
+        std::sort(collected.begin(), collected.end());
+        EXPECT_EQ(collected, want) << "d=" << d << " r=" << r
+                                   << " query=" << i;
+      }
+    }
+  }
 }
 
 TEST(SpatialGridSupersetTest, HoldsExactKnnAcrossShapesAndThreads) {

@@ -1,24 +1,27 @@
 // Streaming-maintenance property tests: the tentpole contract of the
 // incremental index. For every registered scenario family, an IndexedDataset
 // that absorbed a stream of Inserts and Removes must answer every query
-// bit-identically to a from-scratch rebuild over its active rows — at 1, 2,
-// and 8 threads — and GoodRadius over the churned index must release the
-// bytes a rebuild-per-batch pipeline produces, with either engine.
+// what a from-scratch rebuild over its active rows answers — exact k-NN
+// rows and counts, and the same radius profile bytes at 1, 2 and 8 threads —
+// and GoodRadius over the churned index must release the bytes a
+// rebuild-per-batch pipeline produces, with either engine.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/data/scenario.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
+#include "reference/pairwise_reference.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -37,10 +40,8 @@ IndexedDataset ChurnedIndex(const ScenarioInstance& instance,
   auto created = IndexedDataset::Create(std::move(head), instance.domain);
   EXPECT_OK(created.status());
   IndexedDataset index = std::move(*created);
-  // Warm the grid so every edit exercises the incremental path.
-  std::vector<double> warm(n0);
-  index.BatchKnn(1, warm, nullptr);
-  EXPECT_TRUE(index.grid_built());
+  // Build the grid first so every edit exercises the incremental path.
+  index.EnsureGrid(1);
 
   for (std::size_t i = 0; i < n0; i += 5) {
     index.Remove(i);
@@ -74,29 +75,35 @@ TEST_P(EveryFamilyStreamingTest, ChurnMatchesFreshRebuild) {
 
   IndexedDataset index = ChurnedIndex(instance, nullptr, nullptr);
   const PointSet view = index.ActiveView();
-  const std::size_t m = index.active_size();
+  const reference::PairwiseRows pairs(view);
   const std::size_t k = 6;
-  ASSERT_OK_AND_ASSIGN(SpatialGrid fresh,
-                       SpatialGrid::Build(view, instance.domain, k));
-  std::vector<double> want(m * k);
-  fresh.BatchKnnDistancesFor(testing_util::AllIds(m), k, want, nullptr, /*sorted=*/true);
-  std::vector<double> got(m * k);
+  ASSERT_OK_AND_ASSIGN(IndexedDataset fresh,
+                       IndexedDataset::Create(view, instance.domain));
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    index.BatchKnn(k, got, &pool, /*sorted=*/true);
-    EXPECT_EQ(got, want) << "threads=" << threads;
+    EXPECT_EQ(testing_util::SortedKnnRows(index, k, &pool),
+              pairs.NearestRows(k))
+        << "threads=" << threads;
+    for (const std::size_t t : {k + 1, view.size() / 2}) {
+      ASSERT_OK_AND_ASSIGN(RadiusProfile via_index,
+                           RadiusProfile::Build(index, t, index.size(), &pool));
+      ASSERT_OK_AND_ASSIGN(RadiusProfile via_fresh,
+                           RadiusProfile::Build(fresh, t, index.size(), &pool));
+      testing_util::ExpectSameProfile(
+          via_index, via_fresh,
+          "t=" + std::to_string(t) + " threads=" + std::to_string(threads));
+    }
   }
 
   // Counting queries too: brute force over the view is the reference.
-  std::vector<std::size_t> counts(m);
-  index.BatchCountWithin(instance.primary().radius, counts, nullptr);
-  for (std::size_t i = 0; i < m; i += 7) {
-    std::size_t expect = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (Distance(view[i], view[j]) <= instance.primary().radius) ++expect;
-    }
-    EXPECT_EQ(counts[i], expect) << "i=" << i;
+  const SpatialGrid& grid = index.EnsureGrid(k);
+  const std::span<const std::uint32_t> ids = index.ActiveIds();
+  SpatialGrid::Workspace ws;
+  const double r = instance.primary().radius;
+  for (std::size_t i = 0; i < ids.size(); i += 7) {
+    EXPECT_EQ(grid.CountWithin(ids[i], r, ws), pairs.CountWithin(i, r))
+        << "i=" << i;
   }
 }
 
@@ -145,9 +152,7 @@ TEST(StreamingScenarioTest, ScheduleReplayReproducesTheInstance) {
     if (u == 0) {
       // Build the grid after the first tick so every later edit goes
       // through the incremental structural path, not a rebuild.
-      std::vector<double> warm(live.active_size());
-      live.BatchKnn(1, warm, nullptr);
-      ASSERT_TRUE(live.grid_built());
+      live.EnsureGrid(1);
     }
   }
   EXPECT_TRUE(live.grid_built());
@@ -159,16 +164,9 @@ TEST(StreamingScenarioTest, ScheduleReplayReproducesTheInstance) {
     ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin())) << i;
   }
 
-  // Queries through the churned index equal a fresh index over the instance.
-  ASSERT_OK_AND_ASSIGN(
-      IndexedDataset fresh,
-      IndexedDataset::Create(instance.points, instance.domain));
-  const std::size_t m = live.active_size();
-  std::vector<double> got(m * 4);
-  std::vector<double> want(m * 4);
-  live.BatchKnn(4, got, nullptr);
-  fresh.BatchKnn(4, want, nullptr);
-  EXPECT_EQ(got, want);
+  // Queries through the churned index equal brute force over the instance.
+  EXPECT_EQ(testing_util::SortedKnnRows(live, 4, nullptr),
+            reference::PairwiseRows(instance.points).NearestRows(4));
 }
 
 // End-to-end streaming contract: GoodRadius over the churned live index

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dpcluster/common/status.h"
+#include "dpcluster/core/radius_profile.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/point_set.h"
 #include "dpcluster/random/rng.h"
 
@@ -48,6 +52,41 @@ inline std::vector<std::uint32_t> AllIds(std::size_t n) {
   std::vector<std::uint32_t> ids(n);
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
   return ids;
+}
+
+/// The exact k-NN rows the index serves: BatchKnnSupersetFor over every
+/// active id (on the cached grid, built for k-NN queries if none exists yet),
+/// each row cut to its k smallest values, ascending. Row r (stride k)
+/// belongs to ActiveIds()[r], so it lines up with row r of ActiveView().
+inline std::vector<double> SortedKnnRows(const IndexedDataset& index,
+                                         std::size_t k, ThreadPool* pool) {
+  SpatialGrid::KnnRows rows;
+  index.EnsureGrid(k).BatchKnnSupersetFor(index.ActiveIds(), k, rows, pool);
+  std::vector<double> out;
+  out.reserve(index.active_size() * k);
+  for (std::size_t r = 0; r + 1 < rows.offsets.size(); ++r) {
+    const auto begin =
+        rows.values.begin() + static_cast<std::ptrdiff_t>(rows.offsets[r]);
+    const auto end =
+        rows.values.begin() + static_cast<std::ptrdiff_t>(rows.offsets[r + 1]);
+    const auto kth = begin + static_cast<std::ptrdiff_t>(k);
+    std::partial_sort(begin, kth, end);
+    out.insert(out.end(), begin, kth);
+  }
+  return out;
+}
+
+/// Two profiles are the same StepFunction: same breakpoints, same values.
+inline void ExpectSameProfile(const RadiusProfile& a, const RadiusProfile& b,
+                              const std::string& context) {
+  ASSERT_EQ(a.fine_l().domain_size(), b.fine_l().domain_size()) << context;
+  ASSERT_EQ(a.fine_l().num_pieces(), b.fine_l().num_pieces()) << context;
+  for (std::size_t p = 0; p < a.fine_l().num_pieces(); ++p) {
+    ASSERT_EQ(a.fine_l().starts()[p], b.fine_l().starts()[p])
+        << context << " piece=" << p;
+    ASSERT_EQ(a.fine_l().values()[p], b.fine_l().values()[p])
+        << context << " piece=" << p;
+  }
 }
 
 /// Sample mean of a scalar callback over `trials` evaluations.

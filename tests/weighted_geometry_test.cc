@@ -1,7 +1,8 @@
-// Weighted-dataset exactness: every weighted geometry query answers in
+// Weighted-dataset exactness: every consumer of the weights answers in
 // *expanded* terms — a weighted IndexedDataset is semantically the dataset
-// in which row i appears weight(i) times — and the answers are pinned
-// BIT-IDENTICAL to running the unweighted query on the duplicate-expanded
+// in which row i appears weight(i) times. The radius profile's weighted
+// sweep, the ball mass RefineRadius counts and GoodRadius are each pinned
+// BIT-IDENTICAL to the unweighted computation on the duplicate-expanded
 // PointSet, across all 8 scenario families and thread counts {1, 2, 8}.
 // This is the contract that lets the coreset layer stand a 10^6-point
 // dataset behind a few-thousand-row summary without changing any consumer
@@ -29,7 +30,6 @@ struct WeightedCase {
   ScenarioInstance instance;
   std::vector<std::uint64_t> weights;  // synthesized, w_i = 1 + (i mod 5)
   PointSet expanded;                   // row i repeated weights[i] times
-  std::vector<std::size_t> first_copy;  // expanded row of copy 0 of row i
   std::uint64_t mass = 0;
 };
 
@@ -50,11 +50,9 @@ WeightedCase MakeCase(const std::string& family) {
   const PointSet& s = c.instance.points;
   c.expanded = PointSet(s.dim());
   c.weights.reserve(s.size());
-  c.first_copy.reserve(s.size());
   for (std::size_t i = 0; i < s.size(); ++i) {
     const std::uint64_t w = 1 + (i % 5);
     c.weights.push_back(w);
-    c.first_copy.push_back(c.expanded.size());
     for (std::uint64_t copy = 0; copy < w; ++copy) c.expanded.Add(s[i]);
     c.mass += w;
   }
@@ -69,65 +67,10 @@ constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 
 class WeightedGeometryTest : public ::testing::TestWithParam<const char*> {};
 
-// BatchKnn / BatchCountWithin: the weighted row of point i must equal the
-// expanded row of (any copy of) point i, byte for byte.
-TEST_P(WeightedGeometryTest, BatchQueriesMatchExpanded) {
-  const WeightedCase c = MakeCase(GetParam());
-  const std::size_t n = c.instance.points.size();
-  ASSERT_OK_AND_ASSIGN(
-      IndexedDataset weighted,
-      IndexedDataset::Create(c.instance.points, c.instance.domain, c.weights));
-  ASSERT_OK_AND_ASSIGN(IndexedDataset expanded,
-                       IndexedDataset::Create(c.expanded, c.instance.domain));
-  ASSERT_EQ(weighted.active_mass(), c.mass);
-
-  const std::size_t k = 7;  // < mass - 1 by construction (mass ~ 3n)
-  std::vector<double> reference_knn;
-  std::vector<std::vector<std::size_t>> reference_counts;
-  const double radii[] = {0.0, 0.01, 0.1, 0.5, 2.0};
-  for (const std::size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-
-    std::vector<double> wknn(n * k);
-    weighted.BatchKnn(k, wknn, &pool);
-    std::vector<double> eknn(c.expanded.size() * k);
-    expanded.BatchKnn(k, eknn, &pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < k; ++j) {
-        EXPECT_EQ(wknn[i * k + j], eknn[c.first_copy[i] * k + j])
-            << "row " << i << " knn " << j << " threads " << threads;
-      }
-    }
-    if (reference_knn.empty()) {
-      reference_knn = wknn;  // thread-count determinism of the weighted path
-    } else {
-      EXPECT_EQ(reference_knn, wknn) << "threads " << threads;
-    }
-
-    std::vector<std::vector<std::size_t>> all_counts;
-    for (const double r : radii) {
-      std::vector<std::size_t> wcount(n);
-      weighted.BatchCountWithin(r, wcount, &pool);
-      std::vector<std::size_t> ecount(c.expanded.size());
-      expanded.BatchCountWithin(r, ecount, &pool);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(wcount[i], ecount[c.first_copy[i]])
-            << "row " << i << " r " << r << " threads " << threads;
-      }
-      all_counts.push_back(std::move(wcount));
-    }
-    if (reference_counts.empty()) {
-      reference_counts = std::move(all_counts);
-    } else {
-      EXPECT_EQ(reference_counts, all_counts) << "threads " << threads;
-    }
-  }
-}
-
 // The footnote-2 SparseVector engine over a weighted index releases what the
 // same call (same seed) releases on the duplicate-expanded PointSet: it reads
-// the weighted profile pinned above, so every noisy comparison sees the same
-// L value.
+// the weighted profile RadiusProfileMatchesExpanded pins, so every noisy
+// comparison sees the same L value.
 TEST_P(WeightedGeometryTest, SparseVectorGoodRadiusMatchesExpanded) {
   const WeightedCase c = MakeCase(GetParam());
   ASSERT_OK_AND_ASSIGN(
