@@ -9,8 +9,8 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/good_center.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -19,7 +19,7 @@ namespace {
 constexpr int kTrials = 4;
 constexpr double kR = 0.015;
 
-void RunConfig(TextTable& table, Rng& rng, const ClusterWorkload& w,
+void RunConfig(TextTable& table, Rng& rng, const ScenarioInstance& w,
                const std::string& label, GoodCenterOptions options) {
   double tight = 0.0;
   double guarantee = 0.0;
@@ -53,13 +53,11 @@ void RunConfig(TextTable& table, Rng& rng, const ClusterWorkload& w,
 int main() {
   using namespace dpcluster;
   Rng rng(19);
-  PlantedClusterSpec spec;
-  spec.n = 4096;
-  spec.t = 2048;
-  spec.dim = 8;
-  spec.levels = 1u << 16;
-  spec.cluster_radius = kR;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = 4096, .dim = 8, .levels = 1u << 16,
+                             .cluster_radius = kR,
+                             .cluster_fraction = (2048 + 0.5) / 4096})
+          .value();
 
   bench::Banner(
       "Lemma 4.12 / GoodCenter, JL dimension sweep (n=4096, t=n/2, d=8, "

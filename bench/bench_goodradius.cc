@@ -10,8 +10,8 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -19,7 +19,7 @@ namespace {
 
 constexpr int kTrials = 3;
 
-void RunEngine(TextTable& table, Rng& rng, const ClusterWorkload& w,
+void RunEngine(TextTable& table, Rng& rng, const ScenarioInstance& w,
                const std::string& label, GoodRadiusOptions options) {
   double ratio = 0.0;
   double gamma = 0.0;
@@ -52,13 +52,12 @@ void RunEngine(TextTable& table, Rng& rng, const ClusterWorkload& w,
 int main() {
   using namespace dpcluster;
   Rng rng(17);
-  PlantedClusterSpec spec;
-  spec.n = 2048;
-  spec.t = 1638;  // 0.8n: large enough that even the recursion's Gamma fits.
-  spec.dim = 2;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  // t = 1638 = 0.8n: large enough that even the recursion's Gamma fits.
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = 2048, .dim = 2, .levels = 1u << 12,
+                             .cluster_radius = 0.01,
+                             .cluster_fraction = (1638 + 0.5) / 2048})
+          .value();
 
   bench::Banner(
       "Lemma 4.6 / GoodRadius engines (n=2048, t=0.8n, d=2, |X|=2^12, eps=8)");

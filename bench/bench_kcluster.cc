@@ -24,9 +24,9 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/k_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 #include "reference/k_cluster_reference.h"
 
@@ -49,8 +49,10 @@ double CoverageTable(Rng& rng, const char* title, KClusterFn&& kcluster) {
     double ms = 0.0;
     int ok = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
-      const ClusterWorkload w =
-          MakeGaussianMixture(rng, 4000, k, 2, 1u << 12, 0.01, 0.05);
+      const ScenarioInstance w =
+          GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 4000,
+                                 .k = k, .sigma = 0.01, .noise_fraction = 0.05})
+              .value();
       KClusterOptions options;
       options.params = {24.0, 1e-8};
       options.beta = 0.2;
@@ -108,15 +110,13 @@ std::vector<std::vector<std::uint32_t>> ShrinkSchedule(const PointSet& s,
 int RunSmoke() {
   int failures = 0;
   Rng data_rng(1007);
-  PlantedClusterSpec spec;
-  spec.n = 4096;
-  spec.t = 512;
-  spec.dim = 2;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = 4096, .dim = 2, .levels = 1u << 12,
+                                  .cluster_radius = 0.02,
+                                  .cluster_fraction = (512 + 0.5) / 4096})
+          .value();
   constexpr std::size_t kRounds = 8;
-  const std::size_t expected_neighbors = spec.t - 1;
+  const std::size_t expected_neighbors = w.t - 1;
   const auto schedule = ShrinkSchedule(w.points, kRounds);
 
   // Index maintenance: the geometry service KCluster's rounds consume.
@@ -168,7 +168,7 @@ int RunSmoke() {
   options.params = {24.0, 1e-8};
   options.beta = 0.2;
   options.k = kRounds;
-  options.per_round_t = spec.n / kRounds;
+  options.per_round_t = w.points.size() / kRounds;
   double e2e_rebuild_ms = 1e300;
   double e2e_incremental_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {

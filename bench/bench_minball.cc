@@ -6,8 +6,8 @@
 
 #include "bench_util.h"
 #include "dpcluster/baselines/nonprivate_baseline.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -27,12 +27,10 @@ int main() {
     TextTable table({"n", "r exact", "r 2approx", "ratio (bound 2)",
                      "exact ms", "2approx ms"});
     for (std::size_t n : {256u, 1024u, 4096u}) {
-      PlantedClusterSpec spec;
-      spec.n = n;
-      spec.t = n / 3;
-      spec.dim = 1;
-      spec.cluster_radius = 0.02;
-      const ClusterWorkload w = MakePlantedCluster(rng, spec);
+      const ScenarioInstance w =
+          GenerateScenario(rng, {.n = n, .dim = 1, .cluster_radius = 0.02,
+                                 .cluster_fraction = (n / 3 + 0.5) / n})
+              .value();
       double r_exact = 0.0;
       double r_two = 0.0;
       double ms_exact = 0.0;
@@ -61,12 +59,10 @@ int main() {
     TextTable table({"n", "alpha", "r 2approx", "r refined", "improvement",
                      "refine ms"});
     for (std::size_t n : {512u, 2048u}) {
-      PlantedClusterSpec spec;
-      spec.n = n;
-      spec.t = n / 3;
-      spec.dim = 4;
-      spec.cluster_radius = 0.03;
-      const ClusterWorkload w = MakePlantedCluster(rng, spec);
+      const ScenarioInstance w =
+          GenerateScenario(rng, {.n = n, .dim = 4, .cluster_radius = 0.03,
+                                 .cluster_fraction = (n / 3 + 0.5) / n})
+              .value();
       for (double alpha : {0.5, 0.25}) {
         double r_two = 0.0;
         double r_fine = 0.0;

@@ -39,7 +39,6 @@
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/parallel/thread_pool.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -61,13 +60,12 @@ struct ConfigOptions {
 void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
                std::size_t n, std::size_t d, std::uint64_t levels,
                const ConfigOptions& cfg = {}) {
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = cfg.t > 0 ? cfg.t : n / cfg.t_divisor;
-  spec.dim = d;
-  spec.levels = levels;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const std::size_t t = cfg.t > 0 ? cfg.t : n / cfg.t_divisor;
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = n, .dim = d, .levels = levels,
+                             .cluster_radius = 0.01,
+                             .cluster_fraction = (t + 0.5) / n})
+          .value();
 
   GoodRadiusOptions radius_opts;
   radius_opts.params = {cfg.eps, 1e-9};
@@ -116,14 +114,12 @@ const std::vector<std::string> kHeader = {
 void RunThreadSweep(TextTable& table, bench::JsonReporter& reporter,
                     std::size_t n, std::size_t d, std::uint64_t levels,
                     double eps) {
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = n / 2;
-  spec.dim = d;
-  spec.levels = levels;
-  spec.cluster_radius = 0.01;
   Rng data_rng(4242);
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = n, .dim = d, .levels = levels,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (n / 2 + 0.5) / n})
+          .value();
 
   const std::vector<std::size_t> counts = {1, 2, 4, 0};
   std::vector<double> radius_ms(counts.size(), 1e300);
@@ -211,13 +207,11 @@ StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
                                        std::size_t batch_size, bool audit) {
   StreamingPoint out;
   Rng data_rng(53);
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = t;
-  spec.dim = 2;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = n, .dim = 2, .levels = 1u << 12,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (t + 0.5) / n})
+          .value();
   const std::size_t n0 = n - (batches + 1) * batch_size;
   const std::size_t expire_size = batch_size / 4;
 
@@ -289,13 +283,11 @@ StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
 double BestOfThreeRadiusMs(std::size_t n, std::size_t t, std::size_t d,
                            ProfileIndex profile_index) {
   Rng data_rng(41);
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = t;
-  spec.dim = d;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = n, .dim = d, .levels = 1u << 12,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (t + 0.5) / n})
+          .value();
   GoodRadiusOptions opts;
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
@@ -314,13 +306,11 @@ double BestOfThreeRadiusMs(std::size_t n, std::size_t t, std::size_t d,
 
 double BestOfThreeCenterMs(std::size_t num_threads) {
   Rng data_rng(42);
-  PlantedClusterSpec spec;
-  spec.n = 4096;
-  spec.t = 2048;
-  spec.dim = 32;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = 4096, .dim = 32, .levels = 1u << 12,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (2048 + 0.5) / 4096})
+          .value();
   GoodCenterOptions opts;
   opts.params = {32.0, 1e-9};
   opts.beta = 0.1;
@@ -344,13 +334,11 @@ double BestOfThreeCenterMs(std::size_t num_threads) {
 // success boundary and the gate would flake).
 double BestOfTwoPipelineMs(std::size_t d) {
   Rng data_rng(43);
-  PlantedClusterSpec spec;
-  spec.n = 4096;
-  spec.t = 512;
-  spec.dim = d;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = 4096, .dim = d, .levels = 1u << 12,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (512 + 0.5) / 4096})
+          .value();
   GoodRadiusOptions radius_opts;
   radius_opts.params = {64.0, 1e-9};
   radius_opts.beta = 0.1;
@@ -379,13 +367,11 @@ double BestOfTwoPipelineMs(std::size_t d) {
 // pipeline) at (n, t=n/16, d=2). Returns wall ms or -1 on failure.
 double CoresetRadiusMs(std::size_t n, bool coreset) {
   Rng data_rng(47);
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = n / 16;
-  spec.dim = 2;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(data_rng, {.n = n, .dim = 2, .levels = 1u << 12,
+                                  .cluster_radius = 0.01,
+                                  .cluster_fraction = (n / 16 + 0.5) / n})
+          .value();
   GoodRadiusOptions opts;
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
@@ -408,14 +394,9 @@ double CoresetRadiusMs(std::size_t n, bool coreset) {
 // then one RemoveWithin of a t=512 ball, then a t=512 build over the
 // survivors — which the profile memo never serves. Best of three.
 double BestOfThreeKClusterRoundMs(ProfileIndex profile_index) {
-  ScenarioSpec spec;
-  spec.scenario = "gaussian_mixture";
-  spec.n = 4096;
-  spec.dim = 2;
   Rng data_rng(44);
-  Result<ScenarioInstance> instance =
-      ScenarioRegistry::Global().Lookup(spec.scenario).value()->Generate(
-          data_rng, spec);
+  const Result<ScenarioInstance> instance = GenerateScenario(
+      data_rng, {.scenario = "gaussian_mixture", .n = 4096, .dim = 2});
   if (!instance.ok()) return -1.0;
   const std::size_t n = instance->points.size();
   Result<IndexedDataset> index =
@@ -697,8 +678,11 @@ int main(int argc, char** argv) {
     // d = 16: the highest dimension where the per-round budget (eps / k
     // across 8 rounds) still clears GoodCenter's histogram thresholds, so
     // the bench measures found clusters rather than 8 suppressed rounds.
-    const ClusterWorkload w =
-        MakeGaussianMixture(data_rng, 4096, 8, 16, 1u << 12, 0.02, 0.1);
+    const ScenarioInstance w =
+        GenerateScenario(data_rng, {.scenario = "gaussian_mixture", .n = 4096,
+                                    .dim = 16, .k = 8, .sigma = 0.02,
+                                    .noise_fraction = 0.1})
+            .value();
     KClusterOptions options;
     options.params = {64.0, 1e-9};
     options.beta = 0.2;
@@ -769,13 +753,11 @@ int main(int argc, char** argv) {
     for (int lg : {17, 18, 19, 20}) {
       const std::size_t n = std::size_t{1} << lg;
       Rng data_rng(47);
-      PlantedClusterSpec spec;
-      spec.n = n;
-      spec.t = n / 16;
-      spec.dim = 2;
-      spec.levels = 1u << 12;
-      spec.cluster_radius = 0.01;
-      const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+      const ScenarioInstance w =
+          GenerateScenario(data_rng, {.n = n, .dim = 2, .levels = 1u << 12,
+                                      .cluster_radius = 0.01,
+                                      .cluster_fraction = (n / 16 + 0.5) / n})
+              .value();
 
       CoresetOptions copts;
       copts.enabled = true;

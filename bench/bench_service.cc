@@ -31,13 +31,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/random/rng.h"
 #include "dpcluster/service/http_client.h"
 #include "dpcluster/service/http_server.h"
 #include "dpcluster/service/json.h"
 #include "dpcluster/service/protocol.h"
 #include "dpcluster/service/service.h"
-#include "dpcluster/workload/synthetic.h"
 
 namespace dpcluster {
 namespace {
@@ -49,30 +49,28 @@ std::vector<std::string> ClientBodies(std::uint64_t client) {
   Rng rng(1000 + client);
   std::vector<std::string> bodies;
 
-  PlantedClusterSpec spec;
-  spec.n = 512;
-  spec.t = 192;
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload cluster = MakePlantedCluster(rng, spec);
+  const ScenarioInstance cluster =
+      GenerateScenario(rng, {.n = 512, .dim = 2, .levels = 1u << 10,
+                             .cluster_radius = 0.02,
+                             .cluster_fraction = (192 + 0.5) / 512})
+          .value();
   // interior_point solves 1-cluster on a middle sub-database of n/2 points;
   // it needs the larger 1-d instance to stay reliably answerable at eps=8.
-  PlantedClusterSpec line;
-  line.n = 1200;
-  line.t = 700;
-  line.dim = 1;
-  line.levels = 1u << 10;
-  line.cluster_radius = 0.015;
-  const ClusterWorkload interior = MakePlantedCluster(rng, line);
+  const ScenarioInstance interior =
+      GenerateScenario(rng, {.n = 1200, .dim = 1, .levels = 1u << 10,
+                             .cluster_radius = 0.015,
+                             .cluster_fraction = (700 + 0.5) / 1200})
+          .value();
   // exp_mech_baseline enumerates all |X|^d grid centers; keep it under the
   // documented center cap with a coarse 2-d universe.
-  PlantedClusterSpec coarse = spec;
-  coarse.levels = 1u << 5;
-  const ClusterWorkload coarse2d = MakePlantedCluster(rng, coarse);
+  const ScenarioInstance coarse2d =
+      GenerateScenario(rng, {.n = 512, .dim = 2, .levels = 1u << 5,
+                             .cluster_radius = 0.02,
+                             .cluster_fraction = (192 + 0.5) / 512})
+          .value();
 
   const std::string tenant = "tenant" + std::to_string(client);
-  const auto encode = [&](const ClusterWorkload& w,
+  const auto encode = [&](const ScenarioInstance& w,
                           const std::string& algorithm,
                           const std::string& dataset_suffix) {
     WireRequest wire;

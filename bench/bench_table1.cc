@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -37,7 +37,7 @@ struct Row {
   std::string note;
 };
 
-Request BaseRequest(const ClusterWorkload& w) {
+Request BaseRequest(const ScenarioInstance& w) {
   Request request;
   request.data = w.points;
   request.domain = w.domain;
@@ -47,7 +47,7 @@ Request BaseRequest(const ClusterWorkload& w) {
   return request;
 }
 
-void RunRows(const ClusterWorkload& w, const std::vector<Row>& rows,
+void RunRows(const ScenarioInstance& w, const std::vector<Row>& rows,
              std::uint64_t seed) {
   Solver solver(SolverOptions{.seed = seed});
   TextTable table({"method", "Delta (t-captured)", "w (effective)", "time ms",
@@ -77,13 +77,11 @@ void ScenarioA() {
       "Table 1 / Scenario A: d=1, |X|=2^14, n=2048, minority cluster t=n/4, "
       "eps=2");
   Rng rng(1001);
-  PlantedClusterSpec spec;
-  spec.n = 2048;
-  spec.t = 512;
-  spec.dim = 1;
-  spec.levels = 1u << 14;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = 2048, .dim = 1, .levels = 1u << 14,
+                             .cluster_radius = 0.01,
+                             .cluster_fraction = (512 + 0.5) / 2048})
+          .value();
 
   RunRows(w,
           {
@@ -104,7 +102,11 @@ void ScenarioB() {
       "Table 1 / Scenario B: d=2, |X|=2^14 per axis, n=4096, two 30% "
       "clusters (no majority), eps=2");
   Rng rng(2002);
-  const ClusterWorkload w = MakeTwoClusters(rng, 4096, 2, 1u << 14, 0.01, 0.3);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 4096,
+                             .levels = 1u << 14, .cluster_radius = 0.01,
+                             .cluster_fraction = 0.3, .tie_margin = 0})
+          .value();
 
   RunRows(w,
           {

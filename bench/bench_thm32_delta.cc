@@ -16,11 +16,11 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/core/one_cluster.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -38,13 +38,11 @@ struct Outcome {
 };
 
 Outcome RunConfig(Rng& rng, double eps, std::uint64_t levels) {
-  PlantedClusterSpec spec;
-  spec.n = 2048;
-  spec.t = 1024;
-  spec.dim = 2;
-  spec.levels = levels;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = 2048, .dim = 2, .levels = levels,
+                             .cluster_radius = 0.01,
+                             .cluster_fraction = (1024 + 0.5) / 2048})
+          .value();
 
   OneClusterOptions options;
   options.params = {eps, 1e-9};
@@ -68,7 +66,8 @@ Outcome RunConfig(Rng& rng, double eps, std::uint64_t levels) {
     const double captured = static_cast<double>(
         CountWithin(w.points, result->ball.center, 6.0 * *r_opt));
     out.delta += std::max(0.0, static_cast<double>(w.t) - captured);
-    out.displacement += Distance(result->ball.center, w.planted.center) / *r_opt;
+    out.displacement +=
+        Distance(result->ball.center, w.primary().center) / *r_opt;
     ++ok;
   }
   if (ok > 0) {

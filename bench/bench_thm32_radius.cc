@@ -14,8 +14,8 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -25,13 +25,11 @@ constexpr int kTrials = 3;
 
 void RunConfig(TextTable& table, Rng& rng, std::size_t n, std::size_t d,
                double eps, double t_fraction) {
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = static_cast<std::size_t>(t_fraction * static_cast<double>(n));
-  spec.dim = d;
-  spec.levels = 1u << 12;
-  spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.n = n, .dim = d, .levels = 1u << 12,
+                             .cluster_radius = 0.01,
+                             .cluster_fraction = t_fraction})
+          .value();
 
   OneClusterOptions options;
   options.params = {eps, 1e-9};

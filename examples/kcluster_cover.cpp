@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "dpcluster/api/solver.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 
 int main() {
   using namespace dpcluster;
@@ -15,8 +15,10 @@ int main() {
 
   // Three shops' worth of purchase locations plus 5% noise.
   const std::size_t k = 3;
-  const ClusterWorkload w =
-      MakeGaussianMixture(rng, 4000, k, 2, 1u << 12, 0.012, 0.05);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 4000, .k = k,
+                             .sigma = 0.012, .noise_fraction = 0.05})
+          .value();
 
   Request request;
   request.algorithm = "k_cluster";
@@ -43,7 +45,7 @@ int main() {
                 ball.center[0], ball.center[1], ball.radius);
   }
   std::printf("\nPlanted component centers:\n");
-  for (const Ball& planted : w.all_planted) {
+  for (const Ball& planted : w.true_balls) {
     std::printf("         (%.3f, %.3f)\n", planted.center[0], planted.center[1]);
   }
   std::printf("\nUncovered points (evaluation only): %zu of %zu (%.1f%%)\n",

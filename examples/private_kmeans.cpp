@@ -11,10 +11,10 @@
 
 #include <cstdio>
 
+#include "dpcluster/data/registry.h"
 #include "dpcluster/random/distributions.h"
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/sa/sample_aggregate.h"
-#include "dpcluster/workload/synthetic.h"
 
 int main() {
   using namespace dpcluster;
@@ -22,8 +22,10 @@ int main() {
 
   // A well-separated 3-component mixture in the plane.
   const std::size_t k = 3;
-  const ClusterWorkload w =
-      MakeGaussianMixture(rng, 54000, k, 2, 1u << 12, 0.01, 0.0);
+  const ScenarioInstance w =
+      GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 54000, .k = k,
+                             .sigma = 0.01, .noise_fraction = 0.0})
+          .value();
 
   SampleAggregateOptions options;
   options.params = {12.0, 1e-9};
@@ -51,7 +53,7 @@ int main() {
                 result->point[c * 2], result->point[c * 2 + 1]);
   }
   std::printf("\nPlanted component centers (sorted for comparison):\n");
-  for (const Ball& planted : w.all_planted) {
+  for (const Ball& planted : w.true_balls) {
     std::printf("            (%.3f, %.3f)\n", planted.center[0],
                 planted.center[1]);
   }

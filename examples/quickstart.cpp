@@ -13,21 +13,21 @@
 #include <cstdio>
 
 #include "dpcluster/api/solver.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 
 int main() {
   using namespace dpcluster;
 
   // A reproducible data source: 4096 points in [0,1]^2, of which t=2000 lie
-  // in a planted ball of radius 0.015 (the "small cluster" we want to find).
+  // in a planted ball of radius 0.015 (the "small cluster" we want to find),
+  // on |X| = 65536 grid levels per axis. A cluster_fraction of (t + 0.5) / n
+  // plants exactly t points.
   Rng rng(2016);
-  PlantedClusterSpec spec;
-  spec.n = 4096;
-  spec.t = 2000;
-  spec.dim = 2;
-  spec.levels = 1u << 16;  // |X| = 65536 grid levels per axis.
-  spec.cluster_radius = 0.015;
-  const ClusterWorkload workload = MakePlantedCluster(rng, spec);
+  const ScenarioInstance workload =
+      GenerateScenario(rng, {.n = 4096, .dim = 2, .levels = 1u << 16,
+                             .cluster_radius = 0.015,
+                             .cluster_fraction = (2000 + 0.5) / 4096})
+          .value();
 
   // The typed request: which algorithm, on what data, with what budget.
   Request request;
@@ -39,7 +39,7 @@ int main() {
   request.beta = 0.1;            // Failure probability of the utility claim.
 
   std::printf("Solving the 1-cluster problem (n=%zu, t=%zu, d=%zu, eps=%.1f)\n",
-              request.data.size(), request.t, spec.dim,
+              request.data.size(), request.t, request.data.dim(),
               request.budget.epsilon);
 
   Solver solver;
@@ -51,8 +51,8 @@ int main() {
 
   std::printf("\nReleased center: (%.4f, %.4f)\n", response->ball.center[0],
               response->ball.center[1]);
-  std::printf("Planted  center: (%.4f, %.4f)\n", workload.planted.center[0],
-              workload.planted.center[1]);
+  std::printf("Planted  center: (%.4f, %.4f)\n", workload.primary().center[0],
+              workload.primary().center[1]);
   std::printf("Guarantee radius (O(sqrt(log n)) * r): %.4f\n",
               response->ball.radius);
   std::printf("%s\n", response->note.c_str());

@@ -237,15 +237,9 @@ class OutlierScreenAlgorithm : public Algorithm {
     if (o.refine.epsilon > 0.0) {
       DPC_RETURN_IF_ERROR(session.Charge("refine", {o.refine.epsilon, 0.0}));
     }
-    std::size_t inliers = 0;
-    for (std::size_t i = 0; i < request.data.size(); ++i) {
-      if (screen.IsInlier(request.data[i])) ++inliers;
-    }
     Response response;
     response.ball = screen.ball;
-    response.note = "screen keeps points inside the released ball; inliers "
-                    "kept (non-private count): " +
-                    std::to_string(inliers);
+    response.note = "screen keeps points inside the released ball";
     return response;
   }
 };

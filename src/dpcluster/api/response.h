@@ -46,7 +46,8 @@ struct Response {
   /// Utility metrics of `ball` against the request's data and t, when the
   /// Solver is configured to evaluate them and the problem shape allows it.
   std::optional<EvalMetrics> diagnostics;
-  /// Points of the dataset left uncovered by `balls` (k-cluster only).
+  /// Points of the dataset left uncovered by `balls` (k-cluster only): an
+  /// exact count for in-process evaluation, never encoded on the wire.
   std::size_t uncovered = 0;
 
   /// Wall-clock of the algorithm run, milliseconds.

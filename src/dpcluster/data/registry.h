@@ -1,7 +1,7 @@
 // String-keyed registry of ScenarioFamily implementations — the workload-side
-// mirror of api/registry.h. The evaluation harness, benches, and tests
-// generate instances by family name; custom families can be registered
-// alongside the built-ins.
+// mirror of api/registry.h. Every generated dataset in the repo comes from a
+// family looked up here by name, usually through GenerateScenario; custom
+// families can be registered alongside the built-ins.
 
 #ifndef DPCLUSTER_DATA_REGISTRY_H_
 #define DPCLUSTER_DATA_REGISTRY_H_

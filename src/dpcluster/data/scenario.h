@@ -6,9 +6,10 @@
 // evaluation harness in data/accuracy.h and the CI accuracy gate consume.
 //
 // The subsystem mirrors the api/ algorithm registry: families are registered
-// by name in a ScenarioRegistry (data/registry.h) and looked up by the
-// harness, the benches, and the tests. Built-in families live in
-// data/generators.cc.
+// by name in a ScenarioRegistry (data/registry.h). It is the library's one
+// workload generator: the harness, the tests, the benches, the examples,
+// dpcluster_cli --demo and the daemon benchmark all draw from it. Built-in
+// families live in data/generators.cc.
 
 #ifndef DPCLUSTER_DATA_SCENARIO_H_
 #define DPCLUSTER_DATA_SCENARIO_H_
@@ -46,7 +47,8 @@ struct ScenarioSpec {
   // --- Family knobs -------------------------------------------------------
   /// Radius of the planted primary cluster, in cube units.
   double cluster_radius = 0.05;
-  /// Fraction of the n points planted in the primary cluster (t/n).
+  /// Fraction of the n points planted in the primary cluster: t is
+  /// floor(cluster_fraction * n), so (t + 0.5) / n plants exactly t.
   double cluster_fraction = 0.25;
   /// Mixture families: number of components k.
   std::size_t k = 3;

@@ -54,6 +54,5 @@
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/sa/sample_aggregate.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 
 #endif  // DPCLUSTER_DPCLUSTER_H_

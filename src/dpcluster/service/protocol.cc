@@ -455,8 +455,6 @@ JsonValue ResponseToJson(const Response& response) {
   } else {
     object.Set("diagnostics", JsonValue::Null());
   }
-  object.Set("uncovered",
-             JsonValue::Number(static_cast<std::uint64_t>(response.uncovered)));
   object.Set("note", JsonValue::String(response.note));
   object.Set("wall_ms", JsonValue::Number(response.wall_ms));
   return object;

@@ -9,9 +9,9 @@
 #include "dpcluster/baselines/noisy_mean_baseline.h"
 #include "dpcluster/baselines/nonprivate_baseline.h"
 #include "dpcluster/baselines/threshold_release_1d.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -19,17 +19,16 @@ namespace {
 
 TEST(NoisyMeanBaselineTest, WorksOnMajorityCluster) {
   Rng rng(1);
-  PlantedClusterSpec spec;
-  spec.n = 2000;
-  spec.t = 1800;  // Strong majority.
-  spec.dim = 2;
-  spec.cluster_radius = 0.04;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  // t = 1800: a strong majority.
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 2000, .dim = 2, .cluster_radius = 0.04,
+                             .cluster_fraction = (1800 + 0.5) / 2000}));
   NoisyMeanBaselineOptions o;
   o.params = {2.0, 1e-8};
   ASSERT_OK_AND_ASSIGN(Ball ball, NoisyMeanBaseline(rng, w.points, w.t, w.domain, o));
   // The mean of a 90% cluster sits near the planted center.
-  EXPECT_LT(Distance(ball.center, w.planted.center), 0.15);
+  EXPECT_LT(Distance(ball.center, w.primary().center), 0.15);
   EXPECT_GE(CountInBall(w.points, ball), w.t / 2);
 }
 
@@ -38,7 +37,11 @@ TEST(NoisyMeanBaselineTest, FailsOnMinorityClusters) {
   // so the smallest t-heavy ball around it is large — the failure mode
   // Table 1 row 1 documents.
   Rng rng(2);
-  const ClusterWorkload w = MakeTwoClusters(rng, 2000, 2, 1024, 0.03, 0.3);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 2000, .levels = 1024,
+                             .cluster_radius = 0.03, .cluster_fraction = 0.3,
+                             .tie_margin = 0}));
   NoisyMeanBaselineOptions o;
   o.params = {2.0, 1e-8};
   ASSERT_OK_AND_ASSIGN(Ball ball, NoisyMeanBaseline(rng, w.points, w.t, w.domain, o));
@@ -48,13 +51,11 @@ TEST(NoisyMeanBaselineTest, FailsOnMinorityClusters) {
 
 TEST(ExpMechBaselineTest, NearOptimalRadiusOnTinyGrid) {
   Rng rng(3);
-  PlantedClusterSpec spec;
-  spec.n = 600;
-  spec.t = 250;
-  spec.dim = 1;
-  spec.levels = 256;
-  spec.cluster_radius = 0.03;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 600, .dim = 1, .levels = 256,
+                             .cluster_radius = 0.03,
+                             .cluster_fraction = (250 + 0.5) / 600}));
   ExpMechBaselineOptions o;
   o.params = {4.0, 0.0};
   ASSERT_OK_AND_ASSIGN(Ball ball, ExpMechBaseline(rng, w.points, w.t, w.domain, o));
@@ -96,13 +97,11 @@ TEST(ThresholdRelease1DTest, PrefixCountsTrackTruth) {
 
 TEST(ThresholdRelease1DTest, FindsPlantedIntervalWithUnitW) {
   Rng rng(6);
-  PlantedClusterSpec spec;
-  spec.n = 4000;
-  spec.t = 1500;
-  spec.dim = 1;
-  spec.levels = 1024;
-  spec.cluster_radius = 0.03;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 4000, .dim = 1, .levels = 1024,
+                             .cluster_radius = 0.03,
+                             .cluster_fraction = (1500 + 0.5) / 4000}));
   ThresholdRelease1DOptions o;
   o.params = {2.0, 0.0};
   ASSERT_OK_AND_ASSIGN(ThresholdRelease1D release,

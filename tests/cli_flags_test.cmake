@@ -1,7 +1,8 @@
 # Runs dpcluster_cli on malformed numbers and requires a refusal instead of a
 # run on a silently misread value:
 #  * a malformed or missing flag value exits 2 with usage;
-#  * a malformed CSV cell exits 1 naming its line and column.
+#  * a malformed CSV cell exits 1 naming its line and column;
+#  * a demo grid the generator refuses exits 1 naming the field.
 # A well-formed command line over a well-formed CSV must still run (exit 0).
 #
 #   cmake -DCLI=<path to dpcluster_cli> -DWORKDIR=<scratch dir> \
@@ -91,6 +92,18 @@ foreach(case IN LISTS malformed_cells)
          "cell row '${row}' -> status '${status}', stderr '${err}'")
   endif()
 endforeach()
+
+# A well-formed number the demo generator cannot use is refused (exit 1
+# naming the spec field), not an abort inside the generator.
+execute_process(
+  COMMAND "${CLI}" --demo --algorithm nonprivate --levels 1
+  RESULT_VARIABLE status
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  TIMEOUT 30)
+if(NOT status STREQUAL "1" OR NOT err MATCHES "error: InvalidArgument: .*levels")
+  list(APPEND failures "demo --levels 1 -> status '${status}', stderr '${err}'")
+endif()
 
 # Control: well-formed flags over the well-formed CSV run to completion.
 execute_process(

@@ -16,29 +16,26 @@
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/core/one_cluster.h"
 #include "dpcluster/coreset/coreset.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/grid_domain.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/service/index_cache.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
 
-ClusterWorkload MakeWorkload(std::size_t n, std::uint64_t seed = 4711) {
+Result<ScenarioInstance> MakeWorkload(std::size_t n,
+                                      std::uint64_t seed = 4711) {
   Rng rng(seed);
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = n / 8;
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, {.n = n, .dim = 2, .levels = 1u << 10,
+                                .cluster_radius = 0.02,
+                                .cluster_fraction = (n / 8 + 0.5) / n});
 }
 
 TEST(Coreset, SummaryInvariants) {
-  const ClusterWorkload w = MakeWorkload(4096);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(4096));
   CoresetOptions options;
   options.enabled = true;
   options.target_size = 256;
@@ -83,7 +80,7 @@ TEST(Coreset, SummaryInvariants) {
 }
 
 TEST(Coreset, BitIdenticalAtAnyThreadCount) {
-  const ClusterWorkload w = MakeWorkload(4096);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(4096));
   CoresetOptions options;
   options.enabled = true;
   options.target_size = 256;
@@ -147,7 +144,7 @@ TEST(Coreset, OptionsValidate) {
 // radius phase on the weighted summary and equals calling it on the weighted
 // index directly — and succeeds on inputs far above max_profile_points.
 TEST(Coreset, GoodRadiusRunsThroughSummary) {
-  const ClusterWorkload w = MakeWorkload(1u << 15);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(1u << 15));
   GoodRadiusOptions options;
   options.params = {4.0, 1e-9};
   options.beta = 0.1;
@@ -174,7 +171,7 @@ TEST(Coreset, GoodRadiusRunsThroughSummary) {
 }
 
 TEST(Coreset, OneClusterAndKClusterRunCompressed) {
-  const ClusterWorkload w = MakeWorkload(1u << 14);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(1u << 14));
 
   OneClusterOptions oc;
   oc.params = {8.0, 1e-9};
@@ -206,7 +203,7 @@ TEST(Coreset, OneClusterAndKClusterRunCompressed) {
 // summary (built once, reused on the next acquire), and a plain acquire on
 // the same key still gets the raw index.
 TEST(Coreset, IndexCacheLeasesWeightedSummary) {
-  const ClusterWorkload w = MakeWorkload(4096);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(4096));
   CoresetOptions coreset;
   coreset.enabled = true;
   coreset.min_points = 1024;
@@ -250,7 +247,7 @@ TEST(Coreset, IndexCacheLeasesWeightedSummary) {
 
 // Below min_points the knob is inert: the pipeline must not compress.
 TEST(Coreset, MinPointsGatesCompression) {
-  const ClusterWorkload w = MakeWorkload(512);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(512));
   GoodRadiusOptions with_knob;
   with_knob.params = {4.0, 1e-9};
   with_knob.beta = 0.1;

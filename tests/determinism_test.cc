@@ -15,12 +15,12 @@
 #include "dpcluster/core/good_center.h"
 #include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/k_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/sa/sample_aggregate.h"
-#include "dpcluster/workload/synthetic.h"
 #include "reference/k_cluster_reference.h"
 #include "test_util.h"
 
@@ -37,19 +37,15 @@ double SampleGaussianForTest(Rng& rng) {
   return std::sqrt(-2.0 * std::log(u)) * std::cos(2.0 * 3.14159265358979323846 * v);
 }
 
-ClusterWorkload Workload(std::uint64_t seed) {
+Result<ScenarioInstance> Workload(std::uint64_t seed) {
   Rng rng(seed);
-  PlantedClusterSpec spec;
-  spec.n = 600;
-  spec.t = 200;
-  spec.dim = 3;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.03;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, {.n = 600, .dim = 3, .levels = 1u << 10,
+                                .cluster_radius = 0.03,
+                                .cluster_fraction = (200 + 0.5) / 600});
 }
 
 TEST(DeterminismTest, GoodRadiusBitIdenticalAcrossThreadCounts) {
-  const ClusterWorkload w = Workload(11);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, Workload(11));
   for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
                             GoodRadiusOptions::Engine::kSparseVector}) {
     GoodRadiusOptions options;
@@ -89,7 +85,7 @@ TEST(DeterminismTest, GoodRadiusBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, GoodCenterBitIdenticalAcrossThreadCounts) {
-  const ClusterWorkload w = Workload(12);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, Workload(12));
   GoodCenterOptions options;
   options.params = {4.0, 1e-9};
   options.beta = 0.1;
@@ -119,8 +115,11 @@ TEST(DeterminismTest, GoodCenterBitIdenticalAcrossThreadCounts) {
 
 TEST(DeterminismTest, KClusterBitIdenticalAcrossThreadCounts) {
   Rng data_rng(13);
-  const ClusterWorkload w =
-      MakeTwoClusters(data_rng, 500, 2, 1u << 10, 0.03, 0.4);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(data_rng, {.scenario = "near_tie", .n = 500,
+                                  .levels = 1u << 10, .cluster_radius = 0.03,
+                                  .cluster_fraction = 0.4, .tie_margin = 0}));
   KClusterOptions options;
   options.params = {8.0, 1e-9};
   options.beta = 0.2;
@@ -151,7 +150,7 @@ TEST(DeterminismTest, KClusterBitIdenticalAcrossThreadCounts) {
 // GEMM — no ActiveView materialization) must release the same bits as the
 // PointSet overload on the materialized active view, at any thread count.
 TEST(DeterminismTest, GoodCenterIndexOverloadMatchesActiveView) {
-  const ClusterWorkload w = Workload(18);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, Workload(18));
   ASSERT_OK_AND_ASSIGN(IndexedDataset index,
                        IndexedDataset::Create(w.points, w.domain));
   for (std::size_t i = 0; i < index.size(); i += 3) index.Remove(i);
@@ -186,8 +185,11 @@ TEST(DeterminismTest, GoodCenterIndexOverloadMatchesActiveView) {
 // per-round rebuild reference at any thread count.
 TEST(DeterminismTest, HighDimKClusterIndexPathsBitIdentical) {
   Rng data_rng(19);
-  const ClusterWorkload w =
-      MakeTwoClusters(data_rng, 400, 32, 1u << 10, 0.05, 0.4);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(data_rng, {.scenario = "near_tie", .n = 400, .dim = 32,
+                                  .levels = 1u << 10, .cluster_radius = 0.05,
+                                  .cluster_fraction = 0.4, .tie_margin = 0}));
   KClusterOptions options;
   options.params = {8.0, 1e-9};
   options.beta = 0.2;

@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/dp/rec_concave.h"
 #include "dpcluster/dp/step_function.h"
 #include "dpcluster/geo/ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -128,7 +128,12 @@ TEST(ShellClusterTest, PipelineHandlesCentroidAdversarialWorkload) {
   // center, which contains no points — a classic failure for mean-style
   // summaries, but the 1-cluster ball must still capture the shell.
   Rng rng(33);
-  const ClusterWorkload w = MakeShellCluster(rng, 2000, 1200, 8, 1024, 0.05);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "annulus", .n = 2000, .dim = 8,
+                             .levels = 1024, .cluster_radius = 0.05,
+                             .cluster_fraction = (1200 + 0.5) / 2000,
+                             .shell_thickness = 0}));
   OneClusterOptions options;
   options.params = {8.0, 1e-8};
   options.beta = 0.1;
@@ -143,11 +148,10 @@ TEST(ShellClusterTest, PipelineHandlesCentroidAdversarialWorkload) {
 
 TEST(LedgerTest, OneClusterChargesBothPhasesToBudget) {
   Rng rng(35);
-  PlantedClusterSpec spec;
-  spec.n = 1000;
-  spec.t = 600;
-  spec.dim = 2;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1000, .dim = 2,
+                             .cluster_fraction = (600 + 0.5) / 1000}));
   OneClusterOptions options;
   options.params = {8.0, 1e-8};
   ASSERT_OK_AND_ASSIGN(OneClusterResult result,

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "dpcluster/core/good_center.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -63,13 +63,13 @@ class GoodCenterDimTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(GoodCenterDimTest, CenterLandsNearPlantedCluster) {
   const std::size_t d = GetParam();
   Rng rng(100 + d);
-  PlantedClusterSpec spec;
-  spec.dim = d;
-  spec.levels = 1u << 16;
-  spec.cluster_radius = 0.02;
-  spec.n = d >= 8 ? 6000 : 2500;
-  spec.t = d >= 8 ? 4000 : 1200;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const std::size_t n = d >= 8 ? 6000 : 2500;
+  const std::size_t t = d >= 8 ? 4000 : 1200;
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = n, .dim = d, .levels = 1u << 16,
+                             .cluster_radius = 0.02,
+                             .cluster_fraction = (t + 0.5) / n}));
 
   const GoodCenterOptions options = TestOptions(4.0);
   int near = 0;
@@ -77,7 +77,7 @@ TEST_P(GoodCenterDimTest, CenterLandsNearPlantedCluster) {
   for (int trial = 0; trial < trials; ++trial) {
     ASSERT_OK_AND_ASSIGN(
         GoodCenterResult result,
-        GoodCenter(rng, w.points, w.t, spec.cluster_radius, options));
+        GoodCenter(rng, w.points, w.t, w.primary().radius, options));
     ASSERT_EQ(result.center.size(), d);
     // The effective radius around the released center that recaptures ~80% of
     // the cluster size; the proof bound is O(r sqrt(k)) and in practice the
@@ -85,7 +85,7 @@ TEST_P(GoodCenterDimTest, CenterLandsNearPlantedCluster) {
     const double tight = RadiusCapturing(
         w.points, result.center,
         static_cast<std::size_t>(0.8 * static_cast<double>(w.t)));
-    if (tight <= 12.0 * spec.cluster_radius) ++near;
+    if (tight <= 12.0 * w.primary().radius) ++near;
     EXPECT_GT(result.jl_dim, 1u);
     EXPECT_GE(result.rounds_used, 1u);
     EXPECT_GT(result.guarantee_radius, 0.0);
@@ -98,12 +98,10 @@ INSTANTIATE_TEST_SUITE_P(Dims, GoodCenterDimTest,
 
 TEST(GoodCenterTest, DiagnosticsAreConsistent) {
   Rng rng(5);
-  PlantedClusterSpec spec;
-  spec.dim = 2;
-  spec.n = 2000;
-  spec.t = 1000;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 2000, .dim = 2, .cluster_radius = 0.02,
+                             .cluster_fraction = (1000 + 0.5) / 2000}));
   ASSERT_OK_AND_ASSIGN(GoodCenterResult result,
                        GoodCenter(rng, w.points, w.t, 0.02, TestOptions(4.0)));
   // The noisy box count should be near t (the cluster fits in one box).
@@ -130,11 +128,10 @@ TEST(GoodCenterTest, OverlyTightRadiusTimesOutOrFails) {
 
 TEST(GoodCenterTest, RespectsMaxJlDimCap) {
   Rng rng(7);
-  PlantedClusterSpec spec;
-  spec.dim = 4;
-  spec.n = 1500;
-  spec.t = 900;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1500, .dim = 4,
+                             .cluster_fraction = (900 + 0.5) / 1500}));
   GoodCenterOptions options = TestOptions(4.0);
   options.max_jl_dim = 6;
   ASSERT_OK_AND_ASSIGN(GoodCenterResult result,

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -61,18 +61,16 @@ class GoodRadiusEngineTest
 
 TEST_P(GoodRadiusEngineTest, FindsRadiusNearOptimalOnPlantedCluster) {
   Rng rng(7);
-  PlantedClusterSpec spec;
-  spec.n = 700;
-  spec.t = 320;
-  spec.dim = 2;
-  spec.levels = 1024;
-  spec.cluster_radius = 0.04;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 700, .dim = 2, .levels = 1024,
+                             .cluster_radius = 0.04,
+                             .cluster_fraction = (320 + 0.5) / 700}));
 
   GoodRadiusOptions options = TestOptions(2.0);
   options.engine = GetParam();
   const double gamma = GoodRadiusGamma(w.domain, options);
-  ASSERT_LT(4.0 * gamma, static_cast<double>(spec.t))
+  ASSERT_LT(4.0 * gamma, static_cast<double>(w.t))
       << "test parameters must satisfy t > 4*Gamma (gamma=" << gamma << ")";
 
   int radius_ok = 0;
@@ -125,18 +123,17 @@ TEST(GoodRadiusTest, PaperStructureRecursionStillWorks) {
   // base_domain_size 32 forces the log*-style recursion; utility is looser
   // (bigger Gamma) but the radius bound must still hold.
   Rng rng(9);
-  PlantedClusterSpec spec;
-  spec.n = 900;
-  spec.t = 700;  // Large t to clear the bigger Gamma.
-  spec.dim = 2;
-  spec.levels = 256;
-  spec.cluster_radius = 0.05;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  // t = 700: large enough to clear the bigger Gamma.
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 900, .dim = 2, .levels = 256,
+                             .cluster_radius = 0.05,
+                             .cluster_fraction = (700 + 0.5) / 900}));
 
   GoodRadiusOptions options = TestOptions(8.0);
   options.rec_concave.base_domain_size = 32;
   const double gamma = GoodRadiusGamma(w.domain, options);
-  ASSERT_LT(4.0 * gamma, static_cast<double>(spec.t));
+  ASSERT_LT(4.0 * gamma, static_cast<double>(w.t));
   ASSERT_OK_AND_ASSIGN(GoodRadiusResult result,
                        GoodRadius(rng, w.points, w.t, w.domain, options));
   ASSERT_OK_AND_ASSIGN(Ball two, TwoApproxSmallestBall(w.points, w.t));
@@ -191,13 +188,11 @@ TEST(GoodRadiusTest, SparseVectorCountsOnlyPairsInsideTheBall) {
 // engines and both event generators.
 TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
   Rng data_rng(11);
-  PlantedClusterSpec spec;
-  spec.n = 600;
-  spec.t = 150;
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.03;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(data_rng, {.n = 600, .dim = 2, .levels = 1u << 10,
+                                  .cluster_radius = 0.03,
+                                  .cluster_fraction = (150 + 0.5) / 600}));
 
   ASSERT_OK_AND_ASSIGN(IndexedDataset index,
                        IndexedDataset::Create(w.points, w.domain));
@@ -241,13 +236,12 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
 // run — only the cap moved, no rows were dropped.
 TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
   Rng data_rng(12);
-  PlantedClusterSpec spec;
-  spec.n = 600;
-  spec.t = 60;  // Small t: the grid profile path is active at n=600.
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  // Small t = 60: the grid profile path is active at n = 600.
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(data_rng, {.n = 600, .dim = 2, .levels = 1u << 10,
+                                  .cluster_radius = 0.02,
+                                  .cluster_fraction = (60 + 0.5) / 600}));
 
   for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
                             GoodRadiusOptions::Engine::kSparseVector}) {
@@ -290,13 +284,12 @@ TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
 // the factor-1 run draw for draw.
 TEST(GoodRadiusTest, SubsampleCapStaysStrictAboveAQuarterOfTheRows) {
   Rng data_rng(13);
-  PlantedClusterSpec spec;
-  spec.n = 600;
-  spec.t = 300;  // t - 1 > 600 / 4.
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  // t = 300, so t - 1 > 600 / 4.
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(data_rng, {.n = 600, .dim = 2, .levels = 1u << 10,
+                                  .cluster_radius = 0.02,
+                                  .cluster_fraction = (300 + 0.5) / 600}));
 
   for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
                             GoodRadiusOptions::Engine::kSparseVector}) {

@@ -7,30 +7,30 @@
 
 #include "dpcluster/core/one_cluster.h"
 #include "dpcluster/core/outlier.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/dp/noisy_average.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/sa/estimators.h"
 #include "dpcluster/sa/sample_aggregate.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
 
 TEST(IntegrationTest, DeterministicGivenSeed) {
-  PlantedClusterSpec spec;
-  spec.n = 900;
-  spec.t = 500;
-  spec.dim = 2;
+  const ScenarioSpec spec{.n = 900, .dim = 2,
+                          .cluster_fraction = (500 + 0.5) / 900};
   OneClusterOptions options;
   options.params = {8.0, 1e-8};
   options.beta = 0.1;
 
   Rng rng_a(77);
-  const ClusterWorkload wa = MakePlantedCluster(rng_a, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance wa,
+                       GenerateScenario(rng_a, spec));
   Rng rng_b(77);
-  const ClusterWorkload wb = MakePlantedCluster(rng_b, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance wb,
+                       GenerateScenario(rng_b, spec));
 
   ASSERT_OK_AND_ASSIGN(OneClusterResult a,
                        OneCluster(rng_a, wa.points, wa.t, wa.domain, options));
@@ -48,8 +48,10 @@ TEST(IntegrationTest, OutlierScreeningImprovesDownstreamMean) {
   // without first screening outliers; the screened estimate must be closer to
   // the clean-cluster mean because its reach (sensitivity) is far smaller.
   Rng rng(5);
-  const ClusterWorkload w =
-      MakeOutlierContaminated(rng, 4000, 2, 1u << 12, 0.02, 0.9);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 4000,
+                             .cluster_radius = 0.02, .noise_fraction = 0.1}));
 
   // Without screening: NoisyAverage over the whole cube.
   const std::vector<double> cube_center = {0.5, 0.5};
@@ -71,8 +73,8 @@ TEST(IntegrationTest, OutlierScreeningImprovesDownstreamMean) {
                    {1.0, 1e-8}));
 
   // The clean mean is essentially the planted center.
-  const double err_raw = Distance(raw.average, w.planted.center);
-  const double err_screened = Distance(screened.average, w.planted.center);
+  const double err_raw = Distance(raw.average, w.primary().center);
+  const double err_screened = Distance(screened.average, w.primary().center);
   // Screening restricts to the cluster ball: both less bias (outliers dropped)
   // and less noise (smaller reach). It should win comfortably.
   EXPECT_LT(err_screened, err_raw + 0.05);
@@ -106,11 +108,10 @@ TEST(IntegrationTest, SampleAggregateOverClusteredEstimates) {
 
 TEST(IntegrationTest, MetricsRoundTripOnPipelineOutput) {
   Rng rng(7);
-  PlantedClusterSpec spec;
-  spec.n = 1000;
-  spec.t = 600;
-  spec.dim = 2;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1000, .dim = 2,
+                             .cluster_fraction = (600 + 0.5) / 1000}));
   OneClusterOptions options;
   options.params = {8.0, 1e-8};
   ASSERT_OK_AND_ASSIGN(OneClusterResult result,

@@ -5,10 +5,10 @@
 #include <cmath>
 
 #include "dpcluster/core/k_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/dp/accountant.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/random/distributions.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -52,7 +52,11 @@ TEST(KClusterOptionsTest, RejectsOutOfRangeFractions) {
 
 TEST(KClusterTest, CoversTwoPlantedClusters) {
   Rng rng(1);
-  const ClusterWorkload w = MakeTwoClusters(rng, 2000, 2, 1024, 0.015, 0.45);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 2000, .levels = 1024,
+                             .cluster_radius = 0.015, .cluster_fraction = 0.45,
+                             .tie_margin = 0}));
   KClusterOptions options = TestOptions(16.0, 2);
   // Each round should swallow one whole planted cluster (t = cluster size) so
   // the refined removal ball covers it.
@@ -66,7 +70,11 @@ TEST(KClusterTest, CoversTwoPlantedClusters) {
 
 TEST(KClusterTest, RoundsFindDistinctClusters) {
   Rng rng(2);
-  const ClusterWorkload w = MakeTwoClusters(rng, 2400, 2, 1024, 0.015, 0.48);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 2400, .levels = 1024,
+                             .cluster_radius = 0.015, .cluster_fraction = 0.48,
+                             .tie_margin = 0}));
   KClusterOptions options = TestOptions(16.0, 2);
   options.per_round_t = w.t * 3 / 4;
   ASSERT_OK_AND_ASSIGN(KClusterResult result,

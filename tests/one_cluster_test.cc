@@ -5,9 +5,9 @@
 #include <cmath>
 
 #include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -38,13 +38,13 @@ class OneClusterDimTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(OneClusterDimTest, RecoversPlantedCluster) {
   const std::size_t d = GetParam();
   Rng rng(31 + d);
-  PlantedClusterSpec spec;
-  spec.dim = d;
-  spec.levels = 1024;
-  spec.cluster_radius = 0.015;
-  spec.n = d >= 4 ? 3000 : 1200;
-  spec.t = d >= 4 ? 2000 : 700;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const std::size_t n = d >= 4 ? 3000 : 1200;
+  const std::size_t t = d >= 4 ? 2000 : 700;
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = n, .dim = d, .levels = 1024,
+                             .cluster_radius = 0.015,
+                             .cluster_fraction = (t + 0.5) / n}));
   const OneClusterOptions options = TestOptions(8.0);
 
   int good = 0;
@@ -72,7 +72,11 @@ TEST(OneClusterTest, MinorityClusterIsFound) {
   // Two equal 30% clusters: no majority — the setting the paper's algorithm
   // handles and the noisy-mean baseline cannot.
   Rng rng(3);
-  const ClusterWorkload w = MakeTwoClusters(rng, 1600, 2, 1024, 0.015, 0.3);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 1600, .levels = 1024,
+                             .cluster_radius = 0.015, .cluster_fraction = 0.3,
+                             .tie_margin = 0}));
   const OneClusterOptions options = TestOptions(8.0);
   ASSERT_OK_AND_ASSIGN(OneClusterResult result,
                        OneCluster(rng, w.points, w.t, w.domain, options));
@@ -101,11 +105,10 @@ TEST(OneClusterTest, ZeroRadiusDataset) {
 
 TEST(OneClusterTest, BallRadiusClampedToCubeDiameter) {
   Rng rng(5);
-  PlantedClusterSpec spec;
-  spec.dim = 2;
-  spec.n = 1000;
-  spec.t = 600;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1000, .dim = 2,
+                             .cluster_fraction = (600 + 0.5) / 1000}));
   ASSERT_OK_AND_ASSIGN(OneClusterResult result,
                        OneCluster(rng, w.points, w.t, w.domain, TestOptions(8.0)));
   EXPECT_LE(result.ball.radius, std::sqrt(2.0) + 1e-9);
@@ -125,11 +128,10 @@ TEST(OneClusterTest, RecommendedMinTIsActionable) {
 
 TEST(OneClusterTest, BudgetSplitRespectedInDiagnostics) {
   Rng rng(6);
-  PlantedClusterSpec spec;
-  spec.dim = 2;
-  spec.n = 1200;
-  spec.t = 700;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1200, .dim = 2,
+                             .cluster_fraction = (700 + 0.5) / 1200}));
   OneClusterOptions options = TestOptions(8.0);
   options.radius_budget_fraction = 0.25;
   ASSERT_OK_AND_ASSIGN(OneClusterResult result,

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "dpcluster/core/outlier.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -34,23 +34,29 @@ TEST(OutlierScreenOptionsTest, Validation) {
 
 TEST(OutlierScreenTest, KeepsInliersDropsOutliers) {
   Rng rng(1);
-  const ClusterWorkload w =
-      MakeOutlierContaminated(rng, 2000, 2, 1024, 0.02, 0.9);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 2000,
+                             .levels = 1024, .cluster_radius = 0.02,
+                             .noise_fraction = 0.1}));
   ASSERT_OK_AND_ASSIGN(OutlierScreen screen,
                        BuildOutlierScreen(rng, w.points, w.domain, TestOptions(8.0)));
   const PointSet inliers = screen.Inliers(w.points);
   // Should keep most of the 90% planted inliers.
   EXPECT_GE(inliers.size(), static_cast<std::size_t>(0.6 * 0.9 * 2000));
   // The planted cluster center must be classified as an inlier.
-  EXPECT_TRUE(screen.IsInlier(w.planted.center));
+  EXPECT_TRUE(screen.IsInlier(w.primary().center));
 }
 
 TEST(OutlierScreenTest, ScreeningShrinksDiameter) {
   // The motivation from the paper: restricting to the refined ball reduces
   // the data diameter (hence downstream sensitivity) by a large factor.
   Rng rng(2);
-  const ClusterWorkload w =
-      MakeOutlierContaminated(rng, 2000, 2, 1024, 0.02, 0.9);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 2000,
+                             .levels = 1024, .cluster_radius = 0.02,
+                             .noise_fraction = 0.1}));
   ASSERT_OK_AND_ASSIGN(OutlierScreen screen,
                        BuildOutlierScreen(rng, w.points, w.domain, TestOptions(8.0)));
   EXPECT_LT(2.0 * screen.ball.radius, 0.5 * std::sqrt(2.0));
@@ -58,8 +64,11 @@ TEST(OutlierScreenTest, ScreeningShrinksDiameter) {
 
 TEST(OutlierScreenTest, RefinementOffKeepsGuaranteeRadius) {
   Rng rng(11);
-  const ClusterWorkload w =
-      MakeOutlierContaminated(rng, 1500, 2, 1024, 0.02, 0.9);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 1500,
+                             .levels = 1024, .cluster_radius = 0.02,
+                             .noise_fraction = 0.1}));
   OutlierScreenOptions o = TestOptions(8.0);
   o.refine.epsilon = 0.0;
   ASSERT_OK_AND_ASSIGN(OutlierScreen screen,
@@ -69,8 +78,11 @@ TEST(OutlierScreenTest, RefinementOffKeepsGuaranteeRadius) {
 
 TEST(OutlierScreenTest, InflationWidensTheBall) {
   Rng rng(3);
-  const ClusterWorkload w =
-      MakeOutlierContaminated(rng, 1500, 2, 1024, 0.02, 0.9);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 1500,
+                             .levels = 1024, .cluster_radius = 0.02,
+                             .noise_fraction = 0.1}));
   OutlierScreenOptions o = TestOptions(8.0);
   o.inflation = 2.0;
   o.refine.epsilon = 0.0;  // Keep the pipeline radius so the factor is exact.

@@ -20,7 +20,6 @@
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/random/distributions.h"
 #include "dpcluster/sa/estimators.h"
-#include "dpcluster/workload/synthetic.h"
 #include "reference/k_cluster_reference.h"
 #include "test_util.h"
 
@@ -88,12 +87,11 @@ TEST(QualityPromiseTest, PromiseHoldsWhenZeroShortcutDoesNot) {
 
 TEST(SubsampledGoodRadiusTest, LargeInputResolvedViaSubsample) {
   Rng rng(11);
-  PlantedClusterSpec spec;
-  spec.n = 6000;  // Above the profile cap below.
-  spec.t = 3000;
-  spec.dim = 2;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  // n = 6000: above the profile cap below.
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 6000, .dim = 2, .cluster_radius = 0.02,
+                             .cluster_fraction = (3000 + 0.5) / 6000}));
 
   GoodRadiusOptions options;
   options.params = {4.0, 1e-9};
@@ -186,8 +184,10 @@ TEST(KMeansEstimatorTest, BlockOutputsConcentrateAcrossBlocks) {
   // The property SA relies on: different blocks of the same mixture produce
   // nearly identical R^{k*d} outputs (thanks to the canonical ordering).
   Rng rng(23);
-  const ClusterWorkload w =
-      MakeGaussianMixture(rng, 4000, 2, 2, 1u << 12, 0.01, 0.0);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 4000, .k = 2,
+                             .sigma = 0.01, .noise_fraction = 0.0}));
   const auto estimator = KMeansEstimator(2);
   std::vector<std::vector<double>> outputs;
   for (int b = 0; b < 20; ++b) {

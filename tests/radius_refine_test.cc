@@ -6,8 +6,8 @@
 #include <cmath>
 
 #include "dpcluster/core/radius_refine.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -32,22 +32,21 @@ TEST(RadiusRefineTest, ValidatesArguments) {
 
 TEST(RadiusRefineTest, TightOnPlantedClusterCenter) {
   Rng rng(2);
-  PlantedClusterSpec spec;
-  spec.n = 2000;
-  spec.t = 1000;
-  spec.dim = 2;
-  spec.cluster_radius = 0.03;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 2000, .dim = 2, .cluster_radius = 0.03,
+                             .cluster_fraction = (1000 + 0.5) / 2000}));
   RadiusRefineOptions options;
   options.epsilon = 2.0;
   int good = 0;
   const int trials = 5;
   for (int trial = 0; trial < trials; ++trial) {
-    ASSERT_OK_AND_ASSIGN(double r, RefineRadius(rng, w.points, w.planted.center,
-                                                w.t, w.domain, options));
+    ASSERT_OK_AND_ASSIGN(double r,
+                         RefineRadius(rng, w.points, w.primary().center, w.t,
+                                      w.domain, options));
     // Within a small factor of the planted radius and capturing ~t points.
-    if (r <= 2.0 * spec.cluster_radius &&
-        CountWithin(w.points, w.planted.center, r) >=
+    if (r <= 2.0 * w.primary().radius &&
+        CountWithin(w.points, w.primary().center, r) >=
             static_cast<std::size_t>(0.8 * static_cast<double>(w.t))) {
       ++good;
     }
@@ -57,19 +56,17 @@ TEST(RadiusRefineTest, TightOnPlantedClusterCenter) {
 
 TEST(RadiusRefineTest, MonotoneInT) {
   Rng rng(3);
-  PlantedClusterSpec spec;
-  spec.n = 1500;
-  spec.t = 500;
-  spec.dim = 2;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1500, .dim = 2, .cluster_radius = 0.02,
+                             .cluster_fraction = (500 + 0.5) / 1500}));
   RadiusRefineOptions options;
   options.epsilon = 4.0;
   ASSERT_OK_AND_ASSIGN(double r_small, RefineRadius(rng, w.points,
-                                                    w.planted.center, 300,
+                                                    w.primary().center, 300,
                                                     w.domain, options));
   ASSERT_OK_AND_ASSIGN(double r_big, RefineRadius(rng, w.points,
-                                                  w.planted.center, 1400,
+                                                  w.primary().center, 1400,
                                                   w.domain, options));
   // Capturing nearly all points (incl. the uniform background) needs a much
   // larger ball than capturing part of the cluster.
@@ -78,18 +75,16 @@ TEST(RadiusRefineTest, MonotoneInT) {
 
 TEST(RadiusRefineTest, OffClusterCenterNeedsLargerRadius) {
   Rng rng(4);
-  PlantedClusterSpec spec;
-  spec.n = 1500;
-  spec.t = 900;
-  spec.dim = 2;
-  spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1500, .dim = 2, .cluster_radius = 0.02,
+                             .cluster_fraction = (900 + 0.5) / 1500}));
   RadiusRefineOptions options;
   options.epsilon = 4.0;
   ASSERT_OK_AND_ASSIGN(double r_on, RefineRadius(rng, w.points,
-                                                 w.planted.center, w.t,
+                                                 w.primary().center, w.t,
                                                  w.domain, options));
-  std::vector<double> off = w.planted.center;
+  std::vector<double> off = w.primary().center;
   off[0] = w.domain.Snap(off[0] < 0.5 ? off[0] + 0.4 : off[0] - 0.4);
   ASSERT_OK_AND_ASSIGN(double r_off,
                        RefineRadius(rng, w.points, off, w.t, w.domain, options));
@@ -98,15 +93,15 @@ TEST(RadiusRefineTest, OffClusterCenterNeedsLargerRadius) {
 
 TEST(RadiusRefineTest, LowEpsilonStillReturnsGridRadius) {
   Rng rng(5);
-  PlantedClusterSpec spec;
-  spec.n = 800;
-  spec.t = 400;
-  spec.dim = 1;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 800, .dim = 1,
+                             .cluster_fraction = (400 + 0.5) / 800}));
   RadiusRefineOptions options;
   options.epsilon = 0.05;  // Very noisy; result valid but loose.
-  ASSERT_OK_AND_ASSIGN(double r, RefineRadius(rng, w.points, w.planted.center,
-                                              w.t, w.domain, options));
+  ASSERT_OK_AND_ASSIGN(double r,
+                       RefineRadius(rng, w.points, w.primary().center, w.t,
+                                    w.domain, options));
   EXPECT_GE(r, 0.0);
   EXPECT_LE(r, w.domain.RadiusFromIndex(w.domain.RadiusGridSize() - 1));
 }

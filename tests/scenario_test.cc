@@ -7,7 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <span>
+#include <string>
 
 #include "dpcluster/data/registry.h"
 #include "dpcluster/data/scenario.h"
@@ -140,6 +144,50 @@ TEST_P(EveryFamilyTest, DeterministicAcrossIdenticalSeeds) {
   }
   EXPECT_FALSE(std::equal(a.points.Data().begin(), a.points.Data().end(),
                           c.points.Data().begin()));
+}
+
+// FNV-1a over the bytes of `data`, folded into `hash`.
+template <typename T>
+std::uint64_t Fnv1a(std::uint64_t hash, std::span<const T> data) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  for (std::size_t i = 0; i < data.size_bytes(); ++i) {
+    hash = (hash ^ bytes[i]) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+// Every test, bench, example and the daemon benchmark draw their data from
+// these families, so a change to any family's draws would move all of them
+// at once. Pin one instance per family: a fixed seed and spec, hashed over
+// the point bytes, t, the labels and the ball centers. A failure here means
+// the generated data changed; regenerate the constant only on purpose.
+TEST_P(EveryFamilyTest, MatchesGoldenDigest) {
+  const std::map<std::string, std::uint64_t> golden = {
+      {"annulus", 0xe95b6f10ed7c35a0ULL},
+      {"axis_degenerate", 0x8b492a1041d7b827ULL},
+      {"gaussian_mixture", 0x19a93da7e845d632ULL},
+      {"grid_snapped", 0x3ada7dc3c5e5abcfULL},
+      {"heavy_tailed", 0x6e55d26c665f56c5ULL},
+      {"near_tie", 0xb8bd034d61ffecb9ULL},
+      {"outlier_contaminated", 0x5caad2fcf3eb3706ULL},
+      {"planted_cluster", 0xa4e43014925712f3ULL},
+      {"streaming", 0x17ea333b68bd0bb2ULL},
+  };
+  Rng rng(2016);
+  ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                       GenerateScenario(rng, SmallSpec(GetParam())));
+  std::uint64_t hash = 14695981039346656037ULL;
+  hash = Fnv1a(hash, instance.points.Data());
+  const std::uint64_t t = instance.t;
+  hash = Fnv1a(hash, std::span<const std::uint64_t>(&t, 1));
+  hash = Fnv1a(hash, std::span<const int>(instance.labels));
+  for (const Ball& ball : instance.true_balls) {
+    hash = Fnv1a(hash, std::span<const double>(ball.center));
+  }
+  const auto it = golden.find(GetParam());
+  ASSERT_NE(it, golden.end()) << "no golden digest for " << GetParam();
+  EXPECT_EQ(hash, it->second) << GetParam() << " digest 0x" << std::hex
+                              << hash;
 }
 
 // Ground-truth recoverability: the primary ball (+ snap tolerance) holds the

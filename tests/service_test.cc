@@ -21,6 +21,7 @@
 #include "dpcluster/api/algorithm.h"
 #include "dpcluster/api/registry.h"
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/parallel/bounded_queue.h"
 #include "dpcluster/random/rng.h"
 #include "dpcluster/service/http_client.h"
@@ -28,7 +29,6 @@
 #include "dpcluster/service/json.h"
 #include "dpcluster/service/protocol.h"
 #include "dpcluster/service/service.h"
-#include "dpcluster/workload/synthetic.h"
 #include "reference/minimal_ball_reference.h"
 #include "test_util.h"
 
@@ -39,18 +39,14 @@ using std::chrono::milliseconds;
 
 /// A planted 2-d cluster every built-in under test answers reliably at
 /// eps = 8 (the bench traffic shape, seeds verified there).
-ClusterWorkload SmallWorkload(std::uint64_t seed = 7) {
+Result<ScenarioInstance> SmallWorkload(std::uint64_t seed = 7) {
   Rng rng(seed);
-  PlantedClusterSpec spec;
-  spec.n = 512;
-  spec.t = 192;
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, {.n = 512, .dim = 2, .levels = 1u << 10,
+                                .cluster_radius = 0.02,
+                                .cluster_fraction = (192 + 0.5) / 512});
 }
 
-std::string SolveBody(const ClusterWorkload& workload,
+std::string SolveBody(const ScenarioInstance& workload,
                       const std::string& algorithm, const std::string& tenant,
                       const std::string& dataset, double epsilon = 8.0,
                       std::uint64_t seed = 99) {
@@ -124,13 +120,30 @@ TEST(ServiceRoutingTest, UnknownRouteAndWrongMethodAreStructuredErrors) {
       "MethodNotAllowed");
 }
 
+// --- Released fields ------------------------------------------------------
+
+TEST(ServiceReplyTest, KClusterReplyCarriesNoExactUncoveredCount) {
+  // |S \ (union of balls)| is an exact count: with the released balls and
+  // every other row it tells whether the last row is covered.
+  ClusterService service(UnmeteredOptions());
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
+  const ServiceReply reply = service.Handle(
+      "POST", "/v1/solve", SolveBody(workload, "k_cluster", "kc", "kc/data"));
+  ASSERT_EQ(reply.http_status, 200) << reply.body;
+  const JsonValue body = MustParse(reply.body);
+  const JsonValue* response = body.Find("response");
+  ASSERT_NE(response, nullptr) << reply.body;
+  EXPECT_NE(response->Find("balls"), nullptr);
+  EXPECT_EQ(response->Find("uncovered"), nullptr) << reply.body;
+}
+
 // --- Budget exhaustion ----------------------------------------------------
 
 TEST(ServiceBudgetTest, ExhaustedTenantGets429WhileOthersSucceed) {
   ServiceOptions options;
   options.default_budget = {2.0, 1e-6};
   ClusterService service(options);
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
 
   // Tenant A's first solve fits (1.5 of 2.0) and charges the full request.
   const std::string body_a =
@@ -180,7 +193,7 @@ TEST(ServiceBudgetTest, TenantOverrideBeatsTheDefaultCap) {
   options.default_budget = {1.0, 1e-6};
   options.tenant_budgets["vip"] = {20.0, 1e-6};
   ClusterService service(options);
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   // eps = 8 overdraws the 1.0 default but fits the vip override.
   EXPECT_EQ(service
                 .Handle("POST", "/v1/solve",
@@ -198,7 +211,7 @@ TEST(ServiceBudgetTest, TenantOverrideBeatsTheDefaultCap) {
 
 TEST(ServiceCacheTest, RepeatSolvesOnOneDatasetHitTheIndexCache) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
       SolveBody(workload, "one_cluster", "public", "cache/me");
   ASSERT_EQ(service.Handle("POST", "/v1/solve", body).http_status, 200);
@@ -211,7 +224,7 @@ TEST(ServiceCacheTest, RepeatSolvesOnOneDatasetHitTheIndexCache) {
 
   // Same key, different bytes: the fingerprint check replaces the entry
   // instead of serving the stale geometry.
-  const ClusterWorkload other = SmallWorkload(/*seed=*/8);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance other, SmallWorkload(/*seed=*/8));
   ASSERT_EQ(service
                 .Handle("POST", "/v1/solve",
                         SolveBody(other, "one_cluster", "public", "cache/me"))
@@ -226,7 +239,7 @@ TEST(ServiceCacheTest, CachedAndColdRunsReleaseIdenticalAnswers) {
   // The cache must only accelerate: the first (miss) and second (hit) runs
   // of the same seeded request release byte-identical artifacts.
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
       SolveBody(workload, "one_cluster", "public", "det/data");
   const ServiceReply cold = service.Handle("POST", "/v1/solve", body);
@@ -246,7 +259,7 @@ TEST(ServiceCacheTest, NonprivateReplyCarriesTheBruteForceOracleBytes) {
   // the bytes of the brute-force scan over every input point.
   ClusterService service(UnmeteredOptions());
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
-    const ClusterWorkload workload = SmallWorkload(seed);
+    ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload(seed));
     const ServiceReply reply = service.Handle(
         "POST", "/v1/solve",
         SolveBody(workload, "nonprivate", "public",
@@ -314,7 +327,7 @@ std::string StreamSolveBody(const std::string& algorithm,
 
 TEST(ServiceStreamTest, AppendCreatesStreamAndSolvesDeterministically) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
 
   const ServiceReply appended = service.Handle(
       "POST", "/v1/stream/append",
@@ -356,7 +369,7 @@ TEST(ServiceStreamTest, AppendCreatesStreamAndSolvesDeterministically) {
 
 TEST(ServiceStreamTest, ExpireBumpsVersionAndCompactionInvalidatesIds) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::size_t n = workload.points.size();  // 512
   ASSERT_EQ(service
                 .Handle("POST", "/v1/stream/append",
@@ -426,8 +439,9 @@ TEST(ServiceStreamTest, MissingStreamsAreStructured404s) {
                                 StreamSolveBody("one_cluster", "ghost", 8)));
   expect_unknown(service.Handle("POST", "/v1/stream/expire",
                                 R"({"dataset": "ghost", "count": 1})"));
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   expect_unknown(service.Handle("POST", "/v1/stream/append",
-                                AppendBody("ghost", SmallWorkload().points)));
+                                AppendBody("ghost", workload.points)));
 }
 
 // --- Radius-profile memo and shape-only refusals ---------------------------
@@ -445,7 +459,7 @@ TEST(ServiceProfileMemoTest, RepeatSolvesReleaseColdBytesAndCountMemoHits) {
   // for the same body, while the memoized full-set profile serves the
   // repeats.
   ClusterService warm(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   std::vector<std::string> bodies;
   for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
     WireRequest wire;
@@ -487,23 +501,20 @@ TEST(ServiceProfileMemoTest, RepeatSolvesReleaseColdBytesAndCountMemoHits) {
 
 /// n points of a planted 2-d cluster at daemon-default caps: t = 256 keeps
 /// the n = 4096 solves cheap.
-ClusterWorkload ProfileCapWorkload(std::size_t n) {
+Result<ScenarioInstance> ProfileCapWorkload(std::size_t n) {
   Rng rng(29);
-  PlantedClusterSpec spec;
-  spec.n = n;
-  spec.t = 256;
-  spec.dim = 2;
-  spec.levels = 1u << 10;
-  spec.cluster_radius = 0.02;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, {.n = n, .dim = 2, .levels = 1u << 10,
+                                .cluster_radius = 0.02,
+                                .cluster_fraction = (256 + 0.5) / n});
 }
 
 /// The first `n` rows of `workload`.
-ClusterWorkload FirstRows(const ClusterWorkload& workload, std::size_t n) {
-  ClusterWorkload prefix = workload;
+ScenarioInstance FirstRows(const ScenarioInstance& workload, std::size_t n) {
+  ScenarioInstance prefix = workload;
   std::vector<std::size_t> rows(n);
   for (std::size_t i = 0; i < n; ++i) rows[i] = i;
   prefix.points = workload.points.Subset(rows);
+  prefix.labels.resize(n);
   return prefix;
 }
 
@@ -515,8 +526,9 @@ TEST(ServiceRefusalTest, OverProfileCapSolveIsRefusedUncharged) {
   const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
   ASSERT_EQ(cap, 4096u);
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload over = ProfileCapWorkload(cap + 1);
-  const ClusterWorkload at = FirstRows(over, cap);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance over,
+                       ProfileCapWorkload(cap + 1));
+  const ScenarioInstance at = FirstRows(over, cap);
   for (const char* algorithm : {"one_cluster", "k_cluster"}) {
     const std::string dataset = std::string("cap/") + algorithm;
     WireRequest wire;
@@ -551,8 +563,9 @@ TEST(ServiceRefusalTest, OverProfileCapStreamSolveIsRefusedUncharged) {
   // uncharged the same way.
   const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload over = ProfileCapWorkload(cap + 1);
-  const ClusterWorkload at = FirstRows(over, cap);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance over,
+                       ProfileCapWorkload(cap + 1));
+  const ScenarioInstance at = FirstRows(over, cap);
   ASSERT_EQ(service
                 .Handle("POST", "/v1/stream/append",
                         AppendBody("cap/stream", at.points, at.domain.levels(),
@@ -605,7 +618,7 @@ TEST(ServiceRefusalTest, ShapeOnlyRefusalsAreUncharged) {
   EXPECT_EQ(service.SpentBy("public", few.dataset).epsilon, 0.0);
   EXPECT_EQ(service.SpentBy("public", few.dataset).delta, 0.0);
 
-  const ClusterWorkload fine = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance fine, SmallWorkload());
   ASSERT_EQ(fine.domain.levels(), 1u << 10);
   ASSERT_EQ(fine.domain.dim(), 2u);
   WireRequest wide;
@@ -639,8 +652,9 @@ TEST(HttpServerTest, ServesSolvesOverLoopbackDeterministically) {
                        HttpGet(server.port(), "/healthz"));
   EXPECT_EQ(health.status, 200);
 
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
-      SolveBody(SmallWorkload(), "one_cluster", "net", "net/data");
+      SolveBody(workload, "one_cluster", "net", "net/data");
   ASSERT_OK_AND_ASSIGN(const HttpResponse first,
                        HttpPost(server.port(), "/v1/solve", body));
   ASSERT_OK_AND_ASSIGN(const HttpResponse second,
@@ -673,10 +687,11 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsPerConnection) {
                          connection.Get("/healthz"));
     EXPECT_EQ(health.status, 200);
   }
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   ASSERT_OK_AND_ASSIGN(
       const HttpResponse solved,
-      connection.Post("/v1/solve", SolveBody(SmallWorkload(), "one_cluster",
-                                             "ka", "ka/data")));
+      connection.Post("/v1/solve",
+                      SolveBody(workload, "one_cluster", "ka", "ka/data")));
   EXPECT_EQ(solved.status, 200);
   EXPECT_EQ(connection.reconnects(), 0u);
 
@@ -722,11 +737,16 @@ TEST(HttpServerTest, ConcurrentClientsAllSucceed) {
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kPerClient = 3;
   std::atomic<int> ok_count{0};
+  std::vector<ScenarioInstance> workloads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_OK_AND_ASSIGN(ScenarioInstance workload, SmallWorkload(c));
+    workloads.push_back(std::move(workload));
+  }
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       const std::string tenant = "tenant" + std::to_string(c);
-      const std::string body = SolveBody(SmallWorkload(c), "nonprivate",
+      const std::string body = SolveBody(workloads[c], "nonprivate",
                                          tenant, tenant + "/data", 8.0,
                                          /*seed=*/100 + c);
       for (std::size_t i = 0; i < kPerClient; ++i) {
@@ -830,9 +850,9 @@ TEST(HttpServerTest, RemoteShutdownDrainsAndStops) {
   // While draining, a solve that is already in flight is refused with the
   // structured 503 (the accept loop stops taking NEW connections, so the
   // drain window is exercised at the service seam).
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const ServiceReply refused = service.Handle(
-      "POST", "/v1/solve",
-      SolveBody(SmallWorkload(), "nonprivate", "late", "d"));
+      "POST", "/v1/solve", SolveBody(workload, "nonprivate", "late", "d"));
   EXPECT_EQ(refused.http_status, 503);
   EXPECT_EQ(MustParse(refused.body).Find("error")->Find("code")->AsString(),
             "ShuttingDown");

@@ -11,24 +11,21 @@
 #include "dpcluster/api/algorithm.h"
 #include "dpcluster/api/registry.h"
 #include "dpcluster/api/solver.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
 
-ClusterWorkload SmallWorkload(std::uint64_t seed, std::size_t dim = 1) {
+Result<ScenarioInstance> SmallWorkload(std::uint64_t seed,
+                                       std::size_t dim = 1) {
   Rng rng(seed);
-  PlantedClusterSpec spec;
-  spec.n = 1200;
-  spec.t = 700;
-  spec.dim = dim;
-  spec.levels = 1024;
-  spec.cluster_radius = 0.015;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, {.n = 1200, .dim = dim, .levels = 1024,
+                                .cluster_radius = 0.015,
+                                .cluster_fraction = (700 + 0.5) / 1200});
 }
 
-Request SmallRequest(const ClusterWorkload& w, const std::string& algorithm,
+Request SmallRequest(const ScenarioInstance& w, const std::string& algorithm,
                      double eps = 8.0) {
   Request request;
   request.algorithm = algorithm;
@@ -80,7 +77,7 @@ TEST(RegistryTest, DuplicateRegistrationRejected) {
 // --- Request validation ---------------------------------------------------
 
 TEST(RequestValidationTest, GenericFieldChecks) {
-  const ClusterWorkload w = SmallWorkload(7);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(7));
   Request request = SmallRequest(w, "one_cluster");
   EXPECT_OK(request.Validate());
 
@@ -118,7 +115,7 @@ TEST(RequestValidationTest, GenericFieldChecks) {
 }
 
 TEST(RequestValidationTest, AlgorithmSpecificChecksSurfaceThroughSolver) {
-  const ClusterWorkload w = SmallWorkload(8);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(8));
   Solver solver;
 
   // one_cluster needs t.
@@ -132,7 +129,7 @@ TEST(RequestValidationTest, AlgorithmSpecificChecksSurfaceThroughSolver) {
   EXPECT_FALSE(solver.Run(request).ok());
 
   // threshold_release_1d refuses multi-dimensional data.
-  const ClusterWorkload w2 = SmallWorkload(9, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w2, SmallWorkload(9, 2));
   request = SmallRequest(w2, "threshold_release_1d");
   const auto response = solver.Run(request);
   ASSERT_FALSE(response.ok());
@@ -172,7 +169,7 @@ TEST(BudgetSessionTest, OverdrawIsRejected) {
 // --- End-to-end runs ------------------------------------------------------
 
 TEST(SolverTest, OneClusterEndToEnd) {
-  const ClusterWorkload w = SmallWorkload(31);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(31));
   Solver solver(SolverOptions{.seed = 31});
   ASSERT_OK_AND_ASSIGN(Response response,
                        solver.Run(SmallRequest(w, "one_cluster")));
@@ -197,8 +194,11 @@ TEST(SolverTest, OneClusterEndToEnd) {
 
 TEST(SolverTest, KClusterEndToEnd) {
   Rng rng(99);
-  const ClusterWorkload w =
-      MakeGaussianMixture(rng, 1500, 2, 2, 512, 0.015, 0.05);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 1500,
+                             .levels = 512, .k = 2, .sigma = 0.015,
+                             .noise_fraction = 0.05}));
   Request request;
   request.algorithm = "k_cluster";
   request.data = w.points;
@@ -224,7 +224,7 @@ TEST(SolverTest, KClusterEndToEnd) {
 }
 
 TEST(SolverTest, ScalarReleaseForInteriorPoint) {
-  const ClusterWorkload w = SmallWorkload(55);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(55));
   Request request = SmallRequest(w, "interior_point");
   request.t = 0;  // not used by interior_point
   Solver solver(SolverOptions{.seed = 55});
@@ -237,7 +237,7 @@ TEST(SolverTest, ScalarReleaseForInteriorPoint) {
 }
 
 TEST(SolverTest, OneClusterRefineTightensRadiusWithinBudget) {
-  const ClusterWorkload w = SmallWorkload(41);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(41));
   Request request = SmallRequest(w, "one_cluster");
   request.tuning.refine_one_cluster = true;
   request.tuning.refine_fraction = 0.25;
@@ -271,7 +271,7 @@ TEST(SolverTest, MidRunFailureIsConservativelyAccounted) {
   // reports no partial ledger, so the solver books the whole request budget.
   AlgorithmRegistry registry;
   ASSERT_OK(registry.Register(std::make_unique<FailsMidRunAlgorithm>()));
-  const ClusterWorkload w = SmallWorkload(42, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(42, 2));
   Request request = SmallRequest(w, "fails_mid_run", 2.0);
   Solver solver(SolverOptions{.registry = &registry});
   const auto response = solver.Run(request);
@@ -287,7 +287,7 @@ TEST(SolverTest, ShapeOnlyRefusalsChargeNothing) {
   // exp_mech_baseline over more grid centers than max_grid_centers, and
   // interior_point on fewer than 4 points, are refused by validation before
   // any budget is spent.
-  const ClusterWorkload w = SmallWorkload(42, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(42, 2));
   Request wide = SmallRequest(w, "exp_mech_baseline", 2.0);
   wide.tuning.max_grid_centers = 4;
   Solver solver;
@@ -339,7 +339,7 @@ TEST(SolverTest, SampleAggregateEndToEnd) {
 // --- RunAll ---------------------------------------------------------------
 
 TEST(SolverTest, RunAllChargesOneAccountantWithPerRequestScopes) {
-  const ClusterWorkload w = SmallWorkload(77);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(77));
   std::vector<Request> batch;
   batch.push_back(SmallRequest(w, "one_cluster", 4.0));
   batch.push_back(SmallRequest(w, "nonprivate"));
@@ -374,7 +374,7 @@ TEST(SolverTest, RunAllChargesOneAccountantWithPerRequestScopes) {
 }
 
 TEST(SolverTest, RunAllReportsPerRequestFailures) {
-  const ClusterWorkload w = SmallWorkload(78);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(78));
   std::vector<Request> batch;
   batch.push_back(SmallRequest(w, "nonprivate"));
   batch.push_back(SmallRequest(w, "does_not_exist"));
@@ -388,10 +388,21 @@ TEST(SolverTest, RunAllReportsPerRequestFailures) {
   EXPECT_NEAR(solver.TotalSpend().epsilon, 0.0, 1e-12);
 }
 
+TEST(SolverTest, OutlierScreenNoteReleasesNoCount) {
+  // The note used to carry the exact number of rows inside the ball.
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(96, 2));
+  Solver solver;
+  ASSERT_OK_AND_ASSIGN(const Response response,
+                       solver.Run(SmallRequest(w, "outlier_screen")));
+  EXPECT_FALSE(response.note.empty());
+  EXPECT_EQ(response.note.find_first_of("0123456789"), std::string::npos)
+      << response.note;
+}
+
 // --- Shared geometry index (the RunAll index-reuse hook) ------------------
 
 TEST(SolverTest, RunAllSharedBitIdenticalToUnshared) {
-  const ClusterWorkload w = SmallWorkload(91, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(91, 2));
   const auto make_batch = [&] {
     std::vector<Request> batch;
     batch.push_back(SmallRequest(w, "one_cluster"));
@@ -436,8 +447,8 @@ TEST(SolverTest, RunAllSharedBitIdenticalToUnshared) {
 }
 
 TEST(SolverTest, MismatchedSharedIndexIsRejectedByValidation) {
-  const ClusterWorkload w = SmallWorkload(92, 2);
-  const ClusterWorkload other = SmallWorkload(93, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(92, 2));
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance other, SmallWorkload(93, 2));
   Request request = SmallRequest(w, "one_cluster");
   Request wrong = SmallRequest(other, "one_cluster");
   ASSERT_OK_AND_ASSIGN(request.shared_index, BuildSharedIndex(wrong));
@@ -448,8 +459,8 @@ TEST(SolverTest, MismatchedSharedIndexIsRejectedByValidation) {
 }
 
 TEST(SolverTest, ShareIndexAcrossSkipsForeignData) {
-  const ClusterWorkload w = SmallWorkload(94, 2);
-  const ClusterWorkload other = SmallWorkload(95, 2);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(94, 2));
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance other, SmallWorkload(95, 2));
   std::vector<Request> batch;
   batch.push_back(SmallRequest(w, "one_cluster"));
   batch.push_back(SmallRequest(other, "one_cluster"));

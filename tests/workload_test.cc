@@ -1,12 +1,12 @@
-// Tests for the synthetic workload generators, metrics, and table printer.
+// Tests for the generated workloads, metrics, and table printer.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 #include "test_util.h"
 
@@ -15,28 +15,24 @@ namespace {
 
 TEST(SyntheticTest, PlantedClusterHoldsTPoints) {
   Rng rng(1);
-  PlantedClusterSpec spec;
-  spec.n = 1000;
-  spec.t = 400;
-  spec.dim = 3;
-  spec.cluster_radius = 0.05;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 1000, .dim = 3, .cluster_radius = 0.05,
+                             .cluster_fraction = (400 + 0.5) / 1000}));
   EXPECT_EQ(w.points.size(), 1000u);
   EXPECT_EQ(w.t, 400u);
   // Snapping can push points a hair outside; allow half a grid diagonal.
-  Ball slightly = w.planted;
+  Ball slightly = w.primary();
   slightly.radius += w.domain.step() * std::sqrt(3.0);
   EXPECT_GE(CountInBall(w.points, slightly), w.t);
 }
 
 TEST(SyntheticTest, PointsAreOnGrid) {
   Rng rng(2);
-  PlantedClusterSpec spec;
-  spec.n = 200;
-  spec.t = 50;
-  spec.dim = 2;
-  spec.levels = 128;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.n = 200, .dim = 2, .levels = 128,
+                             .cluster_fraction = (50 + 0.5) / 200}));
   for (std::size_t i = 0; i < w.points.size(); ++i) {
     for (std::size_t j = 0; j < 2; ++j) {
       EXPECT_TRUE(w.domain.OnGrid(w.points[i][j]));
@@ -46,9 +42,13 @@ TEST(SyntheticTest, PointsAreOnGrid) {
 
 TEST(SyntheticTest, TwoClustersAreBothPopulated) {
   Rng rng(3);
-  const ClusterWorkload w = MakeTwoClusters(rng, 1000, 2, 512, 0.04, 0.3);
-  ASSERT_EQ(w.all_planted.size(), 2u);
-  for (const Ball& planted : w.all_planted) {
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "near_tie", .n = 1000, .levels = 512,
+                             .cluster_radius = 0.04, .cluster_fraction = 0.3,
+                             .tie_margin = 0}));
+  ASSERT_EQ(w.true_balls.size(), 2u);
+  for (const Ball& planted : w.true_balls) {
     Ball slightly = planted;
     slightly.radius += w.domain.step() * std::sqrt(2.0);
     EXPECT_GE(CountInBall(w.points, slightly), w.t);
@@ -57,11 +57,15 @@ TEST(SyntheticTest, TwoClustersAreBothPopulated) {
 
 TEST(SyntheticTest, GaussianMixtureHasKClusters) {
   Rng rng(4);
-  const ClusterWorkload w = MakeGaussianMixture(rng, 1200, 3, 2, 512, 0.02, 0.1);
-  EXPECT_EQ(w.all_planted.size(), 3u);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "gaussian_mixture", .n = 1200,
+                             .levels = 512, .k = 3, .sigma = 0.02,
+                             .noise_fraction = 0.1}));
+  EXPECT_EQ(w.true_balls.size(), 3u);
   EXPECT_EQ(w.points.size(), 1200u);
   // Each nominal 2-sigma ball should hold most of its per-cluster mass.
-  for (const Ball& planted : w.all_planted) {
+  for (const Ball& planted : w.true_balls) {
     EXPECT_GE(CountInBall(w.points, planted),
               static_cast<std::size_t>(0.7 * static_cast<double>(w.t)));
   }
@@ -69,8 +73,12 @@ TEST(SyntheticTest, GaussianMixtureHasKClusters) {
 
 TEST(SyntheticTest, OutlierContamination) {
   Rng rng(5);
-  const ClusterWorkload w = MakeOutlierContaminated(rng, 1000, 2, 512, 0.05, 0.9);
-  Ball slightly = w.planted;
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "outlier_contaminated", .n = 1000,
+                             .levels = 512, .cluster_radius = 0.05,
+                             .noise_fraction = 0.1}));
+  Ball slightly = w.primary();
   slightly.radius += w.domain.step() * std::sqrt(2.0);
   const std::size_t inside = CountInBall(w.points, slightly);
   EXPECT_GE(inside, 900u);
@@ -79,10 +87,15 @@ TEST(SyntheticTest, OutlierContamination) {
 
 TEST(SyntheticTest, ShellClusterAvoidsItsOwnCenter) {
   Rng rng(6);
-  const ClusterWorkload w = MakeShellCluster(rng, 800, 500, 8, 512, 0.2);
+  ASSERT_OK_AND_ASSIGN(
+      const ScenarioInstance w,
+      GenerateScenario(rng, {.scenario = "annulus", .n = 800, .dim = 8,
+                             .levels = 512, .cluster_radius = 0.2,
+                             .cluster_fraction = (500 + 0.5) / 800,
+                             .shell_thickness = 0}));
   // Few points near the shell's center (adversarial-for-mean workload).
-  EXPECT_LT(CountWithin(w.points, w.planted.center, 0.1), 100u);
-  Ball shell = w.planted;
+  EXPECT_LT(CountWithin(w.points, w.primary().center, 0.1), 100u);
+  Ball shell = w.primary();
   shell.radius += w.domain.step() * std::sqrt(8.0) + 1e-9;
   EXPECT_GE(CountInBall(w.points, shell), w.t);
 }

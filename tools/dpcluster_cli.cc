@@ -373,24 +373,26 @@ int main_impl(int argc, char** argv) {
 
   if (opt.demo) {
     Rng demo_rng(opt.seed ^ 0x9E3779B97F4A7C15ULL);
-    PlantedClusterSpec spec;
-    spec.n = 4096;
-    spec.t = 1500;
-    spec.dim = opt.algorithm == "interior_point" ||
-                       opt.algorithm == "threshold_release_1d"
-                   ? 1
-                   : 2;
-    spec.levels = opt.levels;
-    spec.cluster_radius = 0.02;
-    const ClusterWorkload w = MakePlantedCluster(demo_rng, spec);
+    const bool line = opt.algorithm == "interior_point" ||
+                      opt.algorithm == "threshold_release_1d";
+    auto demo =
+        GenerateScenario(demo_rng, {.n = 4096, .dim = line ? 1u : 2u,
+                                    .levels = opt.levels,
+                                    .cluster_radius = 0.02,
+                                    .cluster_fraction = (1500 + 0.5) / 4096});
+    if (!demo.ok()) {
+      std::fprintf(stderr, "error: %s\n", demo.status().ToString().c_str());
+      return 1;
+    }
+    const ScenarioInstance& w = *demo;
     request.data = w.points;
     request.domain = w.domain;
-    request.t = opt.t > 0 ? opt.t : spec.t;
+    request.t = opt.t > 0 ? opt.t : w.t;
     std::printf("# demo: planted cluster at (");
-    for (std::size_t j = 0; j < w.planted.center.size(); ++j) {
-      std::printf("%s%.4f", j ? ", " : "", w.planted.center[j]);
+    for (std::size_t j = 0; j < w.primary().center.size(); ++j) {
+      std::printf("%s%.4f", j ? ", " : "", w.primary().center[j]);
     }
-    std::printf("), radius %.3f\n", spec.cluster_radius);
+    std::printf("), radius %.3f\n", w.primary().radius);
   } else {
     auto loaded = LoadCsv(opt.input);
     if (!loaded.ok()) {
