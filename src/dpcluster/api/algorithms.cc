@@ -45,22 +45,21 @@ Status RequireT(const Request& request) {
 }
 
 // The radius profile refuses more than max_profile_points rows unless the
-// request subsamples the radius stage or the coreset collapses the rows.
-// That refusal depends only on the request's shape, so it is decided here —
-// before the service admits (and charges) the request — rather than inside
-// the run, where one_cluster would fail charged and every k_cluster round
-// would fail and be charged under best_effort.
+// coreset collapses the rows. That refusal depends only on the request's
+// shape, so it is decided here — before the service admits (and charges) the
+// request — rather than inside the run, where one_cluster would fail charged
+// and every k_cluster round would fail and be charged under best_effort.
 Status RequireProfileFits(const Request& request) {
   const std::size_t n = request.data.size();
   const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
-  if (n <= cap || request.tuning.subsample_large_inputs ||
+  if (n <= cap ||
       (request.tuning.coreset && n >= request.tuning.coreset_min_points)) {
     return Status::OK();
   }
   return Status::ResourceExhausted(
       "Request: '" + request.algorithm + "' has n=" + std::to_string(n) +
       " rows, over the radius profile's max_points=" + std::to_string(cap) +
-      "; set tuning subsample_large_inputs (or coreset) to run it");
+      "; set tuning coreset (coreset_min_points <= n) to run it");
 }
 
 Status Require1D(const Request& request) {
@@ -85,9 +84,6 @@ OneClusterOptions OneClusterOptionsFrom(const Request& request) {
   o.beta = request.beta;
   o.coreset = CoresetOptionsFrom(request);
   o.radius_budget_fraction = request.tuning.radius_budget_fraction;
-  o.radius.subsample_large_inputs = request.tuning.subsample_large_inputs;
-  o.radius.subsample_grid_cap_factor =
-      request.tuning.subsample_grid_cap_factor;
   o.center.max_jl_dim = request.tuning.max_jl_dim;
   o.num_threads = request.num_threads;
   return o;
@@ -173,10 +169,6 @@ class KClusterAlgorithm : public Algorithm {
     o.num_threads = request.num_threads;
     o.one_cluster.radius_budget_fraction =
         request.tuning.radius_budget_fraction;
-    o.one_cluster.radius.subsample_large_inputs =
-        request.tuning.subsample_large_inputs;
-    o.one_cluster.radius.subsample_grid_cap_factor =
-        request.tuning.subsample_grid_cap_factor;
     o.one_cluster.center.max_jl_dim = request.tuning.max_jl_dim;
     o.coreset = CoresetOptionsFrom(request);
     DPC_ASSIGN_OR_RETURN(KClusterResult run,

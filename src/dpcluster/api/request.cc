@@ -98,10 +98,6 @@ Status Request::Validate() const {
   if (!(alpha > 0.0) || !(alpha <= 1.0)) {
     return Status::InvalidArgument("Request: alpha must be in (0,1]");
   }
-  if (!(tuning.subsample_grid_cap_factor >= 1.0)) {
-    return Status::InvalidArgument(
-        "Request: tuning.subsample_grid_cap_factor must be >= 1");
-  }
   if (!(tuning.stream_compact_fraction >= 0.0) ||
       !(tuning.stream_compact_fraction < 1.0)) {
     return Status::InvalidArgument(

@@ -41,12 +41,6 @@ const char* ProblemKindName(ProblemKind kind);
 struct Tuning {
   /// One-cluster: fraction of the budget given to GoodRadius.
   double radius_budget_fraction = 0.5;
-  /// One-cluster: subsample the GoodRadius pair profile on large inputs.
-  bool subsample_large_inputs = false;
-  /// With subsample_large_inputs: multiplier on the subsample cap when the
-  /// ~O(n t) grid profile serves the subsampled problem (see
-  /// GoodRadiusOptions::subsample_grid_cap_factor). Must be >= 1.
-  double subsample_grid_cap_factor = 10.0;
   /// GoodCenter: cap on the Johnson-Lindenstrauss projection dimension of the
   /// first phase (see GoodCenterOptions::max_jl_dim). Smaller = cheaper
   /// projections and coarser boxes; the eval harness sweeps this to map the

@@ -12,8 +12,11 @@
 namespace dpcluster {
 namespace internal {
 
-[[noreturn]] inline void CheckFailed(const char* file, int line, const char* expr) {
-  std::fprintf(stderr, "DPC_CHECK failed at %s:%d: %s\n", file, line, expr);
+[[noreturn]] inline void CheckFailed(const char* file, int line,
+                                     const char* expr,
+                                     const char* detail = nullptr) {
+  std::fprintf(stderr, "DPC_CHECK failed at %s:%d: %s%s%s\n", file, line, expr,
+               detail != nullptr ? ": " : "", detail != nullptr ? detail : "");
   std::fflush(stderr);
   std::abort();
 }

@@ -1,5 +1,7 @@
 #include "dpcluster/common/status.h"
 
+#include "dpcluster/common/check.h"
+
 namespace dpcluster {
 
 const char* StatusCodeName(StatusCode code) {
@@ -31,5 +33,13 @@ std::string Status::ToString() const {
   }
   return out;
 }
+
+namespace internal {
+
+void ResultHasNoValue(const Status& status) {
+  CheckFailed(__FILE__, __LINE__, "ok()", status.ToString().c_str());
+}
+
+}  // namespace internal
 
 }  // namespace dpcluster

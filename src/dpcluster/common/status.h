@@ -77,6 +77,12 @@ class Status {
   std::string message_;
 };
 
+namespace internal {
+/// Aborts naming `status`: the value of an error Result was read. Out of
+/// line, so the accessors inline to one branch.
+[[noreturn]] void ResultHasNoValue(const Status& status);
+}  // namespace internal
+
 /// Result<T> is a Status plus, on success, a value of type T.
 template <typename T>
 class Result {
@@ -89,17 +95,30 @@ class Result {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// Value accessors; only valid when ok().
-  const T& value() const& { return *value_; }
-  T& value() & { return *value_; }
-  T&& value() && { return *std::move(value_); }
+  /// Value accessors; abort naming the error unless ok().
+  const T& value() const& {
+    CheckOk();
+    return *value_;
+  }
+  T& value() & {
+    CheckOk();
+    return *value_;
+  }
+  T&& value() && {
+    CheckOk();
+    return *std::move(value_);
+  }
 
-  const T& operator*() const& { return *value_; }
-  T& operator*() & { return *value_; }
-  const T* operator->() const { return &*value_; }
-  T* operator->() { return &*value_; }
+  const T& operator*() const& { return value(); }
+  T& operator*() & { return value(); }
+  const T* operator->() const { return &value(); }
+  T* operator->() { return &value(); }
 
  private:
+  void CheckOk() const {
+    if (!ok()) [[unlikely]] internal::ResultHasNoValue(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

@@ -10,7 +10,6 @@
 #include "dpcluster/common/math_util.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "dpcluster/random/distributions.h"
 
@@ -75,39 +74,6 @@ StepFunction BuildQuality(const RadiusProfile& profile, double t, double gamma) 
     }
   }
   return StepFunction::FromBreakpoints(grid, std::move(starts), std::move(values));
-}
-
-// t rescaled for a subsample of m of the n rows (never below 1).
-std::size_t RescaledT(std::size_t t, std::size_t m, std::size_t n) {
-  return std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::llround(static_cast<double>(t) * static_cast<double>(m) /
-                          static_cast<double>(n))));
-}
-
-// The subsample size the radius stage may keep (satellite of the
-// IndexedDataset PR): max_profile_points guards the quadratic structures,
-// but when the ~O(n t) grid profile serves the subsampled problem cheaply
-// the stage can afford subsample_grid_cap_factor times more rows — less
-// subsampling error at about the same cost. Only the grid generator
-// qualifies (both engines read its profile), and only from 512 rows and while
-// t - 1 stays within the t-NN stream's cheap range: n/4 (n/2 once the cell
-// grid collapses to one cell). Larger t keeps the strict cap, which bounds the
-// ~n t events of the enlarged sample.
-std::size_t EffectiveSubsampleCap(std::size_t n, std::size_t t, std::size_t d,
-                                  const GoodRadiusOptions& options) {
-  const std::size_t m = options.max_profile_points;
-  if (!(options.subsample_grid_cap_factor > 1.0)) return m;
-  const double raised =
-      static_cast<double>(m) * options.subsample_grid_cap_factor;
-  const std::size_t m2 = static_cast<std::size_t>(std::min(
-      static_cast<double>(n), raised));
-  if (m2 <= m) return m;
-  if (options.profile_index == ProfileIndex::kExact || m2 < 512) return m;
-  const std::size_t t2 = RescaledT(t, m2, n);
-  const std::size_t t_cap =
-      GridCollapsesToSingleCell(m2, d, t2 > 1 ? t2 - 1 : 1) ? m2 / 2 : m2 / 4;
-  return t2 - 1 > t_cap ? m : m2;
 }
 
 Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng,
@@ -225,45 +191,15 @@ Result<GoodRadiusResult> GoodRadiusImpl(Rng& rng, const PointSet* s,
     return GoodRadius(rng, weighted_index, t, inner);
   }
 
-  std::size_t profile_cap = options.max_profile_points;
-  // Amplification-by-subsampling escape hatch for the profile cap: run on an
-  // iid subsample with t rescaled. The subsampled mechanism is at least as
-  // private as the full-data one (Lemma 6.4). When the grid profile path
-  // makes the enlarged cap cheap, keep up to subsample_grid_cap_factor times
-  // more rows — possibly all of them, in which case no subsample is drawn
-  // and only the cap is raised.
-  // A weighted index never subsamples: rows are already a compressed summary
-  // (drawing rows uniformly would ignore their multiplicities).
-  if (options.subsample_large_inputs && !weighted &&
-      n > options.max_profile_points) {
-    profile_cap = EffectiveSubsampleCap(n, t, dim, options);
-    if (n > profile_cap) {
-      const std::size_t m = profile_cap;
-      std::vector<std::size_t> idx(m);
-      for (auto& i : idx) i = rng.NextUint64(n);
-      PointSet sample(dim);
-      if (index != nullptr) {
-        const std::span<const std::uint32_t> ids = index->ActiveIds();
-        for (const std::size_t i : idx) sample.Add(index->points()[ids[i]]);
-      } else {
-        for (const std::size_t i : idx) sample.Add((*s)[i]);
-      }
-      GoodRadiusOptions inner = options;
-      inner.subsample_large_inputs = false;
-      inner.max_profile_points = std::max(inner.max_profile_points, m);
-      return GoodRadius(rng, sample, RescaledT(t, m, n), domain, inner);
-    }
-  }
-
   // Both engines query the same exact L(r, S): Algorithm 1 sweeps all of it,
   // footnote 2's binary search reads ~log|X| of its values.
   ThreadPool pool(options.num_threads);
   Result<RadiusProfile> built =
       index != nullptr
-          ? RadiusProfile::Build(*index, t, profile_cap, &pool,
+          ? RadiusProfile::Build(*index, t, options.max_profile_points, &pool,
                                  options.profile_index)
-          : RadiusProfile::Build(*s, t, domain, profile_cap, &pool,
-                                 options.profile_index);
+          : RadiusProfile::Build(*s, t, domain, options.max_profile_points,
+                                 &pool, options.profile_index);
   DPC_RETURN_IF_ERROR(built.status());
   const RadiusProfile& profile = *built;
   switch (options.engine) {
@@ -285,11 +221,6 @@ Status GoodRadiusOptions::Validate() const {
   }
   if (max_profile_points < 1) {
     return Status::InvalidArgument("GoodRadius: max_profile_points must be >= 1");
-  }
-  if (!(subsample_grid_cap_factor >= 1.0)) {
-    return Status::InvalidArgument(
-        "GoodRadius: subsample_grid_cap_factor must be >= 1 (1 disables the "
-        "grid-path cap raise)");
   }
   return Status::OK();
 }

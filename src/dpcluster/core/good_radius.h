@@ -45,7 +45,8 @@ struct GoodRadiusOptions {
   /// Engine choice (see file comment).
   enum class Engine { kRecConcave, kSparseVector };
   Engine engine = Engine::kRecConcave;
-  /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3).
+  /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3): more
+  /// rows fail ResourceExhausted unless the coreset stage takes the input.
   std::size_t max_profile_points = 4096;
   /// Event generator for the L(r,S) profile both engines read: grid (t-NN
   /// pruned through geo/SpatialGrid, ~O(n t) at low dimension; the default)
@@ -62,21 +63,6 @@ struct GoodRadiusOptions {
   /// Released outputs are bit-identical at any setting: threads never touch
   /// the Rng, and the work decomposition is independent of the thread count.
   std::size_t num_threads = 1;
-  /// When n exceeds the effective profile cap, run the radius stage on a
-  /// uniform subsample of that many rows with t rescaled proportionally.
-  /// Privacy only improves (amplification by subsampling, Lemma 6.4); utility
-  /// gains a sampling error of ~sqrt(t) in the counts. Off by default so the
-  /// profile cap stays an explicit, opted-into tradeoff.
-  bool subsample_large_inputs = false;
-  /// Multiplier on max_profile_points for the subsample path when the ~O(n t)
-  /// grid profile serves the subsampled problem cheaply (the grid generator,
-  /// either engine, from 512 rows and only while the rescaled t - 1 stays
-  /// <= 1/4 of the enlarged size, or 1/2 when its cell grid collapses to one
-  /// cell): the cap that guards the quadratic sweep is far too conservative
-  /// for the t-NN pruned build, so the subsample keeps ~factor more rows
-  /// (less sampling error) at ~the same cost. 1 reproduces the pre-grid behavior; must be >= 1.
-  /// Ignored when the exact sweep would run.
-  double subsample_grid_cap_factor = 10.0;
   /// Coreset stage for the PointSet entry point: when enabled and n >=
   /// coreset.min_points, the input is first collapsed to a weighted k-center
   /// summary (coreset/coreset.h) and the call runs on the summary's weighted

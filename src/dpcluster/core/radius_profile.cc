@@ -480,8 +480,8 @@ Status ValidateBuildArgs(std::size_t n, std::size_t t, std::size_t max_points) {
     return Status::ResourceExhausted(
         "RadiusProfile: n=" + std::to_string(n) + " exceeds max_points=" +
         std::to_string(max_points) +
-        "; raise GoodRadiusOptions::max_profile_points or subsample the "
-        "radius stage");
+        "; raise GoodRadiusOptions::max_profile_points or enable the "
+        "coreset stage");
   }
   return Status::OK();
 }

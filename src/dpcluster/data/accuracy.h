@@ -127,8 +127,7 @@ bool WriteAccuracyJson(const std::string& path, const SweepConfig& config,
                        const std::vector<SweepCell>& cells);
 
 /// Prints the cells to stdout as one table per scenario × (n, dim) group
-/// (cells must be in RunAccuracySweep's order). Shared by eval_harness and
-/// bench_accuracy.
+/// (cells must be in RunAccuracySweep's order), as eval_harness prints them.
 void PrintSweepTables(const std::vector<SweepCell>& cells);
 
 }  // namespace dpcluster

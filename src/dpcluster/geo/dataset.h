@@ -109,8 +109,7 @@ class IndexedDataset {
 
   /// Materializes the active points as a PointSet, rows in ascending
   /// original order — exactly PointSet::Subset over the active ids, which is
-  /// what index-free code paths (GoodCenter, RefineRadius, subsampling)
-  /// consume.
+  /// what index-free code paths (GoodCenter, RefineRadius) consume.
   PointSet ActiveView() const;
 
   /// Appends one row as a new active point and returns its id (== the old

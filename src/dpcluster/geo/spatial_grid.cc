@@ -115,11 +115,6 @@ std::size_t CountAtMost(const double* vals, std::size_t count, double bound) {
 
 }  // namespace
 
-bool GridCollapsesToSingleCell(std::size_t n, std::size_t d,
-                               std::size_t expected_neighbors) {
-  return ChooseCellsPerAxis(n, d, expected_neighbors) == 1;
-}
-
 Result<SpatialGrid> SpatialGrid::Build(const PointSet& s,
                                        const GridDomain& domain,
                                        std::size_t expected_neighbors) {

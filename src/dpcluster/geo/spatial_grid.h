@@ -59,13 +59,6 @@ namespace dpcluster {
 
 class ThreadPool;
 
-/// True iff the grid sized for `expected_neighbors`-NN queries collapses to
-/// one cell per axis — the regime where batched k-NN runs the blocked dense
-/// scan, whose cost is one streamed pass over the data per query chunk
-/// regardless of k.
-bool GridCollapsesToSingleCell(std::size_t n, std::size_t d,
-                               std::size_t expected_neighbors);
-
 /// Uniform cell grid over `domain`'s cube for exact k-NN distance queries.
 class SpatialGrid {
  public:

@@ -81,12 +81,6 @@ Status ParseTuning(const JsonValue& v, Tuning& tuning) {
     if (key == "radius_budget_fraction") {
       DPC_ASSIGN_OR_RETURN(tuning.radius_budget_fraction,
                            AsDoubleField(key, value));
-    } else if (key == "subsample_large_inputs") {
-      DPC_ASSIGN_OR_RETURN(tuning.subsample_large_inputs,
-                           AsBoolField(key, value));
-    } else if (key == "subsample_grid_cap_factor") {
-      DPC_ASSIGN_OR_RETURN(tuning.subsample_grid_cap_factor,
-                           AsDoubleField(key, value));
     } else if (key == "max_jl_dim") {
       DPC_ASSIGN_OR_RETURN(const std::uint64_t u, AsU64Field(key, value));
       tuning.max_jl_dim = static_cast<std::size_t>(u);
@@ -248,10 +242,6 @@ JsonValue TuningToJson(const Tuning& tuning) {
   JsonValue object = JsonValue::Object();
   object.Set("radius_budget_fraction",
              JsonValue::Number(tuning.radius_budget_fraction));
-  object.Set("subsample_large_inputs",
-             JsonValue::Bool(tuning.subsample_large_inputs));
-  object.Set("subsample_grid_cap_factor",
-             JsonValue::Number(tuning.subsample_grid_cap_factor));
   object.Set("max_jl_dim",
              JsonValue::Number(static_cast<std::uint64_t>(tuning.max_jl_dim)));
   object.Set("refine_fraction", JsonValue::Number(tuning.refine_fraction));

@@ -2,7 +2,10 @@
 # run on a silently misread value:
 #  * a malformed or missing flag value exits 2 with usage;
 #  * a malformed CSV cell exits 1 naming its line and column;
-#  * a demo grid the generator refuses exits 1 naming the field.
+#  * a demo grid the generator refuses exits 1 naming the field, and so
+#    does a CSV run's --levels or --axis that no grid can take;
+#  * a CSV over the radius profile's 4096-row cap exits 1 naming the cap
+#    and the coreset, as the daemon refuses it, and runs with --coreset.
 # A well-formed command line over a well-formed CSV must still run (exit 0).
 #
 #   cmake -DCLI=<path to dpcluster_cli> -DWORKDIR=<scratch dir> \
@@ -44,7 +47,6 @@ set(malformed_flags
     "--coreset-target|1e3"
     "--coreset-min-points|+5"
     "--stream-ticks|x"
-    "--subsample-cap-factor|10x"
     "--profile-index|grid"
     "--epsilon")
 foreach(case IN LISTS malformed_flags)
@@ -103,6 +105,55 @@ execute_process(
   TIMEOUT 30)
 if(NOT status STREQUAL "1" OR NOT err MATCHES "error: InvalidArgument: .*levels")
   list(APPEND failures "demo --levels 1 -> status '${status}', stderr '${err}'")
+endif()
+
+# The same refusal for a CSV run: a grid of one level or a non-positive axis
+# exits 1 naming the flag instead of aborting in GridDomain.
+foreach(case IN ITEMS "--levels|1" "--axis|0")
+  string(REPLACE "|" ";" args "${case}")
+  list(GET args 0 flag)
+  execute_process(
+    COMMAND "${CLI}" --input "${good_csv}" --t 8 --algorithm noisy_mean_baseline
+            ${args}
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 30)
+  if(NOT status STREQUAL "1" OR NOT err MATCHES "error: InvalidArgument: ${flag}")
+    list(APPEND failures "csv '${case}' -> status '${status}', stderr '${err}'")
+  endif()
+endforeach()
+
+# One row over the radius profile's cap: refused before any run (exit 1,
+# naming the cap and the coreset, the one way to run such inputs) exactly
+# as the daemon refuses it; with the coreset stage taking the input it runs.
+set(large_rows "")
+foreach(i RANGE 0 4096)
+  math(EXPR x "${i} % 97")
+  math(EXPR y "${i} % 89")
+  string(APPEND large_rows "0.${x},0.${y}\n")
+endforeach()
+set(large_csv "${WORKDIR}/large.csv")
+file(WRITE "${large_csv}" "${large_rows}")
+execute_process(
+  COMMAND "${CLI}" --input "${large_csv}" --t 500
+  RESULT_VARIABLE status
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  TIMEOUT 60)
+if(NOT status STREQUAL "1" OR NOT err MATCHES "n=4097" OR
+   NOT err MATCHES "max_points=4096" OR NOT err MATCHES "coreset")
+  list(APPEND failures "4097-row csv -> status '${status}', stderr '${err}'")
+endif()
+execute_process(
+  COMMAND "${CLI}" --input "${large_csv}" --t 500 --coreset
+          --coreset-min-points 4097
+  RESULT_VARIABLE status
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  TIMEOUT 60)
+if(NOT status STREQUAL "0" OR NOT out MATCHES "n=4097 d=2")
+  list(APPEND failures "4097-row csv --coreset -> status '${status}' ${err}")
 endif()
 
 # Control: well-formed flags over the well-formed CSV run to completion.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "dpcluster/common/math_util.h"
 #include "dpcluster/common/status.h"
@@ -54,6 +55,17 @@ TEST(ResultTest, MoveOutValue) {
   ASSERT_TRUE(r.ok());
   std::vector<double> v = std::move(r).value();
   EXPECT_EQ(v.size(), 2u);
+}
+
+// Reading the value of an error Result is a programming error: every
+// accessor aborts and names the status instead of reading an empty optional.
+TEST(ResultDeathTest, AccessorsOnAnErrorAbortNamingTheStatus) {
+  const Result<std::vector<double>> r = Status::NoPrivateAnswer("suppressed");
+  EXPECT_DEATH((void)r.value(), "ok\\(\\): NoPrivateAnswer: suppressed");
+  EXPECT_DEATH((void)*r, "NoPrivateAnswer: suppressed");
+  EXPECT_DEATH((void)r->size(), "NoPrivateAnswer: suppressed");
+  Result<std::vector<double>> moved = Status::Internal("gone");
+  EXPECT_DEATH((void)std::move(moved).value(), "Internal: gone");
 }
 
 Status FailsThrough() {

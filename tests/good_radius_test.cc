@@ -151,17 +151,6 @@ TEST(GoodRadiusTest, ProfileCapSurfacesAsResourceExhausted) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(GoodRadiusTest, ValidatesSubsampleGridCapFactor) {
-  GoodRadiusOptions options = TestOptions(1.0);
-  EXPECT_OK(options.Validate());
-  options.subsample_grid_cap_factor = 1.0;  // 1 disables the raise.
-  EXPECT_OK(options.Validate());
-  options.subsample_grid_cap_factor = 0.5;
-  EXPECT_FALSE(options.Validate().ok());
-  options.subsample_grid_cap_factor = -3.0;
-  EXPECT_FALSE(options.Validate().ok());
-}
-
 // The SparseVector engine reads the exact closed-ball L(r, S): a pair whose
 // distance exceeds a solution-grid radius by less than one float ulp is
 // outside that ball. Here |p - q| = 0.22839355758... lies just above
@@ -228,91 +217,6 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
       EXPECT_EQ(got.zero_radius_shortcut, want.zero_radius_shortcut)
           << context;
     }
-  }
-}
-
-// With the grid profile active (either engine reads it), the raised
-// subsample cap can swallow the whole input: the run is then bit-identical to an uncapped (no-subsample)
-// run — only the cap moved, no rows were dropped.
-TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
-  Rng data_rng(12);
-  // Small t = 60: the grid profile path is active at n = 600.
-  ASSERT_OK_AND_ASSIGN(
-      const ScenarioInstance w,
-      GenerateScenario(data_rng, {.n = 600, .dim = 2, .levels = 1u << 10,
-                                  .cluster_radius = 0.02,
-                                  .cluster_fraction = (60 + 0.5) / 600}));
-
-  for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
-                            GoodRadiusOptions::Engine::kSparseVector}) {
-    GoodRadiusOptions raised = TestOptions(4.0);
-    raised.engine = engine;
-    raised.max_profile_points = 128;  // Below n: subsampling would trigger.
-    raised.subsample_large_inputs = true;
-    raised.subsample_grid_cap_factor = 10.0;  // 1280 >= n: keeps every row.
-
-    GoodRadiusOptions uncapped = TestOptions(4.0);
-    uncapped.engine = engine;
-    uncapped.max_profile_points = 4096;
-
-    Rng rng_raised(99);
-    Rng rng_uncapped(99);
-    ASSERT_OK_AND_ASSIGN(
-        GoodRadiusResult got,
-        GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
-    ASSERT_OK_AND_ASSIGN(
-        GoodRadiusResult want,
-        GoodRadius(rng_uncapped, w.points, w.t, w.domain, uncapped));
-    const int e = static_cast<int>(engine);
-    EXPECT_EQ(got.radius, want.radius) << "engine " << e;
-    EXPECT_EQ(got.grid_index, want.grid_index) << "engine " << e;
-    EXPECT_EQ(rng_raised(), rng_uncapped()) << "engine " << e;
-
-    // Factor 1 restores the pre-raise behavior: a genuine 128-row subsample
-    // (different RNG consumption, and it must still succeed).
-    GoodRadiusOptions legacy = raised;
-    legacy.subsample_grid_cap_factor = 1.0;
-    Rng rng_legacy(99);
-    EXPECT_OK(
-        GoodRadius(rng_legacy, w.points, w.t, w.domain, legacy).status());
-  }
-}
-
-// Under the default profile the cap is raised only while the rescaled
-// t - 1 stays within 1/4 of the enlarged sample (the t-NN stream's cheap
-// range); above it the subsample keeps the strict cap, so the run matches
-// the factor-1 run draw for draw.
-TEST(GoodRadiusTest, SubsampleCapStaysStrictAboveAQuarterOfTheRows) {
-  Rng data_rng(13);
-  // t = 300, so t - 1 > 600 / 4.
-  ASSERT_OK_AND_ASSIGN(
-      const ScenarioInstance w,
-      GenerateScenario(data_rng, {.n = 600, .dim = 2, .levels = 1u << 10,
-                                  .cluster_radius = 0.02,
-                                  .cluster_fraction = (300 + 0.5) / 600}));
-
-  for (const auto engine : {GoodRadiusOptions::Engine::kRecConcave,
-                            GoodRadiusOptions::Engine::kSparseVector}) {
-    GoodRadiusOptions raised = TestOptions(4.0);
-    raised.engine = engine;
-    raised.max_profile_points = 128;
-    raised.subsample_large_inputs = true;
-    raised.subsample_grid_cap_factor = 10.0;
-    GoodRadiusOptions strict = raised;
-    strict.subsample_grid_cap_factor = 1.0;
-
-    Rng rng_raised(99);
-    Rng rng_strict(99);
-    ASSERT_OK_AND_ASSIGN(
-        GoodRadiusResult got,
-        GoodRadius(rng_raised, w.points, w.t, w.domain, raised));
-    ASSERT_OK_AND_ASSIGN(
-        GoodRadiusResult want,
-        GoodRadius(rng_strict, w.points, w.t, w.domain, strict));
-    const int e = static_cast<int>(engine);
-    EXPECT_EQ(got.radius, want.radius) << "engine " << e;
-    EXPECT_EQ(got.grid_index, want.grid_index) << "engine " << e;
-    EXPECT_EQ(rng_raised(), rng_strict()) << "engine " << e;  // Same draws.
   }
 }
 

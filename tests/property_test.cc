@@ -1,7 +1,6 @@
 // Structural property tests tying the implementation to the paper's proofs:
-// quasi-concavity of the GoodRadius quality, the subsampled radius stage,
-// an exponential-mechanism privacy audit, and the k-means estimator's
-// canonical-output contract.
+// quasi-concavity of the GoodRadius quality, an exponential-mechanism
+// privacy audit, and the k-means estimator's canonical-output contract.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +8,12 @@
 #include <cmath>
 #include <vector>
 
-#include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/dp/exponential_mechanism.h"
 #include "dpcluster/dp/step_function.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/random/distributions.h"
 #include "dpcluster/sa/estimators.h"
@@ -83,37 +80,6 @@ TEST(QualityPromiseTest, PromiseHoldsWhenZeroShortcutDoesNot) {
         BuildQualityFromProfile(profile, static_cast<double>(t), gamma);
     EXPECT_GE(q.MaxValue(), gamma) << "t=" << t;
   }
-}
-
-TEST(SubsampledGoodRadiusTest, LargeInputResolvedViaSubsample) {
-  Rng rng(11);
-  // n = 6000: above the profile cap below.
-  ASSERT_OK_AND_ASSIGN(
-      const ScenarioInstance w,
-      GenerateScenario(rng, {.n = 6000, .dim = 2, .cluster_radius = 0.02,
-                             .cluster_fraction = (3000 + 0.5) / 6000}));
-
-  GoodRadiusOptions options;
-  options.params = {4.0, 1e-9};
-  options.beta = 0.1;
-  options.max_profile_points = 2000;
-
-  // Without opting in: ResourceExhausted.
-  EXPECT_EQ(GoodRadius(rng, w.points, w.t, w.domain, options).status().code(),
-            StatusCode::kResourceExhausted);
-
-  // With subsampling: a radius close to the optimum.
-  options.subsample_large_inputs = true;
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult result,
-                       GoodRadius(rng, w.points, w.t, w.domain, options));
-  ASSERT_OK_AND_ASSIGN(Ball two, TwoApproxSmallestBall(w.points, w.t));
-  EXPECT_LE(result.radius, 4.0 * two.radius + 4.0 * w.domain.RadiusFromIndex(1));
-  // And a ball of that radius still holds a large share of t in the FULL data.
-  std::size_t best = 0;
-  for (std::size_t i = 0; i < w.points.size(); i += 16) {
-    best = std::max(best, CountWithin(w.points, w.points[i], result.radius));
-  }
-  EXPECT_GE(best, w.t / 2);
 }
 
 // Monte-Carlo audit of the exponential mechanism: the selection distribution

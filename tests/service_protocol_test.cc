@@ -103,8 +103,6 @@ WireRequest FullWireRequest() {
   request.num_threads = 4;
   request.label = "nightly-sweep";
   request.tuning.radius_budget_fraction = 0.4;
-  request.tuning.subsample_large_inputs = true;
-  request.tuning.subsample_grid_cap_factor = 12.5;
   request.tuning.max_jl_dim = 9;
   request.tuning.refine_fraction = 0.3;
   request.tuning.refine_one_cluster = true;
@@ -154,8 +152,6 @@ TEST(WireProtocolTest, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(r.num_threads, 4u);
   EXPECT_EQ(r.label, "nightly-sweep");
   EXPECT_DOUBLE_EQ(r.tuning.radius_budget_fraction, 0.4);
-  EXPECT_TRUE(r.tuning.subsample_large_inputs);
-  EXPECT_DOUBLE_EQ(r.tuning.subsample_grid_cap_factor, 12.5);
   EXPECT_EQ(r.tuning.max_jl_dim, 9u);
   EXPECT_DOUBLE_EQ(r.tuning.refine_fraction, 0.3);
   EXPECT_TRUE(r.tuning.refine_one_cluster);
@@ -389,14 +385,16 @@ TEST(ServiceErrorTest, NonFiniteCoordinateIsParseErrorAndChargesNothing) {
   EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 4.0);
 }
 
-// index_geometry, projection_seed and profile_index are not tuning keys: a
-// body naming any of them is a 400 ParseError that says which key, and
-// charges nothing.
+// index_geometry, projection_seed, profile_index and the two subsample
+// knobs are not tuning keys: a body naming any of them is a 400 ParseError
+// that says which key, and charges nothing.
 TEST(ServiceErrorTest, RemovedTuningKeysAreUnknownKeys) {
   for (const auto& [key, value] : {std::pair<const char*, const char*>{
                                        "index_geometry", R"("exact")"},
                                    {"projection_seed", "7"},
-                                   {"profile_index", R"("exact")"}}) {
+                                   {"profile_index", R"("exact")"},
+                                   {"subsample_large_inputs", "true"},
+                                   {"subsample_grid_cap_factor", "10"}}) {
     ClusterService service;
     const std::string body =
         std::string(R"({"dataset": "d", "algorithm": "one_cluster",)") +

@@ -178,14 +178,6 @@ TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
   ExpectSupersetRows(s, grid, LiveIds(grid), k, "after removal");
 }
 
-// The collapse predicate that widens the subsample cap's t range
-// (good_radius.cc, EffectiveSubsampleCap).
-TEST(SpatialGridTest, GridCollapsesToSingleCellAtHighDimension) {
-  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
-  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
-  EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));
-}
-
 // Removed rows are never neighbors, counted or collected: after deleting a
 // scattered third, every query over a live id answers like brute force over
 // the live points.

@@ -27,11 +27,12 @@
 //                   it to the algorithm (the Solver::RunAll index-reuse hook;
 //                   bit-identical outputs, k_cluster amortizes k index
 //                   builds to one)
-//   --subsample-cap-factor F  multiplier on the subsample cap when the grid
-//                   profile path is active (>= 1; default 10)
 //   --coreset       collapse large inputs to a weighted k-center summary and
 //                   run the whole pipeline on it (changes released bytes;
-//                   accuracy gated by the eval harness radius_ratio check)
+//                   accuracy gated by the eval harness radius_ratio check).
+//                   The only way to run more rows than the radius profile's
+//                   cap (4096): without it such inputs exit 1, as the daemon
+//                   refuses them
 //   --coreset-target N      summary size ceiling        (default 2048)
 //   --coreset-min-points N  below this n run uncompressed (default 65536)
 //   --refine        spend part of the budget tightening the released radius
@@ -80,7 +81,6 @@ struct CliOptions {
   std::uint64_t seed = 2016;
   bool refine = false;
   bool shared_index = false;
-  double subsample_cap_factor = 10.0;
   bool coreset = false;
   std::size_t coreset_target = 2048;
   std::size_t coreset_min_points = 65536;
@@ -93,8 +93,7 @@ void Usage(std::FILE* out) {
                "       [--algorithm NAME] [--mode cluster|outlier|interior]\n"
                "       [--t T] [--k K] [--fraction F] [--epsilon E] [--delta D]\n"
                "       [--levels L] [--axis A] [--beta B] [--seed S]\n"
-               "       [--shared-index] [--subsample-cap-factor F]\n"
-               "       [--refine] [--ledger]\n"
+               "       [--shared-index] [--refine] [--ledger]\n"
                "       [--coreset] [--coreset-target N] [--coreset-min-points N]\n"
                "       [--stream-ticks N] [--help]\n"
                "--stream-ticks N replays the \"streaming\" scenario family\n"
@@ -137,8 +136,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
       opt.refine = true;
     } else if (arg == "--shared-index") {
       opt.shared_index = true;
-    } else if (arg == "--subsample-cap-factor") {
-      if (!number(opt.subsample_cap_factor)) return false;
     } else if (arg == "--coreset") {
       opt.coreset = true;
     } else if (arg == "--coreset-target") {
@@ -362,8 +359,6 @@ int main_impl(int argc, char** argv) {
   request.beta = opt.beta;
   request.k = opt.k;
   request.inlier_fraction = opt.fraction;
-  request.tuning.subsample_large_inputs = true;
-  request.tuning.subsample_grid_cap_factor = opt.subsample_cap_factor;
   request.tuning.coreset = opt.coreset;
   request.tuning.coreset_target_size = opt.coreset_target;
   request.tuning.coreset_min_points = opt.coreset_min_points;
@@ -397,6 +392,12 @@ int main_impl(int argc, char** argv) {
     auto loaded = LoadCsv(opt.input);
     if (!loaded.ok()) {
       std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+    if (opt.levels < 2 || !(opt.axis > 0.0)) {
+      std::fprintf(stderr, "error: InvalidArgument: %s\n",
+                   opt.levels < 2 ? "--levels must be >= 2"
+                                  : "--axis must be > 0");
       return 1;
     }
     request.data = std::move(*loaded);
