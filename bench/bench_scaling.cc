@@ -363,8 +363,20 @@ double BestOfTwoPipelineMs(std::size_t d) {
   return best;
 }
 
+// The coreset stage as the index builders run it (coreset/coreset.h): the
+// default 2048-row summary of w, indexed for the weighted pipeline.
+Result<IndexedDataset> CoresetIndex(const ScenarioInstance& w) {
+  ThreadPool pool(0);
+  CoresetOptions copts;
+  copts.enabled = true;
+  DPC_ASSIGN_OR_RETURN(CoresetSummary summary,
+                       BuildCoreset(w.points, w.domain, copts, &pool));
+  return MakeWeightedIndex(std::move(summary), w.domain);
+}
+
 // GoodRadius end-to-end through the coreset stage (compression + weighted
-// pipeline) at (n, t=n/16, d=2). Returns wall ms or -1 on failure.
+// pipeline) at (n, t=n/16, d=2), or on the raw rows with the profile cap
+// lifted. Returns wall ms or -1 on failure.
 double CoresetRadiusMs(std::size_t n, bool coreset) {
   Rng data_rng(47);
   const ScenarioInstance w =
@@ -376,15 +388,20 @@ double CoresetRadiusMs(std::size_t n, bool coreset) {
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
   opts.num_threads = 0;
-  opts.coreset.enabled = coreset;
-  opts.coreset.min_points = 1u << 16;
   // The uncompressed reference must lift the profile cap to run at all;
   // the coreset path never needs it (the summary is far below the cap).
   if (!coreset) opts.max_profile_points = n;
   Rng rng(13);
   Result<GoodRadiusResult> result = Status::Internal("unset");
-  const double ms = bench::TimeMs(
-      [&] { result = GoodRadius(rng, w.points, w.t, w.domain, opts); });
+  const double ms = bench::TimeMs([&] {
+    if (!coreset) {
+      result = GoodRadius(rng, w.points, w.t, w.domain, opts);
+      return;
+    }
+    Result<IndexedDataset> index = CoresetIndex(w);
+    result = index.ok() ? GoodRadius(rng, *index, w.t, opts)
+                        : Result<GoodRadiusResult>(index.status());
+  });
   return result.ok() ? ms : -1.0;
 }
 
@@ -697,7 +714,7 @@ int main(int argc, char** argv) {
                                  static_cast<long long>(run->rounds.size()))
                            : "-"});
     table.Print();
-    bench::Note("The incremental shared-index path: one index build, k"
+    bench::Note("The incremental shared index path: one index build, k"
                 " span-based GoodCenter rounds with a per-round JL draw.");
   }
 
@@ -785,11 +802,14 @@ int main(int argc, char** argv) {
       kopts.beta = 0.2;
       kopts.k = 4;
       kopts.num_threads = 0;
-      kopts.coreset.enabled = true;  // compresses inside KCluster itself
       Rng k_rng(17);
       Result<KClusterResult> kc = Status::Internal("unset");
-      const double k_ms = bench::TimeMs(
-          [&] { kc = KCluster(k_rng, w.points, w.domain, kopts); });
+      // Compression and the rounds, as a coreset k_cluster request runs.
+      const double k_ms = bench::TimeMs([&] {
+        Result<IndexedDataset> k_index = CoresetIndex(w);
+        kc = k_index.ok() ? KCluster(k_rng, w.points, w.domain, kopts, &*k_index)
+                          : Result<KClusterResult>(k_index.status());
+      });
 
       // Peak RSS is a process-wide high-water mark: rows are ascending in n,
       // so each row's value is dominated by its own (largest-so-far) run.

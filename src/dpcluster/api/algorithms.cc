@@ -52,8 +52,7 @@ Status RequireT(const Request& request) {
 Status RequireProfileFits(const Request& request) {
   const std::size_t n = request.data.size();
   const std::size_t cap = GoodRadiusOptions{}.max_profile_points;
-  if (n <= cap ||
-      (request.tuning.coreset && n >= request.tuning.coreset_min_points)) {
+  if (n <= cap || request.tuning.coreset_options().Applies(n)) {
     return Status::OK();
   }
   return Status::ResourceExhausted(
@@ -70,19 +69,18 @@ Status Require1D(const Request& request) {
   return Status::OK();
 }
 
-CoresetOptions CoresetOptionsFrom(const Request& request) {
-  CoresetOptions c;
-  c.enabled = request.tuning.coreset;
-  c.min_points = request.tuning.coreset_min_points;
-  c.target_size = request.tuning.coreset_target_size;
-  return c;
+// The index one_cluster, k_cluster and outlier_screen run on: the lent one,
+// else one built here. BuildSharedIndex applies the coreset rule, so a
+// request with the coreset on runs on its summary either way.
+Result<std::shared_ptr<IndexedDataset>> IndexFor(const Request& request) {
+  if (request.shared_index != nullptr) return request.shared_index;
+  return BuildSharedIndex(request);
 }
 
 OneClusterOptions OneClusterOptionsFrom(const Request& request) {
   OneClusterOptions o;
   o.params = request.budget;
   o.beta = request.beta;
-  o.coreset = CoresetOptionsFrom(request);
   o.radius_budget_fraction = request.tuning.radius_budget_fraction;
   o.center.max_jl_dim = request.tuning.max_jl_dim;
   o.num_threads = request.num_threads;
@@ -111,10 +109,11 @@ class OneClusterAlgorithm : public Algorithm {
                                           : 0.0;
     OneClusterOptions options = OneClusterOptionsFrom(request);
     options.params = request.budget.Fraction(1.0 - refine_fraction);
+    DPC_ASSIGN_OR_RETURN(std::shared_ptr<IndexedDataset> index,
+                         IndexFor(request));
     DPC_ASSIGN_OR_RETURN(OneClusterResult run,
                          OneCluster(rng, request.data, request.t,
-                                    *request.domain, options,
-                                    request.shared_index.get()));
+                                    *request.domain, options, index.get()));
     DPC_RETURN_IF_ERROR(session.ChargeLedger(run.ledger));
     Response response;
     response.ball = run.ball;
@@ -170,10 +169,11 @@ class KClusterAlgorithm : public Algorithm {
     o.one_cluster.radius_budget_fraction =
         request.tuning.radius_budget_fraction;
     o.one_cluster.center.max_jl_dim = request.tuning.max_jl_dim;
-    o.coreset = CoresetOptionsFrom(request);
+    DPC_ASSIGN_OR_RETURN(std::shared_ptr<IndexedDataset> index,
+                         IndexFor(request));
     DPC_ASSIGN_OR_RETURN(KClusterResult run,
                          KCluster(rng, request.data, *request.domain, o,
-                                  request.shared_index.get()));
+                                  index.get()));
     if (o.advanced_composition) {
       // The per-round ledger composes to the budget under the ADVANCED rule;
       // its basic sum may exceed it. Charge the composed total the run is
@@ -221,10 +221,12 @@ class OutlierScreenAlgorithm : public Algorithm {
     o.one_cluster.params = request.budget.Fraction(1.0 - refine_fraction);
     o.refine.epsilon = request.budget.epsilon * refine_fraction;
     o.refine.beta = request.beta;
+    DPC_ASSIGN_OR_RETURN(std::shared_ptr<IndexedDataset> index,
+                         IndexFor(request));
     DPC_ASSIGN_OR_RETURN(
         OutlierScreen screen,
         BuildOutlierScreen(rng, request.data, *request.domain, o,
-                           request.shared_index.get()));
+                           index.get()));
     DPC_RETURN_IF_ERROR(session.ChargeLedger(screen.pipeline.ledger));
     if (o.refine.epsilon > 0.0) {
       DPC_RETURN_IF_ERROR(session.Charge("refine", {o.refine.epsilon, 0.0}));

@@ -126,19 +126,14 @@ Result<std::shared_ptr<IndexedDataset>> BuildSharedIndex(
     return Status::InvalidArgument(
         "BuildSharedIndex: the request carries no domain");
   }
-  // With the coreset knob on (and a large enough input), the shared index IS
-  // the weighted summary: every consumer of the lend then runs at summary
-  // size, and the compression happens once for the whole batch.
-  if (request.tuning.coreset &&
-      request.data.size() >= request.tuning.coreset_min_points) {
-    CoresetOptions copts;
-    copts.enabled = true;
-    copts.min_points = request.tuning.coreset_min_points;
-    copts.target_size = request.tuning.coreset_target_size;
+  // With the coreset rule applying, the index IS the weighted summary: every
+  // consumer then runs at summary size, and the data is compressed once.
+  const CoresetOptions coreset = request.tuning.coreset_options();
+  if (coreset.Applies(request.data.size())) {
     ThreadPool pool(request.num_threads);
     DPC_ASSIGN_OR_RETURN(
         CoresetSummary summary,
-        BuildCoreset(request.data, *request.domain, copts, &pool));
+        BuildCoreset(request.data, *request.domain, coreset, &pool));
     DPC_ASSIGN_OR_RETURN(
         IndexedDataset index,
         MakeWeightedIndex(std::move(summary), *request.domain));
@@ -147,38 +142,6 @@ Result<std::shared_ptr<IndexedDataset>> BuildSharedIndex(
   DPC_ASSIGN_OR_RETURN(IndexedDataset index,
                        IndexedDataset::Create(request.data, *request.domain));
   return std::make_shared<IndexedDataset>(std::move(index));
-}
-
-Result<std::size_t> ShareIndexAcross(std::span<Request> requests) {
-  const Request* source = nullptr;
-  for (const Request& request : requests) {
-    if (request.domain.has_value() && !request.data.empty()) {
-      source = &request;
-      break;
-    }
-  }
-  if (source == nullptr) return std::size_t{0};
-  DPC_ASSIGN_OR_RETURN(std::shared_ptr<IndexedDataset> index,
-                       BuildSharedIndex(*source));
-  const std::span<const double> source_bytes = source->data.Data();
-  std::size_t attached = 0;
-  for (Request& request : requests) {
-    if (request.shared_index != nullptr) continue;
-    if (!IndexMatches(*index, request.data, request.domain)) continue;
-    if (index->weighted()) {
-      // IndexMatches cannot compare summary rows to data rows; require the
-      // request's data to be byte-identical to the data the summary was
-      // built from before lending it.
-      const std::span<const double> bytes = request.data.Data();
-      if (!std::equal(bytes.begin(), bytes.end(), source_bytes.begin(),
-                      source_bytes.end())) {
-        continue;
-      }
-    }
-    request.shared_index = index;
-    ++attached;
-  }
-  return attached;
 }
 
 }  // namespace dpcluster

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "dpcluster/common/status.h"
+#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/dp/privacy_params.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/grid_domain.h"
@@ -57,13 +57,15 @@ struct Tuning {
   /// K-cluster: size per-round budgets by advanced composition (Thm 4.7).
   bool advanced_composition = false;
   /// Coreset stage (see coreset/coreset.h): when true, requests with at
-  /// least `coreset_min_points` rows first collapse the data to a weighted
-  /// k-center summary of ~coreset_target_size rows, and the whole pipeline
-  /// (one_cluster, k_cluster, outlier_screen) runs on the summary's weighted
-  /// index — counts weigh rows by multiplicity, so t / inlier_fraction keep
-  /// their raw-input meaning. Accuracy moves by at most the summary's
-  /// coverage radius; privacy accounting is unchanged. Service batches cache
-  /// the coreset index per dataset alongside the shared index.
+  /// least `coreset_min_points` rows run on a weighted k-center summary of
+  /// ~coreset_target_size rows instead of the data. The index builder
+  /// decides it (BuildSharedIndex, the service's IndexCache, which caches
+  /// the summary per dataset), and one_cluster, k_cluster and
+  /// outlier_screen then run on the summary's weighted index — counts weigh
+  /// rows by multiplicity, so t / inlier_fraction keep their raw-input
+  /// meaning. Accuracy moves by at most the summary's coverage radius. The
+  /// greedy summary is not 1-stable, so the privacy argument for this path
+  /// is open (coreset/coreset.h; ROADMAP.md, the 1-stable coreset item).
   bool coreset = false;
   /// Inputs with fewer rows run uncompressed even when `coreset` is set.
   std::size_t coreset_min_points = 65536;
@@ -84,6 +86,11 @@ struct Tuning {
   double inflation = 1.0;
   /// Exp-mech baseline: refuse to enumerate more than this many grid centers.
   std::size_t max_grid_centers = std::size_t{1} << 18;
+
+  /// The coreset knobs above as the index builders read them.
+  CoresetOptions coreset_options() const {
+    return {coreset, coreset_min_points, coreset_target_size};
+  }
 };
 
 struct Request {
@@ -123,14 +130,15 @@ struct Request {
   Tuning tuning;
   /// Optional scope label for the ledger; "" = "<algorithm>#<index>".
   std::string label;
-  /// Index-reuse hook: a shared geometry index over exactly `data` (same
-  /// rows, every row active — see BuildSharedIndex / ShareIndexAcross).
+  /// Index-reuse hook: a geometry index over exactly `data`, built by
+  /// BuildSharedIndex or the service's IndexCache — the raw rows (every row
+  /// active) or, when the coreset rule applies, the weighted summary.
   /// Algorithms that own geometry (one_cluster, k_cluster, outlier_screen)
-  /// borrow it instead of rebuilding their spatial index, so a RunAll batch
-  /// over the same dataset indexes it once. Released outputs are
-  /// bit-identical with or without it; algorithms restore the index's state
-  /// before returning. Ignored by algorithms that never index (baselines,
-  /// interior point, sample-aggregate's block pipeline).
+  /// run on it instead of building their own through BuildSharedIndex, so
+  /// released outputs are bit-identical with or without it; algorithms
+  /// restore the index's state before returning. Ignored by algorithms that
+  /// never index (baselines, interior point, sample-aggregate's block
+  /// pipeline).
   std::shared_ptr<IndexedDataset> shared_index;
 
   /// Generic field validation (budget, beta, fractions, shared_index
@@ -139,16 +147,12 @@ struct Request {
   Status Validate() const;
 };
 
-/// Builds a shared geometry index over request.data / request.domain, ready
-/// to assign to Request::shared_index (the request must carry a domain).
+/// Builds the geometry index a request runs on, ready to assign to
+/// Request::shared_index (the request must carry a domain): the weighted
+/// coreset summary when request.tuning's coreset rule applies to the data,
+/// else the raw rows.
 Result<std::shared_ptr<IndexedDataset>> BuildSharedIndex(
     const Request& request);
-
-/// The RunAll batching hook: builds one index from the first request carrying
-/// a domain and attaches it to every request in the batch with the same data
-/// and domain (requests that already carry an index are left untouched).
-/// Returns the number of requests the index was attached to.
-Result<std::size_t> ShareIndexAcross(std::span<Request> requests);
 
 }  // namespace dpcluster
 

@@ -76,13 +76,4 @@ std::vector<Result<Response>> Solver::RunAll(
   return responses;
 }
 
-std::vector<Result<Response>> Solver::RunAllShared(
-    std::span<Request> requests) {
-  // Best effort: a batch whose first domain-carrying request cannot be
-  // indexed (e.g. mismatched data) simply runs unshared — Run() validates
-  // each request either way.
-  (void)ShareIndexAcross(requests);
-  return RunAll(std::span<const Request>(requests.data(), requests.size()));
-}
-
 }  // namespace dpcluster

@@ -60,13 +60,6 @@ class Solver {
   /// rest.
   std::vector<Result<Response>> RunAll(std::span<const Request> requests);
 
-  /// RunAll with the index-reuse hook applied first: builds one shared
-  /// geometry index (geo/IndexedDataset) and attaches it to every request in
-  /// the batch over the same dataset and domain (ShareIndexAcross), so the
-  /// batch indexes the data once instead of per request. Released outputs
-  /// are bit-identical to RunAll on the same requests.
-  std::vector<Result<Response>> RunAllShared(std::span<Request> requests);
-
   /// Cross-request ledger: every charge of every served request, prefixed
   /// with its session scope.
   const Accountant& accountant() const { return accountant_; }

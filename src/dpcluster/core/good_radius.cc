@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dpcluster/common/check.h"
-#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/common/math_util.h"
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/geo/dataset.h"
@@ -173,22 +172,6 @@ Result<GoodRadiusResult> GoodRadiusImpl(Rng& rng, const PointSet* s,
     return Status::InvalidArgument(
         weighted ? "GoodRadius: t must satisfy 1 <= t <= active mass"
                  : "GoodRadius: t must satisfy 1 <= t <= n");
-  }
-
-  // Coreset stage (PointSet entry only): collapse to a weighted summary and
-  // re-enter through the weighted index — t keeps its expanded meaning
-  // because every downstream count sums multiplicities.
-  if (index == nullptr && options.coreset.enabled &&
-      n >= options.coreset.min_points) {
-    ThreadPool build_pool(options.num_threads);
-    DPC_ASSIGN_OR_RETURN(
-        CoresetSummary summary,
-        BuildCoreset(*s, domain, options.coreset, &build_pool));
-    DPC_ASSIGN_OR_RETURN(IndexedDataset weighted_index,
-                         MakeWeightedIndex(std::move(summary), domain));
-    GoodRadiusOptions inner = options;
-    inner.coreset.enabled = false;
-    return GoodRadius(rng, weighted_index, t, inner);
   }
 
   // Both engines query the same exact L(r, S): Algorithm 1 sweeps all of it,

@@ -27,7 +27,6 @@
 
 #include "dpcluster/common/status.h"
 #include "dpcluster/core/radius_profile.h"
-#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/dp/privacy_params.h"
 #include "dpcluster/dp/rec_concave.h"
 #include "dpcluster/geo/grid_domain.h"
@@ -46,7 +45,8 @@ struct GoodRadiusOptions {
   enum class Engine { kRecConcave, kSparseVector };
   Engine engine = Engine::kRecConcave;
   /// Hard cap on the L(r,S) computation (DESIGN.md substitution #3): more
-  /// rows fail ResourceExhausted unless the coreset stage takes the input.
+  /// rows fail ResourceExhausted. A weighted coreset index (coreset/coreset.h)
+  /// counts its summary rows, so the coreset stage runs larger inputs.
   std::size_t max_profile_points = 4096;
   /// Event generator for the L(r,S) profile both engines read: grid (t-NN
   /// pruned through geo/SpatialGrid, ~O(n t) at low dimension; the default)
@@ -63,15 +63,6 @@ struct GoodRadiusOptions {
   /// Released outputs are bit-identical at any setting: threads never touch
   /// the Rng, and the work decomposition is independent of the thread count.
   std::size_t num_threads = 1;
-  /// Coreset stage for the PointSet entry point: when enabled and n >=
-  /// coreset.min_points, the input is first collapsed to a weighted k-center
-  /// summary (coreset/coreset.h) and the call runs on the summary's weighted
-  /// index — every count then weighs summary rows by their multiplicities.
-  /// Accuracy moves by at most the summary's coverage radius; privacy is
-  /// unchanged (the summary is internal, the mechanisms' sensitivity analysis
-  /// applies to the expanded dataset it stands for). The IndexedDataset entry
-  /// point never re-compresses (its caller owns the index's construction).
-  CoresetOptions coreset;
   /// If true, Gamma uses the paper's verbatim formula (astronomical); default
   /// sizes Gamma by what this RecConcave implementation actually needs.
   bool paper_constants = false;

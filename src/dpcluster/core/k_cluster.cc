@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "dpcluster/common/check.h"
-#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/dp/accountant.h"
-#include "dpcluster/parallel/thread_pool.h"
 
 namespace dpcluster {
 
@@ -72,10 +70,7 @@ Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
     per_round.delta = options.params.delta / static_cast<double>(options.k);
   }
 
-  // One deletion-capable index serves every round: lent, built over the
-  // coreset summary, or built over s.
-  const bool compress = shared_index == nullptr && options.coreset.enabled &&
-                        s.size() >= options.coreset.min_points;
+  // One deletion-capable index serves every round: lent, or built over s.
   std::optional<IndexedDataset> local_index;
   std::optional<SnapshotGuard> restore_on_exit;
   IndexedDataset* index = nullptr;
@@ -105,13 +100,6 @@ Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
     }
     index = shared_index;
     restore_on_exit.emplace(index, index->TakeSnapshot());
-  } else if (compress) {
-    ThreadPool pool(options.num_threads);
-    DPC_ASSIGN_OR_RETURN(CoresetSummary summary,
-                         BuildCoreset(s, domain, options.coreset, &pool));
-    DPC_ASSIGN_OR_RETURN(local_index,
-                         MakeWeightedIndex(std::move(summary), domain));
-    index = &*local_index;
   } else {
     DPC_ASSIGN_OR_RETURN(local_index, IndexedDataset::Create(s, domain));
     index = &*local_index;

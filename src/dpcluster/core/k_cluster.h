@@ -41,16 +41,6 @@ struct KClusterOptions {
   /// guarantee-radius ball can cover the whole domain and the first round
   /// swallows everything. 0 disables refinement.
   double refine_fraction = 0.25;
-  /// Coreset stage: when enabled and n >= coreset.min_points (and no
-  /// shared_index is lent), the input is collapsed once to a weighted
-  /// k-center summary (coreset/coreset.h) and every round peels from the
-  /// summary's weighted index — per-round t sizing, refinement counts, and
-  /// `uncovered` all use expanded mass, so t keeps its raw-input meaning.
-  /// Accuracy moves by at most the summary's coverage radius; privacy
-  /// accounting is unchanged. A lent shared_index may itself be weighted
-  /// (the service lends its cached coreset index); it is then trusted to
-  /// summarize exactly `s`, checked by total mass and dimension.
-  CoresetOptions coreset;
 
   Status Validate() const;
 };
@@ -72,10 +62,14 @@ struct KClusterResult {
 /// re-subsetting s and running the PointSet OneCluster / RefineRadius
 /// overloads each round (tests/reference/k_cluster_reference.h, pinned by
 /// property_test). `shared_index` (optional) lends a prebuilt IndexedDataset
-/// over exactly s with every row active — e.g. the per-request index a
-/// Solver::RunAll batch shares; the rounds then peel covered points from it
-/// instead of building their own. The index is restored to its entry state
-/// before returning (success or failure), so one index serves many runs.
+/// over exactly s with every row active — e.g. the service's cached index;
+/// the rounds then peel covered points from it instead of building their
+/// own. A lent index may be a weighted coreset summary of s
+/// (coreset/coreset.h, checked by total mass and dimension): every round then
+/// peels from the summary, and per-round t sizing, refinement counts and
+/// `uncovered` use expanded mass, so t keeps its raw-input meaning. The
+/// index is restored to its entry state before returning (success or
+/// failure), so one index serves many runs.
 Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
                                 const GridDomain& domain,
                                 const KClusterOptions& options,

@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "dpcluster/common/check.h"
-#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/dp/accountant.h"
 #include "dpcluster/dp/stable_histogram.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/parallel/thread_pool.h"
 
 namespace dpcluster {
 
@@ -104,20 +102,6 @@ Result<OneClusterResult> OneCluster(Rng& rng, const PointSet& s, std::size_t t,
       return Status::InvalidArgument(
           "OneCluster: index active set does not match the dataset");
     }
-  }
-  // Coreset stage: collapse once, run both phases on the weighted summary
-  // index. Only the raw-PointSet path compresses — a lent index is the
-  // caller's construction.
-  if (index == nullptr && options.coreset.enabled &&
-      s.size() >= options.coreset.min_points) {
-    ThreadPool pool(options.num_threads);
-    DPC_ASSIGN_OR_RETURN(CoresetSummary summary,
-                         BuildCoreset(s, domain, options.coreset, &pool));
-    DPC_ASSIGN_OR_RETURN(IndexedDataset weighted_index,
-                         MakeWeightedIndex(std::move(summary), domain));
-    OneClusterOptions inner = options;
-    inner.coreset.enabled = false;
-    return OneCluster(rng, weighted_index, t, inner);
   }
   return OneClusterImpl(rng, &s, index, t, domain, options);
 }

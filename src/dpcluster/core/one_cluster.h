@@ -35,16 +35,8 @@ struct OneClusterOptions {
   /// per hardware thread, 1 = serial; outputs are bit-identical at any
   /// setting). Overwrites the phase options' num_threads.
   std::size_t num_threads = 1;
-  /// Coreset stage for the PointSet entry point (no prebuilt index): when
-  /// enabled and n >= coreset.min_points, the input is collapsed once to a
-  /// weighted k-center summary (coreset/coreset.h) and *both* phases run on
-  /// the summary's weighted index. Accuracy moves by at most the summary's
-  /// coverage radius; privacy accounting is unchanged. Ignored when the
-  /// caller lends an index (that index's construction is the caller's).
-  CoresetOptions coreset;
   /// Phase options; their params/beta/num_threads fields are overwritten by
-  /// this struct, and their own coreset knobs stay off (compression happens
-  /// once here, never per phase).
+  /// this struct.
   GoodRadiusOptions radius;
   GoodCenterOptions center;
 
@@ -65,11 +57,11 @@ struct OneClusterResult {
 };
 
 /// Solves the 1-cluster problem on s (points must lie in `domain`'s cube).
-/// When `index` is non-null it must view exactly s (index->ActiveView() row
-/// for row — KCluster passes the shared deletion-capable geo/IndexedDataset
-/// it peels rounds from); the GoodRadius phase is then served by the
-/// prebuilt index instead of rebuilding its geometry, with bit-identical
-/// released outputs. The index is not mutated.
+/// When `index` is non-null both phases run on it instead: either an
+/// unweighted index viewing exactly s (index->ActiveView() row for row),
+/// with released outputs bit-identical to the index-free run, or a weighted
+/// coreset summary of s (coreset/coreset.h; the caller built it, so the call
+/// runs on the summary). The index is not mutated.
 Result<OneClusterResult> OneCluster(Rng& rng, const PointSet& s, std::size_t t,
                                     const GridDomain& domain,
                                     const OneClusterOptions& options,

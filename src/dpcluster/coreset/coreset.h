@@ -18,10 +18,12 @@
 // round's update set; the distance is la/vector_ops' canonical kernel).
 //
 // Privacy note: the summary is a data-dependent *internal* representation —
-// nothing about it is released. The DP mechanisms run on the weighted rows
-// with their expanded-mass semantics (see geo/dataset.h), and their privacy
-// analysis applies to the expanded dataset the summary stands for; the
-// summary changes utility (by coverage_radius), not the privacy accounting.
+// nothing about it is released, and the DP mechanisms run on the weighted
+// rows with their expanded-mass semantics (see geo/dataset.h). The greedy
+// traversal is not 1-stable, though: replacing one input row can move many
+// summary rows and their weights, so the mechanisms' per-row sensitivity
+// arguments do not carry over to the summary as they stand. A 1-stable
+// summary is open work (ROADMAP.md, the 1-stable coreset item).
 
 #ifndef DPCLUSTER_CORESET_CORESET_H_
 #define DPCLUSTER_CORESET_CORESET_H_
@@ -38,9 +40,10 @@
 
 namespace dpcluster {
 
-/// Knobs for the coreset stage, threaded from the CLI / service `Tuning`
-/// block down to GoodRadius / OneCluster / KCluster (each applies them at its
-/// PointSet entry point; IndexedDataset entry points never re-compress).
+/// Knobs for the coreset stage, read from the request's `Tuning` block. The
+/// index builders (BuildSharedIndex, the service's IndexCache) are the only
+/// code that applies them; the core algorithms run on whatever index they are
+/// given.
 struct CoresetOptions {
   /// Master switch. Off by default: compression trades a bounded accuracy
   /// loss (coverage_radius) for speed, so it is an explicit opt-in.
@@ -55,6 +58,9 @@ struct CoresetOptions {
   /// duplicate weights) while keeping every downstream stage at its small-n
   /// cost.
   std::size_t target_size = 2048;
+
+  /// True if an n-row input is compressed: the one copy of the gate.
+  bool Applies(std::size_t n) const { return enabled && n >= min_points; }
 
   Status Validate() const;
 };
@@ -87,8 +93,8 @@ CoresetSummary CollapseDuplicates(const PointSet& s);
 /// options.target_size distinct rows remain) the greedy farthest-point
 /// traversal picks target_size rows and assigns every distinct row to its
 /// nearest picked row (ties to the earlier pick), accumulating weights.
-/// `options.enabled` / `options.min_points` are the *caller's* gates — this
-/// function always compresses. Deterministic and bit-identical at any `pool`
+/// `options.Applies` is the *caller's* gate — this function always
+/// compresses. Deterministic and bit-identical at any `pool`
 /// size.
 Result<CoresetSummary> BuildCoreset(const PointSet& s, const GridDomain& domain,
                                     const CoresetOptions& options,

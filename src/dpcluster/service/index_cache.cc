@@ -24,7 +24,7 @@ IndexCache::Lease IndexCache::LeaseEntry(Entry& entry, const PointSet& points,
                                          const GridDomain& domain,
                                          const CoresetOptions& coreset) {
   std::shared_ptr<IndexedDataset> lent = entry.index;
-  if (coreset.enabled && points.size() >= coreset.min_points) {
+  if (coreset.Applies(points.size())) {
     if (entry.coreset_index == nullptr ||
         entry.coreset_target != coreset.target_size) {
       // First coreset request for these bytes (or a new target size):

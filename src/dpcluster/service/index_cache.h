@@ -32,8 +32,8 @@
 // hit/miss counts, folded in under the cache mutex when a lease returns so
 // no counter is read while a solve holds the index.
 //
-// Coreset: when Acquire is passed enabled CoresetOptions (and the dataset
-// clears min_points), the entry lazily builds and caches a weighted
+// Coreset: when Acquire is passed CoresetOptions that apply to the dataset
+// (CoresetOptions::Applies), the entry lazily builds and caches a weighted
 // k-center summary index (coreset/coreset.h) next to the raw index, and the
 // lease hands out the summary instead — repeated coreset solves over the
 // same key pay the compression once. The summary is rebuilt when the
@@ -126,8 +126,7 @@ class IndexCache {
 
   /// Borrows (building on demand) the index for `key` over exactly
   /// (points, domain). Falsy lease = bypass; never blocks on a busy entry.
-  /// With `coreset.enabled` and points.size() >= coreset.min_points, the
-  /// lease carries the entry's cached weighted summary index instead of the
+  /// When coreset.Applies(points.size()), the lease carries the entry's cached weighted summary index instead of the
   /// raw one (built on first request, reused until the bytes or the target
   /// size change); the raw index is the fallback if compression fails.
   /// A `key` naming a resident stream always bypasses: client-supplied bytes
@@ -156,7 +155,7 @@ class IndexCache {
   /// StreamStatus::version names exactly what the solve saw. Expired rows
   /// still resident are compacted away first (bumping the version) so the
   /// leased index satisfies the shared_index contract: every row active,
-  /// rows byte-identical to `*active`. With `coreset.enabled`, the cached
+  /// rows byte-identical to `*active`. When the coreset applies, the cached
   /// summary is reused until the rows edited since it was built exceed
   /// staleness_fraction * live, then rebuilt from the current active set.
   /// NotFound when the key names no stream; ResourceExhausted when busy.

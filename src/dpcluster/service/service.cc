@@ -246,14 +246,11 @@ ServiceReply ClusterService::Solve(std::string_view body) {
   IndexCache::Lease lease;
   IndexCache::StreamStatus stream_status;
   if (wire.stream) {
-    CoresetOptions coreset;
-    coreset.enabled = request.tuning.coreset;
-    coreset.min_points = request.tuning.coreset_min_points;
-    coreset.target_size = request.tuning.coreset_target_size;
     PointSet active;
     GridDomain stream_domain(2, 1);
     auto acquired = cache_.AcquireStream(
-        wire.dataset, coreset, request.tuning.coreset_staleness_fraction,
+        wire.dataset, request.tuning.coreset_options(),
+        request.tuning.coreset_staleness_fraction,
         &active, &stream_domain, &stream_status);
     if (!acquired.ok()) {
       return Error(StreamErrorCode(acquired.status()),
@@ -333,17 +330,14 @@ ServiceReply ClusterService::Solve(std::string_view body) {
   }
 
   // Phase 4 — borrow the shared index when the request has a domain. A busy
-  // or full cache bypasses (index-free run, bit-identical outputs). With the
-  // coreset tuning knobs set, the lease carries the cached weighted summary
-  // instead of the raw index (built once per dataset, reused across solves).
+  // or full cache bypasses: the algorithm then builds its own index
+  // (BuildSharedIndex, bit-identical outputs). When the coreset rule applies,
+  // the lease carries the cached weighted summary instead of the raw index
+  // (built once per dataset, reused across solves).
   // Stream solves already hold their version-tagged lease from above.
   if (!wire.stream && request.domain.has_value() && !request.data.empty()) {
-    CoresetOptions coreset;
-    coreset.enabled = request.tuning.coreset;
-    coreset.min_points = request.tuning.coreset_min_points;
-    coreset.target_size = request.tuning.coreset_target_size;
     lease = cache_.Acquire(wire.dataset, request.data, *request.domain,
-                           coreset);
+                           request.tuning.coreset_options());
   }
   if (lease) request.shared_index = lease.index();
 

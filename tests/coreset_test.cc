@@ -1,20 +1,22 @@
 // The k-center coreset layer: construction invariants (weights sum to n,
 // coverage radius is the true max assignment distance, duplicates collapse
-// losslessly), thread-count bit-identity of the greedy traversal, the knob
-// chain through GoodRadius/OneCluster/KCluster, and the service cache's
-// coreset lease.
+// losslessly), thread-count bit-identity of the greedy traversal, the
+// coreset rule through the Solver façade, and the service cache's coreset
+// lease.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "dpcluster/core/good_radius.h"
+#include "dpcluster/api/solver.h"
 #include "dpcluster/core/k_cluster.h"
 #include "dpcluster/core/one_cluster.h"
+#include "dpcluster/core/outlier.h"
 #include "dpcluster/coreset/coreset.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/geo/grid_domain.h"
@@ -140,63 +142,154 @@ TEST(Coreset, OptionsValidate) {
   EXPECT_OK(options.Validate());
 }
 
-// The knob chain: GoodRadius with the coreset stage enabled runs the whole
-// radius phase on the weighted summary and equals calling it on the weighted
-// index directly — and succeeds on inputs far above max_profile_points.
-TEST(Coreset, GoodRadiusRunsThroughSummary) {
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(1u << 15));
-  GoodRadiusOptions options;
-  options.params = {4.0, 1e-9};
-  options.beta = 0.1;
-  options.coreset.enabled = true;
-  options.coreset.min_points = 1024;
-  options.coreset.target_size = 512;
-  Rng rng(99);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_knob,
-                       GoodRadius(rng, w.points, w.t, w.domain, options));
+// --- The coreset rule through the Solver façade ---------------------------
+//
+// The index builder is the one place that picks the raw rows or the
+// summary: a request with tuning.coreset on (and n >= coreset_min_points)
+// releases exactly what the core algorithm releases on the weighted summary
+// index, and every other request releases what it releases on the raw rows.
 
-  ThreadPool pool(2);
-  ASSERT_OK_AND_ASSIGN(
-      CoresetSummary summary,
-      BuildCoreset(w.points, w.domain, options.coreset, &pool));
-  ASSERT_OK_AND_ASSIGN(IndexedDataset index,
-                       MakeWeightedIndex(std::move(summary), w.domain));
-  GoodRadiusOptions direct = options;
-  direct.coreset.enabled = false;
-  Rng rng2(99);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult via_index,
-                       GoodRadius(rng2, index, w.t, direct));
-  EXPECT_EQ(via_knob.radius, via_index.radius);
-  EXPECT_EQ(via_knob.grid_index, via_index.grid_index);
+/// A request for `algorithm` over w at eps = 16, with the coreset knobs set.
+Request CoresetRequest(const ScenarioInstance& w, const std::string& algorithm,
+                       bool coreset, std::size_t min_points = 1024) {
+  Request request;
+  request.algorithm = algorithm;
+  request.data = w.points;
+  request.domain = w.domain;
+  request.t = w.t;
+  request.budget = {16.0, 1e-9};
+  request.beta = 0.2;
+  if (algorithm == "k_cluster") request.t = 0;  // Spread across the rounds.
+  request.tuning.coreset = coreset;
+  request.tuning.coreset_min_points = min_points;
+  request.tuning.coreset_target_size = 512;
+  return request;
 }
 
-TEST(Coreset, OneClusterAndKClusterRunCompressed) {
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(1u << 14));
-
+/// The released balls of `request` computed by the core algorithm directly
+/// on `index` (nullptr: the raw rows), with the options the façade derives
+/// and the Rng the façade's `nth` request runs on.
+Result<std::vector<Ball>> CoreBalls(const Request& request,
+                                    IndexedDataset* index, int nth = 1) {
+  Rng master(SolverOptions{}.seed);
+  Rng rng = master.Fork();
+  for (int i = 1; i < nth; ++i) rng = master.Fork();
+  const Tuning& tuning = request.tuning;
   OneClusterOptions oc;
-  oc.params = {8.0, 1e-9};
-  oc.beta = 0.2;
-  oc.coreset.enabled = true;
-  oc.coreset.min_points = 1024;
-  oc.coreset.target_size = 512;
-  Rng rng(7);
-  ASSERT_OK_AND_ASSIGN(OneClusterResult one,
-                       OneCluster(rng, w.points, w.t, w.domain, oc));
-  EXPECT_EQ(one.ball.center.size(), w.points.dim());
+  oc.params = request.budget;
+  oc.beta = request.beta;
+  oc.radius_budget_fraction = tuning.radius_budget_fraction;
+  oc.center.max_jl_dim = tuning.max_jl_dim;
+  if (request.algorithm == "one_cluster") {
+    DPC_ASSIGN_OR_RETURN(OneClusterResult run,
+                         OneCluster(rng, request.data, request.t,
+                                    *request.domain, oc, index));
+    return std::vector<Ball>{run.ball};
+  }
+  if (request.algorithm == "k_cluster") {
+    KClusterOptions kc;
+    kc.params = request.budget;
+    kc.beta = request.beta;
+    kc.k = request.k;
+    kc.per_round_t = request.t;
+    kc.refine_fraction = tuning.refine_fraction;
+    kc.one_cluster.radius_budget_fraction = tuning.radius_budget_fraction;
+    kc.one_cluster.center.max_jl_dim = tuning.max_jl_dim;
+    DPC_ASSIGN_OR_RETURN(KClusterResult run,
+                         KCluster(rng, request.data, *request.domain, kc,
+                                  index));
+    std::vector<Ball> balls;
+    for (const OneClusterResult& round : run.rounds) balls.push_back(round.ball);
+    return balls;
+  }
+  OutlierScreenOptions screen;
+  screen.inlier_fraction = request.inlier_fraction;
+  screen.inflation = tuning.inflation;
+  screen.one_cluster = oc;
+  screen.one_cluster.params =
+      request.budget.Fraction(1.0 - tuning.refine_fraction);
+  screen.refine.epsilon = request.budget.epsilon * tuning.refine_fraction;
+  screen.refine.beta = request.beta;
+  DPC_ASSIGN_OR_RETURN(OutlierScreen run,
+                       BuildOutlierScreen(rng, request.data, *request.domain,
+                                          screen, index));
+  return std::vector<Ball>{run.ball};
+}
 
-  KClusterOptions kc;
-  kc.params = {16.0, 1e-9};
-  kc.beta = 0.2;
-  kc.k = 2;
-  kc.coreset.enabled = true;
-  kc.coreset.min_points = 1024;
-  kc.coreset.target_size = 512;
-  Rng krng(11);
-  ASSERT_OK_AND_ASSIGN(KClusterResult clusters,
-                       KCluster(krng, w.points, w.domain, kc));
-  EXPECT_LE(clusters.rounds.size(), kc.k);
-  // Uncovered mass is reported in expanded terms.
-  EXPECT_LE(clusters.uncovered, w.points.size());
+void ExpectSameBalls(const std::vector<Ball>& got,
+                     const std::vector<Ball>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].center, want[i].center) << what << " ball " << i;
+    EXPECT_EQ(got[i].radius, want[i].radius) << what << " ball " << i;
+  }
+}
+
+const char* const kCoresetAlgorithms[] = {"one_cluster", "k_cluster",
+                                          "outlier_screen"};
+
+// With the coreset on, each algorithm releases the core call's bytes on the
+// summary index — and runs on 8192 rows, twice the radius profile's cap.
+TEST(Coreset, SolverRunsOnTheSummary) {
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(1u << 13));
+  for (const char* algorithm : kCoresetAlgorithms) {
+    const Request request = CoresetRequest(w, algorithm, /*coreset=*/true);
+    Solver solver(SolverOptions{.diagnostics = false});
+    ASSERT_OK_AND_ASSIGN(const Response response, solver.Run(request));
+
+    ThreadPool pool(2);
+    ASSERT_OK_AND_ASSIGN(CoresetSummary summary,
+                         BuildCoreset(w.points, w.domain,
+                                      request.tuning.coreset_options(), &pool));
+    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                         MakeWeightedIndex(std::move(summary), w.domain));
+    ASSERT_OK_AND_ASSIGN(const std::vector<Ball> want,
+                         CoreBalls(request, &index));
+    ExpectSameBalls(response.balls, want, algorithm);
+  }
+}
+
+// Below coreset_min_points the knob is inert: the request releases the
+// coreset-off bytes.
+TEST(Coreset, MinPointsGatesCompression) {
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(2048));
+  for (const char* algorithm : kCoresetAlgorithms) {
+    Solver on(SolverOptions{.diagnostics = false});
+    Solver off(SolverOptions{.diagnostics = false});
+    ASSERT_OK_AND_ASSIGN(
+        const Response gated,
+        on.Run(CoresetRequest(w, algorithm, /*coreset=*/true,
+                              /*min_points=*/4096)));
+    ASSERT_OK_AND_ASSIGN(const Response plain,
+                         off.Run(CoresetRequest(w, algorithm, false)));
+    ExpectSameBalls(gated.balls, plain.balls, algorithm);
+  }
+}
+
+// A coreset-off request runs on the raw rows even right after a coreset-on
+// request over the same data in the same Solver, and above the radius
+// profile's cap it is refused before it runs rather than answered from a
+// summary.
+TEST(Coreset, CoresetOffNeverRunsOnASummary) {
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(2048));
+  for (const char* algorithm : kCoresetAlgorithms) {
+    const std::vector<Request> batch = {CoresetRequest(w, algorithm, true),
+                                        CoresetRequest(w, algorithm, false)};
+    Solver solver(SolverOptions{.diagnostics = false});
+    const std::vector<Result<Response>> out = solver.RunAll(batch);
+    ASSERT_TRUE(out[1].ok()) << out[1].status().ToString();
+    ASSERT_OK_AND_ASSIGN(const std::vector<Ball> raw,
+                         CoreBalls(batch[1], nullptr, /*nth=*/2));
+    ExpectSameBalls(out[1]->balls, raw, algorithm);
+  }
+
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance large, MakeWorkload(1u << 13));
+  Solver solver;
+  const Result<Response> refused =
+      solver.Run(CoresetRequest(large, "one_cluster", /*coreset=*/false));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(solver.TotalSpend().epsilon, 0.0);
 }
 
 // The service cache: a coreset-requesting acquire leases the weighted
@@ -243,25 +336,6 @@ TEST(Coreset, IndexCacheLeasesWeightedSummary) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 3u);
-}
-
-// Below min_points the knob is inert: the pipeline must not compress.
-TEST(Coreset, MinPointsGatesCompression) {
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, MakeWorkload(512));
-  GoodRadiusOptions with_knob;
-  with_knob.params = {4.0, 1e-9};
-  with_knob.beta = 0.1;
-  with_knob.coreset.enabled = true;  // min_points default 65536 >> 512
-  GoodRadiusOptions without = with_knob;
-  without.coreset.enabled = false;
-  Rng rng1(5);
-  Rng rng2(5);
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult a,
-                       GoodRadius(rng1, w.points, w.t, w.domain, with_knob));
-  ASSERT_OK_AND_ASSIGN(GoodRadiusResult b,
-                       GoodRadius(rng2, w.points, w.t, w.domain, without));
-  EXPECT_EQ(a.radius, b.radius);
-  EXPECT_EQ(a.grid_index, b.grid_index);
 }
 
 }  // namespace

@@ -249,7 +249,7 @@ TEST(KClusterIndexPropertyTest, IncrementalBitIdenticalToRebuild) {
     ASSERT_OK_AND_ASSIGN(KClusterResult shared_run,
                          KCluster(shared_rng, instance.points, instance.domain,
                                   options, &shared));
-    ExpectSameKClusterResult(shared_run, want, family + " shared-index");
+    ExpectSameKClusterResult(shared_run, want, family + " shared index");
     EXPECT_EQ(shared.active_size(), shared.size()) << family;
     // And the restored index still answers like a fresh one.
     EXPECT_EQ(testing_util::SortedKnnRows(shared, 2, nullptr), warm)

@@ -20,15 +20,11 @@
 
 namespace dpcluster::reference {
 
-/// KCluster(rng, s, domain, options) with a fresh subset per round. The
-/// coreset stage has no rebuild form: options.coreset must stay disabled.
+/// KCluster(rng, s, domain, options) with a fresh subset per round.
 inline Result<KClusterResult> RebuildKCluster(Rng& rng, const PointSet& s,
                                               const GridDomain& domain,
                                               const KClusterOptions& options) {
   DPC_RETURN_IF_ERROR(options.Validate());
-  if (options.coreset.enabled) {
-    return Status::InvalidArgument("RebuildKCluster: no coreset form");
-  }
 
   PrivacyParams per_round;
   if (options.advanced_composition && options.k > 1) {

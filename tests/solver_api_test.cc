@@ -399,52 +399,7 @@ TEST(SolverTest, OutlierScreenNoteReleasesNoCount) {
       << response.note;
 }
 
-// --- Shared geometry index (the RunAll index-reuse hook) ------------------
-
-TEST(SolverTest, RunAllSharedBitIdenticalToUnshared) {
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(91, 2));
-  const auto make_batch = [&] {
-    std::vector<Request> batch;
-    batch.push_back(SmallRequest(w, "one_cluster"));
-    Request kc = SmallRequest(w, "k_cluster");
-    kc.k = 2;
-    kc.t = 0;  // Spread the remaining points across rounds.
-    batch.push_back(kc);
-    Request outlier = SmallRequest(w, "outlier_screen");
-    outlier.inlier_fraction = 0.8;
-    batch.push_back(outlier);
-    return batch;
-  };
-
-  std::vector<Request> unshared = make_batch();
-  Solver plain;
-  const auto want = plain.RunAll(unshared);
-
-  std::vector<Request> shared = make_batch();
-  Solver reusing;  // Same default seed: identical per-request Rng streams.
-  const auto got = reusing.RunAllShared(shared);
-
-  // One index, attached to every request in the batch, fully active after.
-  ASSERT_NE(shared[0].shared_index, nullptr);
-  EXPECT_EQ(shared[0].shared_index.get(), shared[1].shared_index.get());
-  EXPECT_EQ(shared[0].shared_index.get(), shared[2].shared_index.get());
-  EXPECT_EQ(shared[0].shared_index->active_size(), w.points.size());
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_TRUE(got[i].ok()) << i;
-    ASSERT_TRUE(want[i].ok()) << i;
-    EXPECT_EQ(got[i]->ball.center, want[i]->ball.center) << i;
-    EXPECT_EQ(got[i]->ball.radius, want[i]->ball.radius) << i;
-    ASSERT_EQ(got[i]->balls.size(), want[i]->balls.size()) << i;
-    for (std::size_t b = 0; b < got[i]->balls.size(); ++b) {
-      EXPECT_EQ(got[i]->balls[b].center, want[i]->balls[b].center)
-          << i << " ball=" << b;
-      EXPECT_EQ(got[i]->balls[b].radius, want[i]->balls[b].radius)
-          << i << " ball=" << b;
-    }
-  }
-}
+// --- A lent geometry index -----------------------------------------------
 
 TEST(SolverTest, MismatchedSharedIndexIsRejectedByValidation) {
   ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(92, 2));
@@ -456,20 +411,6 @@ TEST(SolverTest, MismatchedSharedIndexIsRejectedByValidation) {
   const auto response = solver.Run(request);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SolverTest, ShareIndexAcrossSkipsForeignData) {
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, SmallWorkload(94, 2));
-  ASSERT_OK_AND_ASSIGN(const ScenarioInstance other, SmallWorkload(95, 2));
-  std::vector<Request> batch;
-  batch.push_back(SmallRequest(w, "one_cluster"));
-  batch.push_back(SmallRequest(other, "one_cluster"));
-  batch.push_back(SmallRequest(w, "nonprivate"));
-  ASSERT_OK_AND_ASSIGN(const std::size_t attached, ShareIndexAcross(batch));
-  EXPECT_EQ(attached, 2u);  // Requests 0 and 2 share w's data.
-  EXPECT_NE(batch[0].shared_index, nullptr);
-  EXPECT_EQ(batch[1].shared_index, nullptr);
-  EXPECT_EQ(batch[0].shared_index.get(), batch[2].shared_index.get());
 }
 
 }  // namespace
