@@ -36,8 +36,6 @@
 #include "dpcluster/dp/above_threshold.h"
 #include "dpcluster/dp/accountant.h"
 #include "dpcluster/dp/exponential_mechanism.h"
-#include "dpcluster/dp/gaussian_mechanism.h"
-#include "dpcluster/dp/laplace_mechanism.h"
 #include "dpcluster/dp/noisy_average.h"
 #include "dpcluster/dp/privacy_params.h"
 #include "dpcluster/dp/rec_concave.h"
