@@ -3,7 +3,8 @@
 #  * a malformed or missing flag value exits 2 with usage;
 #  * a malformed CSV cell exits 1 naming its line and column;
 #  * a demo grid the generator refuses exits 1 naming the field, and so
-#    does a CSV run's --levels or --axis that no grid can take;
+#    does a --levels or --axis that no grid can take, on the demo and on a
+#    CSV run alike;
 #  * a CSV over the radius profile's 4096-row cap exits 1 naming the cap
 #    and the coreset, as the daemon refuses it, and runs with --coreset.
 # A well-formed command line over a well-formed CSV must still run (exit 0).
@@ -105,6 +106,17 @@ execute_process(
   TIMEOUT 30)
 if(NOT status STREQUAL "1" OR NOT err MATCHES "error: InvalidArgument: .*levels")
   list(APPEND failures "demo --levels 1 -> status '${status}', stderr '${err}'")
+endif()
+
+# The demo honors --axis, so an axis no grid can take is refused there too.
+execute_process(
+  COMMAND "${CLI}" --demo --algorithm nonprivate --axis 0
+  RESULT_VARIABLE status
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  TIMEOUT 30)
+if(NOT status STREQUAL "1" OR NOT err MATCHES "error: InvalidArgument: --axis")
+  list(APPEND failures "demo --axis 0 -> status '${status}', stderr '${err}'")
 endif()
 
 # The same refusal for a CSV run: a grid of one level or a non-positive axis

@@ -23,10 +23,6 @@
 //   --axis A        axis length of the cube    (default 1.0)
 //   --beta B        utility failure prob       (default 0.1)
 //   --seed S        RNG seed                   (default 2016)
-//   --shared-index  prebuild one geo/IndexedDataset over the input and lend
-//                   it to the algorithm (the Solver::RunAll index-reuse hook;
-//                   bit-identical outputs, k_cluster amortizes k index
-//                   builds to one)
 //   --coreset       collapse large inputs to a weighted k-center summary and
 //                   run the whole pipeline on it (changes released bytes;
 //                   accuracy gated by the eval harness radius_ratio check).
@@ -80,7 +76,6 @@ struct CliOptions {
   double beta = 0.1;
   std::uint64_t seed = 2016;
   bool refine = false;
-  bool shared_index = false;
   bool coreset = false;
   std::size_t coreset_target = 2048;
   std::size_t coreset_min_points = 65536;
@@ -93,7 +88,7 @@ void Usage(std::FILE* out) {
                "       [--algorithm NAME] [--mode cluster|outlier|interior]\n"
                "       [--t T] [--k K] [--fraction F] [--epsilon E] [--delta D]\n"
                "       [--levels L] [--axis A] [--beta B] [--seed S]\n"
-               "       [--shared-index] [--refine] [--ledger]\n"
+               "       [--refine] [--ledger]\n"
                "       [--coreset] [--coreset-target N] [--coreset-min-points N]\n"
                "       [--stream-ticks N] [--help]\n"
                "--stream-ticks N replays the \"streaming\" scenario family\n"
@@ -134,8 +129,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& opt) {
       opt.list = true;
     } else if (arg == "--refine") {
       opt.refine = true;
-    } else if (arg == "--shared-index") {
-      opt.shared_index = true;
     } else if (arg == "--coreset") {
       opt.coreset = true;
     } else if (arg == "--coreset-target") {
@@ -366,6 +359,12 @@ int main_impl(int argc, char** argv) {
   // --refine opts the plain one_cluster release in as well.
   request.tuning.refine_one_cluster = opt.refine;
 
+  if (opt.levels < 2 || !(opt.axis > 0.0)) {
+    std::fprintf(stderr, "error: InvalidArgument: %s\n",
+                 opt.levels < 2 ? "--levels must be >= 2"
+                                : "--axis must be > 0");
+    return 1;
+  }
   if (opt.demo) {
     Rng demo_rng(opt.seed ^ 0x9E3779B97F4A7C15ULL);
     const bool line = opt.algorithm == "interior_point" ||
@@ -373,6 +372,7 @@ int main_impl(int argc, char** argv) {
     auto demo =
         GenerateScenario(demo_rng, {.n = 4096, .dim = line ? 1u : 2u,
                                     .levels = opt.levels,
+                                    .axis_length = opt.axis,
                                     .cluster_radius = 0.02,
                                     .cluster_fraction = (1500 + 0.5) / 4096});
     if (!demo.ok()) {
@@ -394,12 +394,6 @@ int main_impl(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
       return 1;
     }
-    if (opt.levels < 2 || !(opt.axis > 0.0)) {
-      std::fprintf(stderr, "error: InvalidArgument: %s\n",
-                   opt.levels < 2 ? "--levels must be >= 2"
-                                  : "--axis must be > 0");
-      return 1;
-    }
     request.data = std::move(*loaded);
     request.domain = GridDomain(opt.levels, request.data.dim(), opt.axis);
     request.domain->SnapAll(request.data);
@@ -418,17 +412,6 @@ int main_impl(int argc, char** argv) {
               request.algorithm.c_str(), request.data.size(),
               request.data.dim(), request.t, opt.epsilon, opt.delta,
               static_cast<unsigned long long>(opt.levels));
-
-  if (opt.shared_index) {
-    auto index = BuildSharedIndex(request);
-    if (!index.ok()) {
-      std::fprintf(stderr, "error: %s\n", index.status().ToString().c_str());
-      return 1;
-    }
-    request.shared_index = std::move(*index);
-    std::printf("# shared geometry index attached (n=%zu)\n",
-                request.shared_index->size());
-  }
 
   SolverOptions solver_options;
   solver_options.seed = opt.seed;
