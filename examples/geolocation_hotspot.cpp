@@ -2,15 +2,16 @@
 // (Section 1.1, data exploration): locate a dense geographic area of a
 // sensitive population without revealing any individual's location.
 //
-// The scenario: lat/lon pings of 20000 users over a city; 30% concentrate
-// around a venue. We release a hotspot ball under (2, 1e-9)-DP, then refine
-// its radius privately so the released area is tight enough to act on.
+// The scenario: lat/lon pings of 4096 users over a city; 30% concentrate
+// around a venue. One `one_cluster` request through the Solver façade
+// releases a hotspot ball and spends part of its budget tightening the
+// radius (`refine_one_cluster`), so the released area is small enough to act
+// on. The whole table is the input: the privacy claim is exactly what the
+// request's ledger charged.
 
 #include <cstdio>
 
-#include "dpcluster/core/one_cluster.h"
-#include "dpcluster/core/radius_refine.h"
-#include "dpcluster/geo/ball.h"
+#include "dpcluster/api/solver.h"
 #include "dpcluster/random/distributions.h"
 
 int main() {
@@ -23,8 +24,8 @@ int main() {
 
   // Synthetic pings: 30% around the venue at (0.312, 0.587) within ~400m,
   // the rest spread over the city.
-  const std::size_t n = 20000;
-  const std::size_t venue_users = 6000;
+  const std::size_t n = 4096;
+  const std::size_t venue_users = 1228;
   const std::vector<double> venue = {0.312, 0.587};
   PointSet pings(2);
   for (std::size_t i = 0; i < venue_users; ++i) {
@@ -38,63 +39,37 @@ int main() {
   }
   city.SnapAll(pings);
 
-  std::printf("Searching for a hotspot holding >= %zu of %zu pings under "
-              "(2, 1e-9)-DP...\n", venue_users, n);
+  Request request;
+  request.algorithm = "one_cluster";
+  request.data = std::move(pings);
+  request.domain = city;
+  request.t = venue_users;
+  request.budget = {2.0, 1e-9};
+  request.beta = 0.1;
+  // Spend refine_fraction (25%) of epsilon tightening the released radius.
+  request.tuning.refine_one_cluster = true;
 
-  OneClusterOptions options;
-  options.params = {2.0, 1e-9};
-  options.beta = 0.1;
-  // The ping table is large; the quadratic radius stage runs on a subsample
-  // cap — raise the cap instead if you have the memory.
-  options.radius.max_profile_points = 4096;
-
-  // The radius stage is quadratic; for big tables give it a subsample.
-  std::vector<std::size_t> sample_idx(4096);
-  for (auto& idx : sample_idx) idx = rng.NextUint64(n);
-  const PointSet radius_sample = pings.Subset(sample_idx);
-
-  GoodRadiusOptions radius_opts = options.radius;
-  radius_opts.params = options.params.Fraction(0.4);
-  radius_opts.beta = options.beta / 2.0;
-  const auto radius = GoodRadius(
-      rng, radius_sample,
-      venue_users * radius_sample.size() / n,  // Rescale t to the subsample.
-      city, radius_opts);
-  if (!radius.ok()) {
-    std::printf("radius stage failed: %s\n", radius.status().ToString().c_str());
+  std::printf("Searching for a hotspot holding >= %zu of %zu pings...\n",
+              venue_users, n);
+  Solver solver;
+  const auto response = solver.Run(request);
+  if (!response.ok()) {
+    std::printf("hotspot search failed: %s\n",
+                response.status().ToString().c_str());
     return 1;
   }
-
-  GoodCenterOptions center_opts = options.center;
-  center_opts.params = options.params.Fraction(0.4);
-  center_opts.beta = options.beta / 2.0;
-  const double r = std::max(radius->radius, city.RadiusFromIndex(1));
-  const auto center = GoodCenter(rng, pings, venue_users, r, center_opts);
-  if (!center.ok()) {
-    std::printf("center stage failed: %s\n", center.status().ToString().c_str());
-    return 1;
-  }
-
-  // Spend the last 20%% of the budget tightening the released radius.
-  RadiusRefineOptions refine;
-  refine.epsilon = options.params.epsilon * 0.2;
-  refine.beta = 0.1;
-  const auto tight =
-      RefineRadius(rng, pings, center->center, venue_users, city, refine);
 
   std::printf("\nReleased hotspot center: (%.4f, %.4f)  [venue at (%.3f, %.3f)]\n",
-              center->center[0], center->center[1], venue[0], venue[1]);
-  std::printf("Refined hotspot radius:  %.4f  [venue spread 0.004]\n",
-              tight.ok() ? *tight : r);
-  if (tight.ok()) {
-    Ball hotspot;
-    hotspot.center = center->center;
-    hotspot.radius = *tight;
+              response->ball.center[0], response->ball.center[1], venue[0],
+              venue[1]);
+  std::printf("Released hotspot radius: %.4f  [venue spread 0.004]\n",
+              response->ball.radius);
+  if (response->diagnostics.has_value()) {
     std::printf("Pings inside the released hotspot (evaluation only): %zu\n",
-                CountInBall(pings, hotspot));
+                response->diagnostics->captured);
   }
-  std::printf("\nTotal privacy spend: (%.1f, %.1e)-DP "
-              "(0.4 + 0.4 + 0.2 epsilon split).\n",
-              options.params.epsilon, options.params.delta);
+  std::printf("\nCharged: (%g, %.1e)-DP over %zu mechanism calls.\n",
+              response->charged.epsilon, response->charged.delta,
+              response->ledger.interactions());
   return 0;
 }
