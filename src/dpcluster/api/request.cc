@@ -61,6 +61,10 @@ const char* ProblemKindName(ProblemKind kind) {
   return "unknown";
 }
 
+CoresetOptions Tuning::coreset_options() const {
+  return {coreset, coreset_min_points, coreset_target_size};
+}
+
 Status Request::Validate() const {
   if (algorithm.empty()) {
     return Status::InvalidArgument("Request: algorithm name is empty");

@@ -88,9 +88,7 @@ struct Tuning {
   std::size_t max_grid_centers = std::size_t{1} << 18;
 
   /// The coreset knobs above as the index builders read them.
-  CoresetOptions coreset_options() const {
-    return {coreset, coreset_min_points, coreset_target_size};
-  }
+  CoresetOptions coreset_options() const;
 };
 
 struct Request {

@@ -11,9 +11,10 @@
 //
 // Concurrency: IndexedDataset is not thread-safe ("one thread at a time"),
 // so the cache hands out exclusive RAII leases. A request that finds its
-// entry leased by another worker BYPASSES the cache — it runs index-free,
-// which by the PR-5 exactness contract releases bit-identical outputs, just
-// without the reuse speedup. No request ever blocks on another tenant's
+// entry leased by another worker BYPASSES the cache — the algorithm builds
+// its own index for that request (BuildSharedIndex), which by the
+// exactness contract releases bit-identical outputs, just without the
+// reuse speedup. No request ever blocks on another tenant's
 // index. Releasing a lease restores the entry's committed active set
 // (the full dataset for cached entries, the post-mutation live set for
 // streams), so the next borrower always starts from the same state.
@@ -60,8 +61,8 @@ class IndexCache {
  public:
   /// Exclusive borrow of one cached IndexedDataset. Falsy when the cache
   /// was bypassed (entry leased elsewhere, capacity exhausted by leased
-  /// entries, or index construction failed) — the caller then runs
-  /// index-free. Move-only; returns the entry on destruction.
+  /// entries, or index construction failed) — the request's algorithm then
+  /// builds its own index. Move-only; returns the entry on destruction.
   class Lease {
    public:
     Lease() = default;

@@ -38,8 +38,9 @@
 // Determinism: each solve runs on a fresh Solver seeded from the wire
 // request's "seed" (0 = the server's configured seed), so a given (request,
 // seed) pair releases the same bytes on every server, regardless of what
-// other tenants are doing. The index cache only accelerates: cached-index
-// and index-free runs release bit-identical outputs (geo/dataset.h).
+// other tenants are doing. The index cache only accelerates: a cached index
+// and one the algorithm builds for a bypassed request release bit-identical
+// outputs (geo/dataset.h).
 
 #ifndef DPCLUSTER_SERVICE_SERVICE_H_
 #define DPCLUSTER_SERVICE_SERVICE_H_
