@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "dpcluster/coreset/coreset.h"
 #include "dpcluster/parallel/thread_pool.h"
 
 namespace dpcluster {

@@ -76,10 +76,10 @@ Result<KClusterResult> KCluster(Rng& rng, const PointSet& s,
   IndexedDataset* index = nullptr;
   if (shared_index != nullptr) {
     if (shared_index->weighted()) {
-      // A weighted lend is a coreset summary of s (the service lends its
-      // cached coreset index). Full row correspondence is the cache's
-      // contract (it keys entries on the dataset fingerprint); check what is
-      // checkable cheaply.
+      // A weighted lend is a coreset summary of s (BuildSharedIndex, or the
+      // service's cached summary). Full row correspondence is the builder's
+      // contract (the cache keys entries on the dataset fingerprint); check
+      // what is checkable cheaply.
       if (shared_index->total_mass() != s.size() ||
           shared_index->dim() != s.dim() ||
           shared_index->active_size() != shared_index->size()) {

@@ -89,8 +89,8 @@ Result<OneClusterResult> OneCluster(Rng& rng, const PointSet& s, std::size_t t,
   }
   if (index != nullptr) {
     if (index->weighted()) {
-      // A weighted lend is a coreset summary of s (service cache path);
-      // full correspondence is the lender's contract — check what is
+      // A weighted lend is a coreset summary of s (BuildSharedIndex or the
+      // service cache); full correspondence is the lender's contract — check what is
       // checkable cheaply.
       if (index->total_mass() != s.size() || index->dim() != s.dim() ||
           index->active_size() != index->size()) {
