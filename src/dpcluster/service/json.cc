@@ -1,6 +1,5 @@
 #include "dpcluster/service/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -11,8 +10,6 @@
 namespace dpcluster {
 
 namespace {
-
-constexpr int kMaxDepth = 64;
 
 void AppendEscaped(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -56,71 +53,87 @@ void AppendUtf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-/// Cursor over the input; all parse functions advance it or fail.
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  Status Error(const std::string& what) const {
-    return Status::InvalidArgument("JSON parse error at byte " +
-                                   std::to_string(pos) + ": " + what);
-  }
-
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-  bool PeekDigit() const {
-    return !AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()));
-  }
-
-  void SkipSpace() {
-    while (!AtEnd()) {
-      const char c = text[pos];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos;
-      } else {
-        break;
-      }
+/// Reads the value at the cursor into `out`, or only checks it when `out`
+/// is null (JsonCursor::Skip).
+bool ReadValue(JsonCursor& in, JsonValue* out) {
+  const std::optional<JsonValue::Kind> kind = in.Next();
+  if (!kind) return false;
+  const auto keep = [&](JsonValue value) {
+    if (out != nullptr) *out = std::move(value);
+    return true;
+  };
+  switch (*kind) {
+    case JsonValue::Kind::kNull:
+      return in.ReadNull() && keep(JsonValue::Null());
+    case JsonValue::Kind::kBool: {
+      bool value = false;
+      return in.ReadBool(value) && keep(JsonValue::Bool(value));
     }
-  }
-
-  bool Consume(char c) {
-    if (!AtEnd() && text[pos] == c) {
-      ++pos;
-      return true;
+    case JsonValue::Kind::kNumber: {
+      std::string_view lexeme;
+      if (!in.ReadNumber(lexeme)) return false;
+      return out == nullptr ||
+             keep(JsonValue::NumberFromLexeme(std::string(lexeme)));
     }
-    return false;
-  }
-
-  bool ConsumeWord(std::string_view word) {
-    if (text.substr(pos, word.size()) == word) {
-      pos += word.size();
-      return true;
+    case JsonValue::Kind::kString: {
+      std::string value;
+      return in.ReadString(value) && keep(JsonValue::String(std::move(value)));
     }
-    return false;
+    case JsonValue::Kind::kArray:
+      if (out != nullptr) *out = JsonValue::Array();
+      return in.ReadArray([&](std::size_t) {
+        JsonValue item;
+        if (!ReadValue(in, out != nullptr ? &item : nullptr)) return false;
+        if (out != nullptr) out->Append(std::move(item));
+        return true;
+      });
+    case JsonValue::Kind::kObject:
+      if (out != nullptr) *out = JsonValue::Object();
+      return in.ReadObject([&](const std::string& key) {
+        JsonValue value;
+        if (!ReadValue(in, out != nullptr ? &value : nullptr)) return false;
+        if (out != nullptr) out->Set(key, std::move(value));
+        return true;
+      });
   }
+  return false;
+}
 
-  Result<JsonValue> ParseValue(int depth);
-  Result<std::string> ParseString();
-  /// Validates a JSON number at the cursor and returns its exact lexeme.
-  Result<std::string> ParseNumberLexeme();
-};
+}  // namespace
 
-Result<std::string> Parser::ParseString() {
-  if (!Consume('"')) return Error("expected '\"'");
-  std::string out;
+// --- JsonCursor -----------------------------------------------------------
+
+bool JsonCursor::Fail(std::string_view what) {
+  if (ok()) {
+    status_ = Status::InvalidArgument("JSON parse error at byte " +
+                                      std::to_string(pos_) + ": " +
+                                      std::string(what));
+  }
+  return false;
+}
+
+bool JsonCursor::ReadWord(std::string_view word) {
+  if (text_.substr(pos_, word.size()) != word) return Fail("bad literal");
+  pos_ += word.size();
+  return true;
+}
+
+bool JsonCursor::ReadString(std::string& out) {
+  if (!Consume('"')) return Fail("expected '\"'");
+  out.clear();
   while (true) {
-    if (AtEnd()) return Error("unterminated string");
-    const char c = text[pos++];
-    if (c == '"') return out;
+    if (pos_ >= text_.size()) return Fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return true;
     if (static_cast<unsigned char>(c) < 0x20) {
-      return Error("unescaped control character in string");
+      return Fail("unescaped control character in string");
     }
     if (c != '\\') {
       out.push_back(c);
       continue;
     }
-    if (AtEnd()) return Error("unterminated escape");
-    const char e = text[pos++];
+    if (pos_ >= text_.size()) return Fail("unterminated escape");
+    const char e = text_[pos_++];
     switch (e) {
       case '"': out.push_back('"'); break;
       case '\\': out.push_back('\\'); break;
@@ -132,186 +145,97 @@ Result<std::string> Parser::ParseString() {
       case 't': out.push_back('\t'); break;
       case 'u': {
         const auto hex4 = [&]() -> int {
-          if (pos + 4 > text.size()) return -1;
+          if (pos_ + 4 > text_.size()) return -1;
           int value = 0;
           for (int i = 0; i < 4; ++i) {
-            const char h = text[pos + i];
+            const char h = text_[pos_ + i];
             value <<= 4;
             if (h >= '0' && h <= '9') value |= h - '0';
             else if (h >= 'a' && h <= 'f') value |= h - 'a' + 10;
             else if (h >= 'A' && h <= 'F') value |= h - 'A' + 10;
             else return -1;
           }
-          pos += 4;
+          pos_ += 4;
           return value;
         };
         const int hi = hex4();
-        if (hi < 0) return Error("bad \\u escape");
+        if (hi < 0) return Fail("bad \\u escape");
         std::uint32_t cp = static_cast<std::uint32_t>(hi);
         if (cp >= 0xD800 && cp < 0xDC00) {
           // Surrogate pair: a low surrogate escape must follow.
-          if (pos + 2 > text.size() || text[pos] != '\\' ||
-              text[pos + 1] != 'u') {
-            return Error("lone high surrogate");
+          if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u') {
+            return Fail("lone high surrogate");
           }
-          pos += 2;
+          pos_ += 2;
           const int lo = hex4();
-          if (lo < 0xDC00 || lo > 0xDFFF) return Error("bad low surrogate");
+          if (lo < 0xDC00 || lo > 0xDFFF) return Fail("bad low surrogate");
           cp = 0x10000 + ((cp - 0xD800) << 10) +
                (static_cast<std::uint32_t>(lo) - 0xDC00);
         } else if (cp >= 0xDC00 && cp < 0xE000) {
-          return Error("lone low surrogate");
+          return Fail("lone low surrogate");
         }
         AppendUtf8(out, cp);
         break;
       }
       default:
-        return Error("unknown escape");
+        return Fail("unknown escape");
     }
   }
 }
 
-Result<std::string> Parser::ParseNumberLexeme() {
-  const std::size_t start = pos;
-  Consume('-');
-  if (!PeekDigit()) return Error("malformed number");
-  if (Peek() == '0') {
-    ++pos;
-  } else {
-    while (PeekDigit()) ++pos;
-  }
-  if (Consume('.')) {
-    if (!PeekDigit()) return Error("malformed number fraction");
-    while (PeekDigit()) ++pos;
-  }
-  if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
-    ++pos;
-    if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos;
-    if (!PeekDigit()) return Error("malformed number exponent");
-    while (PeekDigit()) ++pos;
-  }
-  return std::string(text.substr(start, pos - start));
-}
+bool JsonCursor::Skip() { return ReadValue(*this, nullptr); }
 
-Result<JsonValue> Parser::ParseValue(int depth) {
-  if (depth > kMaxDepth) return Error("nesting too deep");
+bool JsonCursor::Finish() {
+  if (!ok()) return false;
   SkipSpace();
-  if (AtEnd()) return Error("unexpected end of input");
-  const char c = Peek();
-  if (c == '{') {
-    ++pos;
-    JsonValue object = JsonValue::Object();
-    SkipSpace();
-    if (Consume('}')) return object;
-    while (true) {
-      SkipSpace();
-      DPC_ASSIGN_OR_RETURN(std::string key, ParseString());
-      SkipSpace();
-      if (!Consume(':')) return Error("expected ':'");
-      DPC_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      if (object.Find(key) != nullptr) {
-        return Error("duplicate object key \"" + key + "\"");
-      }
-      object.Set(std::move(key), std::move(value));
-      SkipSpace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return object;
-      return Error("expected ',' or '}'");
-    }
-  }
-  if (c == '[') {
-    ++pos;
-    JsonValue array = JsonValue::Array();
-    SkipSpace();
-    if (Consume(']')) return array;
-    while (true) {
-      DPC_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      array.Append(std::move(value));
-      SkipSpace();
-      if (Consume(',')) continue;
-      if (Consume(']')) return array;
-      return Error("expected ',' or ']'");
-    }
-  }
-  if (c == '"') {
-    DPC_ASSIGN_OR_RETURN(std::string s, ParseString());
-    return JsonValue::String(std::move(s));
-  }
-  if (c == 't') {
-    if (ConsumeWord("true")) return JsonValue::Bool(true);
-    return Error("bad literal");
-  }
-  if (c == 'f') {
-    if (ConsumeWord("false")) return JsonValue::Bool(false);
-    return Error("bad literal");
-  }
-  if (c == 'n') {
-    if (ConsumeWord("null")) return JsonValue::Null();
-    return Error("bad literal");
-  }
-  if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-    DPC_ASSIGN_OR_RETURN(std::string lexeme, ParseNumberLexeme());
-    return JsonValue::NumberFromLexeme(std::move(lexeme));
-  }
-  return Error("unexpected character");
+  return pos_ >= text_.size() || Fail("trailing garbage");
 }
 
-}  // namespace
+double JsonNumberToDouble(std::string_view lexeme) {
+  double value = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(lexeme.data(), lexeme.data() + lexeme.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return std::strtod(std::string(lexeme).c_str(), nullptr);
+  }
+  DPC_CHECK(ec == std::errc() && ptr == lexeme.data() + lexeme.size());
+  return value;
+}
+
+Result<std::uint64_t> JsonNumberToU64(std::string_view lexeme) {
+  if (!lexeme.empty() && lexeme[0] == '-') {
+    return Status::InvalidArgument("expected a non-negative integer, got " +
+                                   std::string(lexeme));
+  }
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(lexeme.data(), lexeme.data() + lexeme.size(), value);
+  if (ec != std::errc() || ptr != lexeme.data() + lexeme.size()) {
+    return Status::InvalidArgument("expected an unsigned integer, got " +
+                                   std::string(lexeme));
+  }
+  return value;
+}
 
 // --- JsonValue ------------------------------------------------------------
 
 JsonValue JsonValue::Bool(bool value) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
+  JsonValue v(Kind::kBool);
   v.bool_ = value;
   return v;
 }
 
 JsonValue JsonValue::Number(double value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.text_ = JsonNumberLexeme(value);
-  return v;
+  return JsonValue(Kind::kNumber, JsonNumberLexeme(value));
 }
 
 JsonValue JsonValue::Number(std::uint64_t value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.text_ = std::to_string(value);
-  return v;
+  return JsonValue(Kind::kNumber, std::to_string(value));
 }
 
 JsonValue JsonValue::Number(int value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.text_ = std::to_string(value);
-  return v;
-}
-
-JsonValue JsonValue::NumberFromLexeme(std::string lexeme) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.text_ = std::move(lexeme);
-  return v;
-}
-
-JsonValue JsonValue::String(std::string value) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.text_ = std::move(value);
-  return v;
-}
-
-JsonValue JsonValue::Array() {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  return v;
-}
-
-JsonValue JsonValue::Object() {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  return v;
+  return JsonValue(Kind::kNumber, std::to_string(value));
 }
 
 bool JsonValue::AsBool() const {
@@ -321,23 +245,12 @@ bool JsonValue::AsBool() const {
 
 double JsonValue::AsDouble() const {
   DPC_CHECK(is_number());
-  return std::strtod(text_.c_str(), nullptr);
+  return JsonNumberToDouble(text_);
 }
 
 Result<std::uint64_t> JsonValue::AsU64() const {
   DPC_CHECK(is_number());
-  if (!text_.empty() && text_[0] == '-') {
-    return Status::InvalidArgument("expected a non-negative integer, got " +
-                                   text_);
-  }
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text_.data(), text_.data() + text_.size(), value);
-  if (ec != std::errc() || ptr != text_.data() + text_.size()) {
-    return Status::InvalidArgument("expected an unsigned integer, got " +
-                                   text_);
-  }
-  return value;
+  return JsonNumberToU64(text_);
 }
 
 const std::string& JsonValue::AsString() const {
@@ -428,10 +341,9 @@ std::string JsonValue::Encode() const {
 }
 
 Result<JsonValue> JsonValue::Parse(std::string_view text) {
-  Parser parser{text};
-  DPC_ASSIGN_OR_RETURN(JsonValue value, parser.ParseValue(0));
-  parser.SkipSpace();
-  if (!parser.AtEnd()) return parser.Error("trailing garbage");
+  JsonCursor cursor(text);
+  JsonValue value;
+  if (!ReadValue(cursor, &value) || !cursor.Finish()) return cursor.status();
   return value;
 }
 

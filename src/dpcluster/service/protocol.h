@@ -62,14 +62,16 @@ struct WireRequest {
   Request request;
 };
 
-/// Parses a wire request from a JSON object. Strict: unknown keys, wrong
-/// types, ragged point rows, and missing required fields are
-/// InvalidArgument with a field-naming message. Performs no semantic
-/// validation beyond shape — Request::Validate and the algorithm's own
-/// checks run in the service.
-Result<WireRequest> ParseWireRequest(const JsonValue& json);
-
-/// ParseWireRequest over raw body text (strict JSON parse first).
+/// Parses a wire request from raw body text in one pass of a JsonCursor:
+/// fields decode where they land, "points" straight into the PointSet, with
+/// no JSON tree. Strict: a syntax error anywhere (a duplicate key or nesting
+/// past 64 levels too) wins over field errors; otherwise the first field
+/// error in document order — unknown keys, wrong types, ragged point rows,
+/// missing required fields — is InvalidArgument naming the field. No
+/// semantic validation beyond shape: Request::Validate and the algorithm's
+/// own checks run in the service. The coordinate buffer peaks below 1.5x
+/// the decoded coordinates (8 bytes per number of at least 2 body bytes);
+/// decode_memory_test pins one-coordinate and empty rows under 4x the body.
 Result<WireRequest> ParseWireRequest(std::string_view body);
 
 /// Deterministic inverse of ParseWireRequest: every wire-exposed field, in
@@ -78,11 +80,6 @@ JsonValue WireRequestToJson(const WireRequest& wire);
 
 /// The tuning sub-object (every Tuning knob, fixed order).
 JsonValue TuningToJson(const Tuning& tuning);
-
-/// Strict parse of a tuning sub-object into `tuning` (unknown keys and
-/// wrong types are InvalidArgument). The same parser ParseWireRequest uses
-/// for its "tuning" member; exposed for the stream-endpoint bodies.
-Status ParseTuningJson(const JsonValue& json, Tuning& tuning);
 
 // --- Streaming endpoints --------------------------------------------------
 
@@ -104,8 +101,9 @@ struct StreamRequest {
   Tuning tuning;
 };
 
-/// Strict parses of the stream bodies (required fields, unknown keys, and
-/// shape errors are InvalidArgument naming the field).
+/// Strict parses of the stream bodies, one pass each with ParseWireRequest's
+/// error precedence (required fields, unknown keys, and shape errors are
+/// InvalidArgument naming the field).
 Result<StreamRequest> ParseStreamAppend(std::string_view body);
 Result<StreamRequest> ParseStreamExpire(std::string_view body);
 

@@ -52,9 +52,10 @@ def tuning_fields(header: str) -> list:
 
 def parse_tuning_keys(protocol: str) -> set:
     """Keys accepted by ParseTuning: its `key == "..."` branches."""
-    start = protocol.find("Status ParseTuning(")
-    if start < 0:
+    found = re.search(r"^\w+ ParseTuning\(", protocol, re.M)
+    if found is None:
         raise SystemExit("check_tuning_docs: ParseTuning not found")
+    start = found.start()
     end = protocol.find("\n}\n", start)
     return set(PARSED_KEY.findall(protocol[start:end]))
 
