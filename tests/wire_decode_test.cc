@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +41,12 @@ std::string Excerpt(std::string_view body) {
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return SameBits(x, y); });
 }
 
 std::string StreamFields(const StreamRequest& s) {
@@ -73,10 +81,7 @@ void ExpectSameDecode(Route route, std::string_view body) {
     }
     EXPECT_EQ(WireRequestToJson(*got).Encode(),
               WireRequestToJson(*want).Encode());
-    const auto g = got->request.data.Data();
-    const auto w = want->request.data.Data();
-    ASSERT_EQ(g.size(), w.size());
-    EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(double)), 0);
+    EXPECT_TRUE(SameBits(got->request.data.Data(), want->request.data.Data()));
     return;
   }
   const bool append = route == Route::kAppend;
@@ -91,10 +96,7 @@ void ExpectSameDecode(Route route, std::string_view body) {
     return;
   }
   EXPECT_EQ(StreamFields(*got), StreamFields(*want));
-  const auto g = got->points.Data();
-  const auto w = want->points.Data();
-  ASSERT_EQ(g.size(), w.size());
-  EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size() * sizeof(double)), 0);
+  EXPECT_TRUE(SameBits(got->points.Data(), want->points.Data()));
 }
 
 PointSet ScenarioPoints(std::uint64_t seed, std::size_t n, std::size_t dim) {
@@ -450,11 +452,7 @@ TEST(WireDecodeTest, CoordinatesConvertLikeStrtod) {
   body += "]}";
   // The same lexemes through the request decoder, as one 1-d body.
   ASSERT_OK_AND_ASSIGN(const WireRequest wire, ParseWireRequest(body));
-  const auto data = wire.request.data.Data();
-  ASSERT_EQ(data.size(), finite.size());
-  EXPECT_EQ(std::memcmp(data.data(), finite.data(),
-                        finite.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(SameBits(wire.request.data.Data(), finite));
 }
 
 TEST(WireDecodeTest, OverflowIsRefusedAndUnderflowIsZero) {
