@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "dpcluster/common/check.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/spatial_grid.h"
@@ -141,6 +143,26 @@ class WeightedCappedTracker {
   std::uint64_t sum_above_;
 };
 
+// Whole pages mapped for one buffer and unmapped when it is freed. A kGrid
+// build's event buffers run to tens of MB (~8 bytes per event) and live for
+// one build: from malloc, glibc raises its mmap threshold past them after the
+// first free and later builds take them from the building thread's arena,
+// which keeps them resident, so a daemon's RSS grows with its worker count.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  T* allocate(std::size_t n) {
+    void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    DPC_CHECK(p != MAP_FAILED);
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) { munmap(p, n * sizeof(T)); }
+  bool operator==(const PageAllocator&) const = default;
+};
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
+
 // One B-count increment: `center`'s ball gains a point at fine index `index`.
 struct Event {
   std::uint64_t index;
@@ -167,7 +189,7 @@ class EventBuckets {
   struct FineBlock {
     std::size_t first_row = 0;
     std::vector<std::size_t> offsets;
-    std::vector<std::uint32_t> fine;
+    PageVector<std::uint32_t> fine;
   };
 
   /// Groups the blocks' fine indices (every index < fine_domain) with one
@@ -175,7 +197,7 @@ class EventBuckets {
   static EventBuckets FromFineBlocks(std::span<const FineBlock> blocks,
                                      std::uint64_t fine_domain) {
     EventBuckets buckets;
-    std::vector<std::size_t>& offsets = buckets.offsets_;
+    PageVector<std::size_t>& offsets = buckets.offsets_;
     offsets.assign(fine_domain + 1, 0);
     std::size_t total = 0;
     for (const FineBlock& block : blocks) {
@@ -207,6 +229,9 @@ class EventBuckets {
   static EventBuckets FromSorted(std::span<const Event> events) {
     EventBuckets buckets;
     buckets.sparse_ = true;
+    // Page-backed: pages a reserve leaves untouched are never resident.
+    buckets.keys_.reserve(events.size());
+    buckets.offsets_.reserve(events.size() + 1);
     buckets.centers_.reserve(events.size());
     for (std::size_t e = 0; e < events.size(); ++e) {
       if (e == 0 || events[e].index != events[e - 1].index) {
@@ -231,10 +256,10 @@ class EventBuckets {
   }
 
  private:
-  bool sparse_ = false;              // Bucket b is fine index keys_[b], not b.
-  std::vector<std::uint64_t> keys_;  // Sparse buckets only.
-  std::vector<std::size_t> offsets_;
-  std::vector<std::uint32_t> centers_;
+  bool sparse_ = false;             // Bucket b is fine index keys_[b], not b.
+  PageVector<std::uint64_t> keys_;  // Sparse buckets only.
+  PageVector<std::size_t> offsets_;
+  PageVector<std::uint32_t> centers_;
 };
 
 // The shared sweep over grouped events: maintain per-center counts (capped
@@ -424,7 +449,7 @@ EventBuckets KnnSupersetEventBuckets(std::size_t n, std::size_t k,
   const bool sparse = fine_domain > 8 * n * k + 1024 ||
                       fine_domain > (std::uint64_t{1} << 32);
   std::vector<EventBuckets::FineBlock> blocks;
-  std::vector<Event> events;
+  PageVector<Event> events;
   if (sparse) events.reserve(n * k);  // Rows hold k values or a few more.
   if (k > 0) {
     const std::size_t block_rows =
