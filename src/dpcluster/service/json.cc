@@ -203,39 +203,60 @@ double JsonNumberToDouble(std::string_view lexeme) {
   return value;
 }
 
-Result<std::uint64_t> JsonNumberToU64(std::string_view lexeme) {
-  if (!lexeme.empty() && lexeme[0] == '-') {
-    return Status::InvalidArgument("expected a non-negative integer, got " +
-                                   std::string(lexeme));
-  }
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(lexeme.data(), lexeme.data() + lexeme.size(), value);
-  if (ec != std::errc() || ptr != lexeme.data() + lexeme.size()) {
-    return Status::InvalidArgument("expected an unsigned integer, got " +
-                                   std::string(lexeme));
-  }
-  return value;
-}
-
 // --- JsonValue ------------------------------------------------------------
 
 JsonValue JsonValue::Bool(bool value) {
-  JsonValue v(Kind::kBool);
+  JsonValue v;
+  v.kind_ = Kind::kBool;
   v.bool_ = value;
   return v;
 }
 
 JsonValue JsonValue::Number(double value) {
-  return JsonValue(Kind::kNumber, JsonNumberLexeme(value));
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.text_ = JsonNumberLexeme(value);
+  return v;
 }
 
 JsonValue JsonValue::Number(std::uint64_t value) {
-  return JsonValue(Kind::kNumber, std::to_string(value));
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.text_ = std::to_string(value);
+  return v;
 }
 
 JsonValue JsonValue::Number(int value) {
-  return JsonValue(Kind::kNumber, std::to_string(value));
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.text_ = std::to_string(value);
+  return v;
+}
+
+JsonValue JsonValue::NumberFromLexeme(std::string lexeme) {
+  JsonValue v;
+  v.kind_ = Kind::kNumber;
+  v.text_ = std::move(lexeme);
+  return v;
+}
+
+JsonValue JsonValue::String(std::string value) {
+  JsonValue v;
+  v.kind_ = Kind::kString;
+  v.text_ = std::move(value);
+  return v;
+}
+
+JsonValue JsonValue::Array() {
+  JsonValue v;
+  v.kind_ = Kind::kArray;
+  return v;
+}
+
+JsonValue JsonValue::Object() {
+  JsonValue v;
+  v.kind_ = Kind::kObject;
+  return v;
 }
 
 bool JsonValue::AsBool() const {
@@ -245,12 +266,23 @@ bool JsonValue::AsBool() const {
 
 double JsonValue::AsDouble() const {
   DPC_CHECK(is_number());
-  return JsonNumberToDouble(text_);
+  return std::strtod(text_.c_str(), nullptr);
 }
 
 Result<std::uint64_t> JsonValue::AsU64() const {
   DPC_CHECK(is_number());
-  return JsonNumberToU64(text_);
+  if (!text_.empty() && text_[0] == '-') {
+    return Status::InvalidArgument("expected a non-negative integer, got " +
+                                   text_);
+  }
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text_.data(), text_.data() + text_.size(), value);
+  if (ec != std::errc() || ptr != text_.data() + text_.size()) {
+    return Status::InvalidArgument("expected an unsigned integer, got " +
+                                   text_);
+  }
+  return value;
 }
 
 const std::string& JsonValue::AsString() const {

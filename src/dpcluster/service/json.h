@@ -47,14 +47,10 @@ class JsonValue {
   static JsonValue Number(int value);
   /// A number carrying an exact spelling; `lexeme` must be a valid JSON
   /// number (the parser uses this to round-trip client bytes unchanged).
-  static JsonValue NumberFromLexeme(std::string lexeme) {
-    return JsonValue(Kind::kNumber, std::move(lexeme));
-  }
-  static JsonValue String(std::string value) {
-    return JsonValue(Kind::kString, std::move(value));
-  }
-  static JsonValue Array() { return JsonValue(Kind::kArray); }
-  static JsonValue Object() { return JsonValue(Kind::kObject); }
+  static JsonValue NumberFromLexeme(std::string lexeme);
+  static JsonValue String(std::string value);
+  static JsonValue Array();
+  static JsonValue Object();
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -66,7 +62,7 @@ class JsonValue {
 
   /// Value accessors; each requires the matching kind.
   bool AsBool() const;
-  /// The number as a double (JsonNumberToDouble over the stored lexeme).
+  /// The number as a double (strtod over the stored lexeme).
   double AsDouble() const;
   /// The number as an exact unsigned integer; InvalidArgument when the
   /// lexeme is negative, fractional, or does not fit in 64 bits.
@@ -96,8 +92,6 @@ class JsonValue {
   static Result<JsonValue> Parse(std::string_view text);
 
  private:
-  explicit JsonValue(Kind kind, std::string text = {})
-      : kind_(kind), text_(std::move(text)) {}
   void EncodeTo(std::string& out) const;
 
   Kind kind_ = Kind::kNull;
@@ -128,18 +122,14 @@ class JsonCursor {
     if (depth_ > kMaxDepth) return Failed("nesting too deep");
     SkipSpace();
     if (pos_ >= text_.size()) return Failed("unexpected end of input");
-    switch (text_[pos_]) {
-      case '{': return JsonValue::Kind::kObject;
-      case '[': return JsonValue::Kind::kArray;
-      case '"': return JsonValue::Kind::kString;
-      case 't': case 'f': return JsonValue::Kind::kBool;
-      case 'n': return JsonValue::Kind::kNull;
-      default:
-        if (text_[pos_] == '-' || IsDigit(text_[pos_])) {
-          return JsonValue::Kind::kNumber;
-        }
-        return Failed("unexpected character");
-    }
+    const char c = text_[pos_];
+    if (c == '{') return JsonValue::Kind::kObject;
+    if (c == '[') return JsonValue::Kind::kArray;
+    if (c == '"') return JsonValue::Kind::kString;
+    if (c == 't' || c == 'f') return JsonValue::Kind::kBool;
+    if (c == 'n') return JsonValue::Kind::kNull;
+    if (c == '-' || IsDigit(c)) return JsonValue::Kind::kNumber;
+    return Failed("unexpected character");
   }
 
   /// Consume the value Next() just classified; a number as its exact
@@ -250,10 +240,6 @@ class JsonCursor {
 /// result_out_of_range (it leaves the value unset there, where strtod gives
 /// ±inf on overflow and ±0 or a subnormal on underflow).
 double JsonNumberToDouble(std::string_view lexeme);
-
-/// A JSON number lexeme as an exact unsigned integer; InvalidArgument when
-/// it is negative, fractional, or does not fit in 64 bits.
-Result<std::uint64_t> JsonNumberToU64(std::string_view lexeme);
 
 /// Formats a double in shortest round-trip form ("0.1", "1e-9", integral
 /// doubles without a trailing ".0"). NaN/Inf are not valid JSON and encode

@@ -69,9 +69,8 @@ struct WireRequest {
 /// error in document order — unknown keys, wrong types, ragged point rows,
 /// missing required fields — is InvalidArgument naming the field. No
 /// semantic validation beyond shape: Request::Validate and the algorithm's
-/// own checks run in the service. The coordinate buffer peaks below 1.5x
-/// the decoded coordinates (8 bytes per number of at least 2 body bytes);
-/// decode_memory_test pins one-coordinate and empty rows under 4x the body.
+/// own checks run in the service. The coordinate buffer holds under 8 bytes
+/// per body byte (under 4 for one-coordinate rows), reallocations included.
 Result<WireRequest> ParseWireRequest(std::string_view body);
 
 /// Deterministic inverse of ParseWireRequest: every wire-exposed field, in

@@ -1,14 +1,17 @@
 // Reference oracle for the request decoders in service/protocol: the
-// two-step decode written the direct way. JsonValue::Parse builds the whole
-// tree first (so any syntax error wins), then a member dispatch walks it,
-// returning the first field error in document order. ParseWireRequest,
-// ParseStreamAppend and ParseStreamExpire, which read the body in one pass
-// without a tree, must return the same value or the same error message.
+// two-step decode written the direct way. ParseJson, the recursive-descent
+// parser JsonValue::Parse was before it was rebuilt on JsonCursor, builds
+// the whole tree first (so any syntax error wins), then a member dispatch
+// walks it, returning the first field error in document order.
+// ParseWireRequest, ParseStreamAppend and ParseStreamExpire, which read the
+// body in one pass without a tree, must return the same value or the same
+// error message; JsonValue::Parse must match ParseJson the same way.
 // Coordinates go through std::strtod over each stored lexeme.
 
 #ifndef DPCLUSTER_TESTS_REFERENCE_TREE_DECODER_REFERENCE_H_
 #define DPCLUSTER_TESTS_REFERENCE_TREE_DECODER_REFERENCE_H_
 
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +28,239 @@
 namespace dpcluster::reference {
 
 namespace tree_decoder {
+
+// --- The tree parser (the former JsonValue::Parse) ---------------------------
+
+constexpr int kMaxDepth = 64;
+
+inline void AppendUtf8(std::string& out, std::uint32_t cp) {
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+/// Cursor over the input; all parse functions advance it or fail.
+struct Parser {
+  std::string_view text;
+  std::size_t pos = 0;
+
+  Status Error(const std::string& what) const {
+    return Status::InvalidArgument("JSON parse error at byte " +
+                                   std::to_string(pos) + ": " + what);
+  }
+
+  bool AtEnd() const { return pos >= text.size(); }
+  char Peek() const { return text[pos]; }
+  bool PeekDigit() const {
+    return !AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()));
+  }
+
+  void SkipSpace() {
+    while (!AtEnd()) {
+      const char c = text[pos];
+      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+        ++pos;
+      } else {
+        break;
+      }
+    }
+  }
+
+  bool Consume(char c) {
+    if (!AtEnd() && text[pos] == c) {
+      ++pos;
+      return true;
+    }
+    return false;
+  }
+
+  bool ConsumeWord(std::string_view word) {
+    if (text.substr(pos, word.size()) == word) {
+      pos += word.size();
+      return true;
+    }
+    return false;
+  }
+
+  Result<JsonValue> ParseValue(int depth);
+  Result<std::string> ParseString();
+  /// Validates a JSON number at the cursor and returns its exact lexeme.
+  Result<std::string> ParseNumberLexeme();
+};
+
+inline Result<std::string> Parser::ParseString() {
+  if (!Consume('"')) return Error("expected '\"'");
+  std::string out;
+  while (true) {
+    if (AtEnd()) return Error("unterminated string");
+    const char c = text[pos++];
+    if (c == '"') return out;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return Error("unescaped control character in string");
+    }
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (AtEnd()) return Error("unterminated escape");
+    const char e = text[pos++];
+    switch (e) {
+      case '"': out.push_back('"'); break;
+      case '\\': out.push_back('\\'); break;
+      case '/': out.push_back('/'); break;
+      case 'b': out.push_back('\b'); break;
+      case 'f': out.push_back('\f'); break;
+      case 'n': out.push_back('\n'); break;
+      case 'r': out.push_back('\r'); break;
+      case 't': out.push_back('\t'); break;
+      case 'u': {
+        const auto hex4 = [&]() -> int {
+          if (pos + 4 > text.size()) return -1;
+          int value = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text[pos + i];
+            value <<= 4;
+            if (h >= '0' && h <= '9') value |= h - '0';
+            else if (h >= 'a' && h <= 'f') value |= h - 'a' + 10;
+            else if (h >= 'A' && h <= 'F') value |= h - 'A' + 10;
+            else return -1;
+          }
+          pos += 4;
+          return value;
+        };
+        const int hi = hex4();
+        if (hi < 0) return Error("bad \\u escape");
+        std::uint32_t cp = static_cast<std::uint32_t>(hi);
+        if (cp >= 0xD800 && cp < 0xDC00) {
+          // Surrogate pair: a low surrogate escape must follow.
+          if (pos + 2 > text.size() || text[pos] != '\\' ||
+              text[pos + 1] != 'u') {
+            return Error("lone high surrogate");
+          }
+          pos += 2;
+          const int lo = hex4();
+          if (lo < 0xDC00 || lo > 0xDFFF) return Error("bad low surrogate");
+          cp = 0x10000 + ((cp - 0xD800) << 10) +
+               (static_cast<std::uint32_t>(lo) - 0xDC00);
+        } else if (cp >= 0xDC00 && cp < 0xE000) {
+          return Error("lone low surrogate");
+        }
+        AppendUtf8(out, cp);
+        break;
+      }
+      default:
+        return Error("unknown escape");
+    }
+  }
+}
+
+inline Result<std::string> Parser::ParseNumberLexeme() {
+  const std::size_t start = pos;
+  Consume('-');
+  if (!PeekDigit()) return Error("malformed number");
+  if (Peek() == '0') {
+    ++pos;
+  } else {
+    while (PeekDigit()) ++pos;
+  }
+  if (Consume('.')) {
+    if (!PeekDigit()) return Error("malformed number fraction");
+    while (PeekDigit()) ++pos;
+  }
+  if (!AtEnd() && (Peek() == 'e' || Peek() == 'E')) {
+    ++pos;
+    if (!AtEnd() && (Peek() == '+' || Peek() == '-')) ++pos;
+    if (!PeekDigit()) return Error("malformed number exponent");
+    while (PeekDigit()) ++pos;
+  }
+  return std::string(text.substr(start, pos - start));
+}
+
+inline Result<JsonValue> Parser::ParseValue(int depth) {
+  if (depth > kMaxDepth) return Error("nesting too deep");
+  SkipSpace();
+  if (AtEnd()) return Error("unexpected end of input");
+  const char c = Peek();
+  if (c == '{') {
+    ++pos;
+    JsonValue object = JsonValue::Object();
+    SkipSpace();
+    if (Consume('}')) return object;
+    while (true) {
+      SkipSpace();
+      DPC_ASSIGN_OR_RETURN(std::string key, ParseString());
+      SkipSpace();
+      if (!Consume(':')) return Error("expected ':'");
+      DPC_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
+      if (object.Find(key) != nullptr) {
+        return Error("duplicate object key \"" + key + "\"");
+      }
+      object.Set(std::move(key), std::move(value));
+      SkipSpace();
+      if (Consume(',')) continue;
+      if (Consume('}')) return object;
+      return Error("expected ',' or '}'");
+    }
+  }
+  if (c == '[') {
+    ++pos;
+    JsonValue array = JsonValue::Array();
+    SkipSpace();
+    if (Consume(']')) return array;
+    while (true) {
+      DPC_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
+      array.Append(std::move(value));
+      SkipSpace();
+      if (Consume(',')) continue;
+      if (Consume(']')) return array;
+      return Error("expected ',' or ']'");
+    }
+  }
+  if (c == '"') {
+    DPC_ASSIGN_OR_RETURN(std::string s, ParseString());
+    return JsonValue::String(std::move(s));
+  }
+  if (c == 't') {
+    if (ConsumeWord("true")) return JsonValue::Bool(true);
+    return Error("bad literal");
+  }
+  if (c == 'f') {
+    if (ConsumeWord("false")) return JsonValue::Bool(false);
+    return Error("bad literal");
+  }
+  if (c == 'n') {
+    if (ConsumeWord("null")) return JsonValue::Null();
+    return Error("bad literal");
+  }
+  if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+    DPC_ASSIGN_OR_RETURN(std::string lexeme, ParseNumberLexeme());
+    return JsonValue::NumberFromLexeme(std::move(lexeme));
+  }
+  return Error("unexpected character");
+}
+
+/// JsonValue::Parse as it was before the cursor: the whole tree first.
+inline Result<JsonValue> ParseJson(std::string_view text) {
+  Parser parser{text};
+  DPC_ASSIGN_OR_RETURN(JsonValue value, parser.ParseValue(0));
+  parser.SkipSpace();
+  if (!parser.AtEnd()) return parser.Error("trailing garbage");
+  return value;
+}
+
+// --- The member dispatch over the tree ---------------------------------------
 
 inline Status FieldError(std::string_view key, const std::string& what) {
   return Status::InvalidArgument("field \"" + std::string(key) + "\": " + what);
@@ -146,7 +382,7 @@ inline Status ParseTuning(const JsonValue& v, Tuning& tuning) {
 /// ParseWireRequest as a tree parse followed by a member dispatch.
 inline Result<WireRequest> TreeParseWireRequest(std::string_view body) {
   using namespace tree_decoder;
-  DPC_ASSIGN_OR_RETURN(const JsonValue json, JsonValue::Parse(body));
+  DPC_ASSIGN_OR_RETURN(const JsonValue json, ParseJson(body));
   if (!json.is_object()) {
     return Status::InvalidArgument("wire request must be a JSON object");
   }
@@ -249,7 +485,7 @@ inline Result<WireRequest> TreeParseWireRequest(std::string_view body) {
 inline Result<StreamRequest> TreeParseStream(std::string_view body,
                                              bool is_append) {
   using namespace tree_decoder;
-  DPC_ASSIGN_OR_RETURN(const JsonValue json, JsonValue::Parse(body));
+  DPC_ASSIGN_OR_RETURN(const JsonValue json, ParseJson(body));
   if (!json.is_object()) {
     return Status::InvalidArgument("stream request must be a JSON object");
   }

@@ -2,8 +2,10 @@
 // ParseStreamExpire) against the tree-based oracle in
 // tests/reference/tree_decoder_reference.h: on every body — the golden
 // request shapes and seeded mutations of them — both must return the same
-// value or the same error message, byte for byte. A second group pins the
-// coordinate conversion to std::strtod bit for bit.
+// value or the same error message, byte for byte. JsonValue::Parse, now
+// built on JsonCursor, is held to the oracle's tree parser on the same
+// inputs. A second group pins the coordinate conversion to std::strtod bit
+// for bit.
 
 #include <gtest/gtest.h>
 
@@ -189,7 +191,18 @@ void ExpectSeen(std::initializer_list<std::string_view> messages) {
   seen.clear();
 }
 
+/// JsonValue::Parse against the tree parser it replaced: the same error
+/// message, or a tree that encodes to the same bytes.
+void ExpectSameParse(std::string_view text) {
+  SCOPED_TRACE(Excerpt(text));
+  const auto got = JsonValue::Parse(text);
+  const auto want = reference::tree_decoder::ParseJson(text);
+  ASSERT_EQ(got.status().ToString(), want.status().ToString());
+  if (want.ok()) EXPECT_EQ(got->Encode(), want->Encode());
+}
+
 void ExpectSameOnRoutes(const std::string& text) {
+  ExpectSameParse(text);
   for (const Route route : {Route::kSolve, Route::kAppend, Route::kExpire}) {
     ExpectSameDecode(route, text);
   }
@@ -213,6 +226,7 @@ std::string ReplaceFirst(std::string text, std::string_view from,
 
 TEST(WireDecodeTest, GoldenShapesDecodeLikeTheTree) {
   for (const Body& body : GoldenShapedBodies()) {
+    ExpectSameParse(body.text);
     ExpectSameDecode(body.route, body.text);
     ASSERT_TRUE(body.route != Route::kSolve || ParseWireRequest(body.text).ok())
         << body.text;
