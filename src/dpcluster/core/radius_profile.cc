@@ -143,11 +143,9 @@ class WeightedCappedTracker {
   std::uint64_t sum_above_;
 };
 
-// Whole pages mapped for one buffer and unmapped when it is freed. A kGrid
-// build's event buffers run to tens of MB (~8 bytes per event) and live for
-// one build: from malloc, glibc raises its mmap threshold past them after the
-// first free and later builds take them from the building thread's arena,
-// which keeps them resident, so a daemon's RSS grows with its worker count.
+// Whole pages mapped per buffer and unmapped on free. A build's event buffers
+// run to tens of MB and live for one build; from malloc, glibc raises its
+// mmap threshold past them, and each worker's arena then keeps them resident.
 template <typename T>
 struct PageAllocator {
   using value_type = T;
@@ -155,6 +153,7 @@ struct PageAllocator {
     void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     DPC_CHECK(p != MAP_FAILED);
+    madvise(p, n * sizeof(T), MADV_HUGEPAGE);  // Fewer faults, where allowed.
     return static_cast<T*>(p);
   }
   void deallocate(T* p, std::size_t n) { munmap(p, n * sizeof(T)); }
@@ -184,40 +183,26 @@ struct WeightedEvent {
 // without ever materializing (index, center) records.
 class EventBuckets {
  public:
-  /// One block of consecutive centers' variable-length event rows: center
-  /// first_row + r emits fine[offsets[r], offsets[r + 1]).
-  struct FineBlock {
-    std::size_t first_row = 0;
-    std::vector<std::size_t> offsets;
-    PageVector<std::uint32_t> fine;
-  };
-
-  /// Groups the blocks' fine indices (every index < fine_domain) with one
+  /// Groups centers' variable-length event rows — center r emits
+  /// fine[rows[r], rows[r + 1]), every index < fine_domain — with one
   /// counting sort; centers keep row order within a bucket.
-  static EventBuckets FromFineBlocks(std::span<const FineBlock> blocks,
-                                     std::uint64_t fine_domain) {
+  static EventBuckets FromRows(std::span<const std::size_t> rows,
+                               std::span<const std::uint32_t> fine,
+                               std::uint64_t fine_domain) {
     EventBuckets buckets;
     PageVector<std::size_t>& offsets = buckets.offsets_;
     offsets.assign(fine_domain + 1, 0);
-    std::size_t total = 0;
-    for (const FineBlock& block : blocks) {
-      for (const std::uint32_t g : block.fine) ++offsets[g + 1];
-      total += block.fine.size();
-    }
+    for (const std::uint32_t g : fine) ++offsets[g + 1];
     for (std::uint64_t g = 0; g < fine_domain; ++g) {
       offsets[g + 1] += offsets[g];
     }
-    DPC_CHECK_EQ(offsets[fine_domain], total);
-    buckets.centers_.resize(total);
+    DPC_CHECK_EQ(offsets[fine_domain], fine.size());
+    buckets.centers_.resize(fine.size());
     // Scatter with offsets[g] as bucket g's cursor; it ends at bucket g+1's
     // start, so one shift restores the starts.
-    for (const FineBlock& block : blocks) {
-      for (std::size_t r = 0; r + 1 < block.offsets.size(); ++r) {
-        const auto center = static_cast<std::uint32_t>(block.first_row + r);
-        for (std::size_t e = block.offsets[r]; e < block.offsets[r + 1];
-             ++e) {
-          buckets.centers_[offsets[block.fine[e]]++] = center;
-        }
+    for (std::size_t r = 0; r + 1 < rows.size(); ++r) {
+      for (std::size_t e = rows[r]; e < rows[r + 1]; ++e) {
+        buckets.centers_[offsets[fine[e]]++] = static_cast<std::uint32_t>(r);
       }
     }
     std::copy_backward(offsets.begin(), offsets.end() - 2, offsets.end() - 1);
@@ -229,9 +214,6 @@ class EventBuckets {
   static EventBuckets FromSorted(std::span<const Event> events) {
     EventBuckets buckets;
     buckets.sparse_ = true;
-    // Page-backed: pages a reserve leaves untouched are never resident.
-    buckets.keys_.reserve(events.size());
-    buckets.offsets_.reserve(events.size() + 1);
     buckets.centers_.reserve(events.size());
     for (std::size_t e = 0; e < events.size(); ++e) {
       if (e == 0 || events[e].index != events[e - 1].index) {
@@ -448,9 +430,16 @@ EventBuckets KnnSupersetEventBuckets(std::size_t n, std::size_t k,
   // empty bucket table (and fine indices may not fit in 4 bytes).
   const bool sparse = fine_domain > 8 * n * k + 1024 ||
                       fine_domain > (std::uint64_t{1} << 32);
-  std::vector<EventBuckets::FineBlock> blocks;
+  // Dense rows go to one buffer sized for the longest superset rows; pages
+  // past the events actually emitted are never touched, so never resident.
+  std::vector<std::size_t> row_ends = {0};
+  PageVector<std::uint32_t> fine;
   PageVector<Event> events;
-  if (sparse) events.reserve(n * k);  // Rows hold k values or a few more.
+  if (sparse) {
+    events.reserve(n * k);  // Rows hold k values or a few more.
+  } else {
+    fine.reserve(n * k * SpatialGrid::kMaxSupersetSlack);
+  }
   if (k > 0) {
     const std::size_t block_rows =
         std::max(kMinKnnBlockRows, kKnnBlockDoubles / k);
@@ -458,26 +447,21 @@ EventBuckets KnnSupersetEventBuckets(std::size_t n, std::size_t k,
     for (std::size_t lo = 0; lo < n; lo += block_rows) {
       const std::size_t hi = std::min(n, lo + block_rows);
       knn_rows(lo, hi, rows);
-      if (sparse) {
-        for (std::size_t r = 0; r + lo < hi; ++r) {
-          for (std::size_t e = rows.offsets[r]; e < rows.offsets[r + 1]; ++e) {
-            events.push_back({FineIndexOf(rows.values[e], fine_step, max_fine),
-                              static_cast<std::uint32_t>(lo + r)});
+      for (std::size_t r = 0; r + lo < hi; ++r) {
+        for (std::size_t e = rows.offsets[r]; e < rows.offsets[r + 1]; ++e) {
+          const std::uint64_t g =
+              FineIndexOf(rows.values[e], fine_step, max_fine);
+          if (sparse) {
+            events.push_back({g, static_cast<std::uint32_t>(lo + r)});
+          } else {
+            fine.push_back(static_cast<std::uint32_t>(g));
           }
         }
-        continue;
-      }
-      EventBuckets::FineBlock& block = blocks.emplace_back();
-      block.first_row = lo;
-      block.offsets = rows.offsets;
-      block.fine.resize(rows.values.size());  // Exact size, never regrown.
-      for (std::size_t e = 0; e < rows.values.size(); ++e) {
-        block.fine[e] = static_cast<std::uint32_t>(
-            FineIndexOf(rows.values[e], fine_step, max_fine));
+        if (!sparse) row_ends.push_back(fine.size());
       }
     }
   }
-  if (!sparse) return EventBuckets::FromFineBlocks(blocks, fine_domain);
+  if (!sparse) return EventBuckets::FromRows(row_ends, fine, fine_domain);
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.index < b.index; });
   return EventBuckets::FromSorted(events);
