@@ -103,12 +103,10 @@ class JsonValue {
 };
 
 /// A strict forward-only reader over one JSON document in Parse's grammar
-/// (Parse is built on it): Next() classifies the value at the cursor, and
-/// the matching Read*, ReadObject/ReadArray or Skip consumes it, so values
-/// are decoded where they land and no tree is built. The first error sticks
-/// in status() — Parse's wording and byte offsets — and every later read
-/// returns false or nullopt. The per-byte steps are inline for the
-/// request decoders, which take them per coordinate.
+/// (Parse is built on it): Next() classifies the value at the cursor and the
+/// matching Read*, ReadObject/ReadArray or Skip consumes it, so values decode
+/// where they land, with no tree. The first error sticks in status(), in
+/// Parse's wording and byte offsets, and every later read fails.
 class JsonCursor {
  public:
   explicit JsonCursor(std::string_view text) : text_(text) {}

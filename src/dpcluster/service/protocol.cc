@@ -53,9 +53,6 @@ class BodyDecoder : public JsonCursor {
   bool Expect(Kind kind, std::string_view key, const char* what) {
     return Next() == kind || Reject(FieldError(key, what));
   }
-  bool Unknown(std::string_view key) {
-    return Reject(FieldError(key, "unknown key"));
-  }
 
   /// Reads the value at the cursor into a bool, string, double or unsigned
   /// `out`; a value of another kind is a field error naming `key`.
@@ -198,7 +195,7 @@ bool ParseTuning(BodyDecoder& in, Tuning& tuning) {
     if (key == "max_grid_centers") {
       return in.Field(key, tuning.max_grid_centers);
     }
-    return in.Unknown("tuning." + key);
+    return in.Reject(FieldError("tuning." + key, "unknown key"));
   });
 }
 
@@ -265,7 +262,7 @@ Result<WireRequest> ParseWireRequest(std::string_view body) {
     if (key == "num_threads") return in.Field(key, request.num_threads);
     if (key == "label") return in.Field(key, request.label);
     if (key == "tuning") return ParseTuning(in, request.tuning);
-    return in.Unknown(key);
+    return in.Reject(FieldError(key, "unknown key"));
   };
   DPC_RETURN_IF_ERROR(
       in.Document("wire request must be a JSON object", member));
@@ -401,7 +398,9 @@ Result<StreamRequest> ParseStreamCommon(std::string_view body,
       have_count = true;
       return in.Field(key, stream.expire_count);
     }
-    if (is_append || key != "ids") return in.Unknown(key);
+    if (is_append || key != "ids") {
+      return in.Reject(FieldError(key, "unknown key"));
+    }
     have_ids = true;
     if (!in.Expect(JsonValue::Kind::kArray, key,
                    "expected an array of row ids")) {
