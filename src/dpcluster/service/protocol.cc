@@ -19,8 +19,8 @@ Status FieldError(std::string_view key, const std::string& what) {
 /// One pass over a request body: each field decodes where it lands while
 /// the cursor checks the grammar. A read returns false on a syntax error or
 /// on the first field error, which ends the pass. A syntax error anywhere
-/// wins, as when the body was parsed whole first, so a field error is
-/// returned only once a second pass has checked the whole body.
+/// in the body wins over any field error, so a field error is returned only
+/// once a second pass has checked the whole body.
 class BodyDecoder : public JsonCursor {
  public:
   using Kind = JsonValue::Kind;
