@@ -18,9 +18,10 @@
 //    index in ~O(n t) work at low dimension with no per-point selection,
 //    and grouped by fine index with one counting sort over 4-byte center
 //    ids. The distance rows are computed one block of rows at a time and
-//    kept only as 4-byte fine indices, so a build holds ~8 bytes per event. This is lossless pruning, not an approximation:
-//    every per-center count is capped at t, so a center's increments beyond
-//    its t-1 nearest neighbors are no-ops in the exact sweep — at any fine
+//    kept only as 4-byte fine indices, so a build holds ~8 bytes per event.
+//    This is lossless pruning, not an approximation: every per-center count
+//    is capped at t, so a center's increments beyond its t-1 nearest
+//    neighbors are no-ops in the exact sweep — at any fine
 //    index below the (t-1)-th neighbor's, the extras have not arrived, and
 //    from that index on the count is saturated either way — and the
 //    tracker's state after each fine index is a function of the count
